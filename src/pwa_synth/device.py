@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TridiagonalHamiltonian
+from .linalg import TridiagonalHamiltonian, reduce_phases
 from .planner import ChipPlan
 
 
@@ -199,8 +199,10 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
     """Resolve the state along z through the section cascade.
 
     Sampling is exact within each constant-Hamiltonian section (the grid only
-    controls where the evolution is evaluated, not its accuracy). dz must not
-    exceed the shortest section.
+    controls where the evolution is evaluated, not its accuracy): the state
+    is advanced in the section's eigenbasis with the same eigensystem and
+    phase reduction as ``realize``, so the last sample agrees with the
+    realized cascade to rounding. dz must not exceed the shortest section.
     """
     sections = chip_sections(chip, model)
     if not sections:
@@ -225,13 +227,12 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
     amps = [state]
     z_offset = 0.0
     for section in sections:
-        h = section.to_matrix()
-        w, v = np.linalg.eigh(h)
+        offset, w, v = section.eigensystem()
         local = v.conj().T @ state
         steps = int(np.ceil(section.length / dz - 1e-9))
         grid = np.minimum(dz * np.arange(1, steps + 1), section.length)
         grid[-1] = section.length
-        phases = np.exp(-1j * np.outer(grid, w))
+        phases = np.exp(-1j * reduce_phases(w, grid, offset))
         block = (v @ (phases * local).T).T
         amps.extend(block)
         zs.extend(z_offset + grid)

@@ -4,6 +4,15 @@ Everything downstream (decomposition, planning, device simulation) is built
 on a handful of primitives: the Hermitian matrix exponential, the operator
 norm, the phase-invariant gate fidelity, the analytic eigenvalues of the
 uniform tridiagonal coupling matrix, and Haar-random unitary sampling.
+
+This module is also the single place where section evolutions e^{-iHz} are
+formed, for the compiler, the simulator and the optimizer alike. The
+kernel has three steps: ``TridiagonalHamiltonian.eigensystem`` splits the
+mean diagonal off as an exact phase offset and diagonalizes the rest (the
+analytic sine basis for uniform sections, ``eigh`` otherwise);
+``reduce_phases`` forms (eigenvalue + offset) * z mod 2 pi in extended
+precision; ``assemble_unitary`` builds V diag(e^{-i phi}) V^dag, batched
+over leading axes.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ HERMITICITY_ATOL = 1e-12
 #: Operator-norm tolerance for accepting a matrix as unitary.
 UNITARITY_ATOL = 1e-10
 
-_TWO_PI = 2.0 * np.pi
 _TWO_PI_LD = np.longdouble(2.0) * np.longdouble(np.pi)
 
 
@@ -55,24 +63,41 @@ def require_unitary(matrix, atol: float = UNITARITY_ATOL, what: str = "matrix") 
     return u
 
 
-def _reduced_phases(eigenvalues: np.ndarray, scale: float, offset: float = 0.0) -> np.ndarray:
-    """eigenvalue*scale + offset, reduced mod 2*pi in extended precision.
+def reduce_phases(eigenvalues, length, offset: float = 0.0) -> np.ndarray:
+    """Eigenphases (eigenvalue + offset) * length, reduced mod 2 pi.
 
-    The exponential only depends on the phase mod 2*pi; products like
-    beta*L reach 1e5 rad and beyond, where forming them in float64 loses
-    the digits that matter after reduction.
+    The exponential only depends on the phase mod 2 pi; products like
+    beta*L reach 1e5 rad and recurrence sections 1e10 rad and beyond, where
+    forming them in float64 loses the digits that matter after reduction,
+    so they are formed in extended precision. ``length`` may be an array of
+    sample positions; the result then has shape length.shape + (d,).
     """
-    prod = eigenvalues.astype(np.longdouble) * np.longdouble(scale) + np.longdouble(offset)
+    z = np.asarray(length, dtype=np.longdouble)[..., None]
+    prod = np.asarray(eigenvalues, dtype=np.longdouble) * z + np.longdouble(offset) * z
     return np.mod(prod, _TWO_PI_LD).astype(float)
 
 
-def expm_hermitian(hamiltonian, scale: float = 1.0) -> np.ndarray:
-    """Unitary e^{-i H scale} of a Hermitian matrix via eigendecomposition.
+def assemble_unitary(eigenvectors, phases) -> np.ndarray:
+    """V diag(e^{-i phases}) V^dag, batched over any leading axes."""
+    v = np.asarray(eigenvectors)
+    rotated = v * np.exp(-1j * np.asarray(phases))[..., None, :]
+    return rotated @ np.conj(np.swapaxes(v, -1, -2))
 
-    The mean diagonal is split off as an exact global phase before
-    diagonalizing: waveguide Hamiltonians carry a ~1e7 m^-1 identity
-    offset that would otherwise dominate the eigensolver's error budget.
+
+def _centered_eigh(h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(mu, w, V) with H = mu I + V diag(w) V^dag and mu the mean diagonal.
+
+    Waveguide Hamiltonians carry a ~1e7 m^-1 identity offset that would
+    otherwise dominate the eigensolver's error budget.
     """
+    mu = float(np.trace(h).real) / h.shape[0]
+    w, v = np.linalg.eigh(h - mu * np.eye(h.shape[0]))
+    return mu, w, v
+
+
+def expm_hermitian(hamiltonian, scale: float = 1.0) -> np.ndarray:
+    """Unitary e^{-i H scale} of a Hermitian matrix via eigendecomposition,
+    with the mean diagonal split off as an exact phase offset."""
     h = as_square_matrix(hamiltonian, "hamiltonian")
     defect = float(np.max(np.abs(h - h.conj().T)))
     if defect > HERMITICITY_ATOL:
@@ -81,12 +106,8 @@ def expm_hermitian(hamiltonian, scale: float = 1.0) -> np.ndarray:
         )
     if not np.isfinite(scale):
         raise ValueError("scale must be finite")
-    d = h.shape[0]
-    mu = float(np.trace(h).real) / d
-    w, v = np.linalg.eigh(h - mu * np.eye(d))
-    base = float(np.mod(np.longdouble(mu) * np.longdouble(scale), _TWO_PI_LD))
-    phases = _reduced_phases(w, scale, base)
-    return (v * np.exp(-1j * phases)) @ v.conj().T
+    mu, w, v = _centered_eigh(h)
+    return assemble_unitary(v, reduce_phases(w, scale, mu))
 
 
 def fidelity(u, u_target) -> float:
@@ -214,23 +235,20 @@ class TridiagonalHamiltonian:
             h[i + 1, i] = self.couplings
         return h
 
-    def unitary(self, length: float | None = None) -> np.ndarray:
-        """Section evolution e^{-i H z}.
+    def eigensystem(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(offset, w, V) with H = offset I + V diag(w) V^dag.
 
-        Uniform sections use the analytic sine-basis eigensystem with the
-        phase products formed in extended precision; recurrence sections have
-        lengths of 1e7 m and more, where the generic eigensolver path would
-        shed accuracy.
+        Uniform sections use the analytic sine basis, with w formed in
+        extended precision; recurrence sections have lengths of 1e7 m and
+        more, where the generic eigensolver path would shed accuracy.
         """
-        z = self.length if length is None else float(length)
         d = self.dimension
         if self.is_uniform() and d > 1:
-            lam = toeplitz_eigenvalues(d)
-            s = toeplitz_eigenvectors(d)
-            prod = (
-                np.longdouble(self.couplings[0]) * lam.astype(np.longdouble) * np.longdouble(z)
-                + np.longdouble(self.betas[0]) * np.longdouble(z)
-            )
-            phases = np.mod(prod, _TWO_PI_LD).astype(float)
-            return (s * np.exp(-1j * phases)) @ s.T
-        return expm_hermitian(self.to_matrix(), z)
+            w = np.longdouble(self.couplings[0]) * toeplitz_eigenvalues(d).astype(np.longdouble)
+            return float(self.betas[0]), w, toeplitz_eigenvectors(d)
+        return _centered_eigh(self.to_matrix())
+
+    def unitary(self) -> np.ndarray:
+        """Section evolution e^{-i H L} over the section's own length."""
+        offset, w, v = self.eigensystem()
+        return assemble_unitary(v, reduce_phases(w, self.length, offset))

@@ -15,13 +15,13 @@ import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .device import DeviceModel, VoltageSettings, realize
-from .linalg import fidelity, require_unitary
+from .linalg import assemble_unitary, fidelity, require_unitary
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class OptimizationTask:
         return self.sections * (2 * self.dimension - 1)
 
     def to_json(self) -> str:
-        model = self.model
         return json.dumps(
             {
                 "schema_version": 1,
@@ -65,16 +64,7 @@ class OptimizationTask:
                 "seed": self.seed,
                 "max_iterations": self.max_iterations,
                 "tolerance": self.tolerance,
-                "model": {
-                    "wavelength": model.wavelength,
-                    "base_index": model.base_index,
-                    "index_shift_per_volt": model.index_shift_per_volt,
-                    "base_coupling": model.base_coupling,
-                    "coupling_shift_per_volt": model.coupling_shift_per_volt,
-                    "max_voltage": model.max_voltage,
-                    "section_length": model.section_length,
-                    "gap_length": model.gap_length,
-                },
+                "model": asdict(self.model),
             },
             indent=2,
         )
@@ -103,8 +93,10 @@ class _ChipObjective:
     identity in every section and gap; it only contributes a global phase
     that the fidelity ignores, but keeping it in the eigenproblem would put
     the eigensolver's error budget five orders of magnitude above the
-    voltage-induced structure. It is therefore dropped from the evaluated
-    Hamiltonians.
+    voltage-induced structure. It is therefore dropped from the section
+    Hamiltonians, whose eigensystems the gradient reuses. The gap is the
+    zero-voltage section's own unitary; its global phase cancels in |tr| and
+    in conj(overlap) * d overlap.
     """
 
     def __init__(self, task: OptimizationTask):
@@ -115,10 +107,7 @@ class _ChipObjective:
         self.length = model.section_length
         self.beta_sens = model.beta_shift_per_volt
         self.coupling_sens = model.coupling_shift_per_volt
-        d = self.d
-        gap_h = model.base_coupling * (np.eye(d, k=1) + np.eye(d, k=-1))
-        w, v = np.linalg.eigh(gap_h)
-        self.gap_unitary = (v * np.exp(-1j * w * model.gap_length)) @ v.conj().T
+        self.gap_unitary = model.zero_voltage_hamiltonian(self.d).unitary()
 
     def value_and_gradient(self, volts_flat: np.ndarray) -> tuple[float, np.ndarray]:
         d, k, length = self.d, self.k, self.length
@@ -131,9 +120,7 @@ class _ChipObjective:
         hams[:, off, off + 1] = self.task.model.base_coupling + self.coupling_sens * v[:, d:]
         hams[:, off + 1, off] = hams[:, off, off + 1]
         eigvals, eigvecs = np.linalg.eigh(hams)
-        units = (eigvecs * np.exp(-1j * eigvals * length)[:, None, :]) @ np.conj(
-            np.transpose(eigvecs, (0, 2, 1))
-        )
+        units = assemble_unitary(eigvecs, eigvals * length)
         mats: list[np.ndarray] = []
         for i in range(k):
             if i:
@@ -232,16 +219,7 @@ class OptimizationResult:
             ],
         }
         if model is not None:
-            payload["model"] = {
-                "wavelength": model.wavelength,
-                "base_index": model.base_index,
-                "index_shift_per_volt": model.index_shift_per_volt,
-                "base_coupling": model.base_coupling,
-                "coupling_shift_per_volt": model.coupling_shift_per_volt,
-                "max_voltage": model.max_voltage,
-                "section_length": model.section_length,
-                "gap_length": model.gap_length,
-            }
+            payload["model"] = asdict(model)
         if extra:
             payload.update(extra)
         return json.dumps(payload, indent=2)

@@ -22,6 +22,7 @@ import numpy as np
 from .lattice import DiophantineResult, simultaneous_diophantine
 from .linalg import (
     TridiagonalHamiltonian,
+    assemble_unitary,
     operator_norm,
     require_unitary,
     toeplitz_eigenvalues,
@@ -344,7 +345,7 @@ class PlanSection:
         if self.reduced_phases is None:
             return self.hamiltonian.unitary()
         basis = toeplitz_eigenvectors(self.hamiltonian.dimension)
-        return (basis * np.exp(-1j * np.asarray(self.reduced_phases))) @ basis.T
+        return assemble_unitary(basis, self.reduced_phases)
 
 
 @dataclass

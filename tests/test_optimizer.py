@@ -78,6 +78,20 @@ class TestInfidelityAndGradient:
             if abs(grad[i]) > 1e-8:
                 assert abs(grad[i] - fd) / abs(grad[i]) <= 1e-4
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_objective_value_is_realized_infidelity(self, d, k):
+        # the value L-BFGS minimizes is the realized chip's infidelity, even
+        # though the objective drops the identity offset from its sections
+        rng = np.random.default_rng(100 * d + k)
+        model = DeviceModel()
+        settings = [random_settings(rng, d) for _ in range(k)]
+        task = OptimizationTask(target=dft(d), sections=k, model=model)
+        flat = np.concatenate([np.concatenate([v.level_volts, v.coupling_volts]) for v in settings])
+        value, _ = _ChipObjective(task).value_and_gradient(flat)
+        expected = 1.0 - fidelity(realize(settings, model), dft(d))
+        assert abs(value - expected) <= 1e-10
+
     def test_validation(self):
         task = OptimizationTask(target=dft(3), sections=2)
         with pytest.raises(ValueError, match="sections"):
