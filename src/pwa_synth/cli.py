@@ -31,11 +31,25 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _load_file(path: str, what: str, parse):
+    """``parse`` applied to the file's text; malformed content raises a
+    ValueError that names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse(text)
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise ValueError(f"malformed {what} file {path}: {exc}") from exc
+
+
+def _parse_matrix(text: str) -> np.ndarray:
+    payload = json.loads(text)
+    rows = payload["matrix"] if isinstance(payload, dict) else payload
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
 def load_unitary_file(path: str) -> np.ndarray:
     """Load a complex matrix from JSON: {"matrix": [[[re, im], ...], ...]}."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    rows = payload["matrix"] if isinstance(payload, dict) else payload
-    matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
+    matrix = _load_file(path, "matrix", _parse_matrix)
     return require_unitary(matrix, atol=1e-8, what=f"matrix from {path}")
 
 
@@ -123,12 +137,11 @@ def _cmd_simulate(args) -> int:
         raise ValueError("provide exactly one of --plan or --voltages")
     model = DeviceModel()
     if args.plan:
-        chip = ChipPlan.from_json(Path(args.plan).read_text(encoding="utf-8"))
+        chip = _load_file(args.plan, "plan", ChipPlan.from_json)
         d = chip.dimension
     else:
-        volts, model = OptimizationResult.voltages_from_json(Path(args.voltages).read_text(encoding="utf-8"))
-        chip = volts
-        d = volts[0].dimension
+        chip, model = _load_file(args.voltages, "voltages", OptimizationResult.voltages_from_json)
+        d = chip[0].dimension
     if not 0 <= args.input < d:
         raise ValueError(f"--input must be a basis index in [0, {d - 1}]")
     state = np.zeros(d, dtype=complex)

@@ -62,13 +62,13 @@ class DeviceModel:
     def beta_shift_per_volt(self) -> float:
         return 2.0 * math.pi * self.index_shift_per_volt / self.wavelength
 
-    def zero_voltage_hamiltonian(self, d: int, length: float | None = None) -> TridiagonalHamiltonian:
+    def zero_voltage_hamiltonian(self, d: int) -> TridiagonalHamiltonian:
         if d < 2:
             raise ValueError("need at least two modes")
         return TridiagonalHamiltonian(
             betas=np.full(d, self.beta_zero),
             couplings=np.full(d - 1, self.base_coupling),
-            length=self.gap_length if length is None else float(length),
+            length=self.gap_length,
         )
 
 

@@ -121,29 +121,6 @@ def fidelity(u, u_target) -> float:
     return float(min(1.0, (abs(t) / d) ** 2))
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    """Fidelity, infidelity and the operator-norm error of U against a target."""
-
-    fidelity: float
-    infidelity: float
-    operator_norm_error: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.fidelity <= 1.0:
-            raise ValueError(f"fidelity out of [0, 1]: {self.fidelity!r}")
-        if self.infidelity != 1.0 - self.fidelity:
-            raise ValueError("infidelity must equal 1 - fidelity exactly")
-        if self.operator_norm_error < 0.0:
-            raise ValueError("operator-norm error must be non-negative")
-
-    @classmethod
-    def compare(cls, u, u_target) -> "FidelityReport":
-        f = fidelity(u, u_target)
-        err = operator_norm(np.asarray(u, dtype=complex) - np.asarray(u_target, dtype=complex))
-        return cls(fidelity=f, infidelity=1.0 - f, operator_norm_error=err)
-
-
 def toeplitz_eigenvalues(d: int) -> np.ndarray:
     """Eigenvalues -2 cos(j pi/(d+1)), j = 1..d, of the 0-diagonal/1-offdiagonal
     tridiagonal Toeplitz matrix, sorted ascending.

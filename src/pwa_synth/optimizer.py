@@ -32,7 +32,6 @@ class OptimizationTask:
     restarts: int = 48
     seed: int = 0
     max_iterations: int = 2000
-    tolerance: float = 1e-12
     record_trace: bool = False
 
     def __post_init__(self):
@@ -53,37 +52,6 @@ class OptimizationTask:
     @property
     def parameters(self) -> int:
         return self.sections * (2 * self.dimension - 1)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": 1,
-                "target": [[[z.real, z.imag] for z in row] for row in self.target],
-                "sections": self.sections,
-                "restarts": self.restarts,
-                "seed": self.seed,
-                "max_iterations": self.max_iterations,
-                "tolerance": self.tolerance,
-                "model": asdict(self.model),
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "OptimizationTask":
-        payload = json.loads(text)
-        target = np.array(
-            [[complex(re, im) for re, im in row] for row in payload["target"]]
-        )
-        return cls(
-            target=target,
-            sections=int(payload["sections"]),
-            model=DeviceModel(**payload["model"]),
-            restarts=int(payload["restarts"]),
-            seed=int(payload["seed"]),
-            max_iterations=int(payload["max_iterations"]),
-            tolerance=float(payload["tolerance"]),
-        )
 
 
 class _ChipObjective:
@@ -234,6 +202,8 @@ class OptimizationResult:
             )
             for item in payload["voltages"]
         ]
+        if not voltages:
+            raise ValueError("no voltage sections")
         model = DeviceModel(**payload["model"]) if "model" in payload else DeviceModel()
         return voltages, model
 
@@ -267,7 +237,7 @@ def _run_restart(task: OptimizationTask, objective: _ChipObjective, restart: int
         jac=True,
         method="L-BFGS-B",
         callback=callback,
-        options={"maxiter": task.max_iterations, "ftol": task.tolerance, "gtol": 1e-12},
+        options={"maxiter": task.max_iterations, "ftol": 1e-12, "gtol": 1e-12},
     )
     volts = vmax * np.tanh(res.x)
     return float(res.fun), volts, int(res.nit), trace

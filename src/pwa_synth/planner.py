@@ -29,7 +29,7 @@ from .linalg import (
     toeplitz_eigenvectors,
 )
 from .reck import adjacent_expand, count_sections, two_level_decompose
-from .su2 import ParameterBounds, Su2Section, synthesize_su2
+from .su2 import Su2Section, synthesize_su2
 
 SECTION_A = "A"
 SECTION_B = "B"
@@ -52,13 +52,25 @@ def _cached_recurrence(d: int, eps: float) -> DiophantineResult:
     return simultaneous_diophantine(tuple(toeplitz_eigenvalues(d)), eps)
 
 
+def _require_design(dimension: int, section_length: float, trotter_steps: int, j1: int, j2: int):
+    if dimension < 2:
+        raise ValueError("need at least two modes")
+    if section_length <= 0.0:
+        raise ValueError("section length must be positive")
+    if trotter_steps < 1:
+        raise ValueError("trotter_steps must be a positive integer")
+    if j1 < 1 or j2 < 1:
+        raise ValueError("background windings j1, j2 must be positive integers")
+
+
 @dataclass(frozen=True)
 class TrotterConfig:
     """Resolved background design shared by every planned pair.
 
     background_coupling = 2 pi j1 and background_beta = 2 pi j2 / q make the
     background evolution over the recurrence length q - L/N equal to the
-    backward step e^{+iB L/N} up to the certified residuals.
+    backward step e^{+iB L/N} up to the certified residuals. All lengths,
+    the recurrence denominator q included, are in meters.
     """
 
     dimension: int
@@ -68,19 +80,9 @@ class TrotterConfig:
     j2: int
     epsilon: float
     recurrence: DiophantineResult
-    recurrence_unit: float = 1.0
 
     def __post_init__(self):
-        if self.dimension < 2:
-            raise ValueError("need at least two modes")
-        if self.section_length <= 0.0:
-            raise ValueError("section length must be positive")
-        if self.trotter_steps < 1:
-            raise ValueError("trotter_steps must be a positive integer")
-        if self.j1 < 1 or self.j2 < 1:
-            raise ValueError("background windings j1, j2 must be positive integers")
-        if self.recurrence_unit <= 0.0:
-            raise ValueError("recurrence unit must be positive")
+        _require_design(self.dimension, self.section_length, self.trotter_steps, self.j1, self.j2)
         budget = self.epsilon_budget(self.dimension, self.section_length, self.trotter_steps, self.j1)
         if self.epsilon > budget * (1.0 + 1e-12):
             raise ValueError(
@@ -104,26 +106,18 @@ class TrotterConfig:
         j1: int = 1,
         j2: int = 1,
         epsilon: float | None = None,
-        recurrence_unit: float = 1.0,
     ) -> "TrotterConfig":
-        if dimension < 2:
-            raise ValueError("need at least two modes")
-        if trotter_steps < 1:
-            raise ValueError("trotter_steps must be a positive integer")
-        if section_length <= 0.0:
-            raise ValueError("section length must be positive")
-        if j1 < 1 or j2 < 1:
-            raise ValueError("background windings j1, j2 must be positive integers")
+        _require_design(dimension, section_length, trotter_steps, j1, j2)
         if epsilon is None:
             epsilon = cls.epsilon_budget(dimension, section_length, trotter_steps, j1)
         recurrence = _cached_recurrence(int(dimension), float(epsilon))
         step = section_length / trotter_steps
-        if recurrence.denominator * recurrence_unit <= step:
-            factor = math.floor(step / (recurrence.denominator * recurrence_unit)) + 1
+        if recurrence.denominator <= step:
+            factor = math.floor(step / recurrence.denominator) + 1
             scaled_eps = factor * recurrence.epsilon
             if scaled_eps > epsilon:
                 raise PlanError(
-                    f"recurrence length {recurrence.denominator * recurrence_unit:g} m is shorter "
+                    f"recurrence length {recurrence.denominator:g} m is shorter "
                     f"than the Trotter step and scaling q by {factor} breaks the certificate"
                 )
             recurrence = DiophantineResult(
@@ -141,24 +135,20 @@ class TrotterConfig:
             j2=int(j2),
             epsilon=float(epsilon),
             recurrence=recurrence,
-            recurrence_unit=float(recurrence_unit),
         )
 
     @property
     def background_coupling(self) -> float:
-        return 2.0 * math.pi * self.j1 / self.recurrence_unit
+        return 2.0 * math.pi * self.j1
 
     @property
     def background_beta(self) -> float:
-        return 2.0 * math.pi * self.j2 / (self.recurrence.denominator * self.recurrence_unit)
+        return 2.0 * math.pi * self.j2 / self.recurrence.denominator
 
     @property
     def recurrence_length(self) -> float:
         """L~ = q - L/N in meters."""
-        return (
-            self.recurrence.denominator * self.recurrence_unit
-            - self.section_length / self.trotter_steps
-        )
+        return self.recurrence.denominator - self.section_length / self.trotter_steps
 
     def background_eigenvalues(self) -> np.ndarray:
         return self.background_coupling * toeplitz_eigenvalues(self.dimension) + self.background_beta
@@ -413,7 +403,7 @@ class ChipPlan:
                     "j1": self.config.j1,
                     "j2": self.config.j2,
                     "epsilon": self.config.epsilon,
-                    "recurrence_unit": self.config.recurrence_unit,
+                    "recurrence_unit": 1.0,
                     "q": self.config.recurrence.denominator,
                     "numerators": list(self.config.recurrence.numerators),
                     "residuals": list(self.config.recurrence.residuals),
@@ -449,6 +439,8 @@ class ChipPlan:
         config = None
         raw_cfg = meta.get("config")
         if raw_cfg is not None:
+            if float(raw_cfg["recurrence_unit"]) != 1.0:
+                raise ValueError("plan recurrence_unit must be 1.0: lengths are in meters")
             recurrence = DiophantineResult(
                 denominator=int(raw_cfg["q"]),
                 numerators=tuple(int(p) for p in raw_cfg["numerators"]),
@@ -464,7 +456,6 @@ class ChipPlan:
                 j2=int(raw_cfg["j2"]),
                 epsilon=float(raw_cfg["epsilon"]),
                 recurrence=recurrence,
-                recurrence_unit=float(raw_cfg["recurrence_unit"]),
             )
         sections = [
             PlanSection(
@@ -503,19 +494,43 @@ def _gap_windings_for_feasibility(
     """Smallest (j1, j2) keeping both compensated parameters positive."""
     zero_beta, zero_coupling = zero_voltage
     rec_length = config.recurrence_length
-    q_length = config.recurrence.denominator * config.recurrence_unit
-    # background_beta * rec_length = 2 pi j2 * rec_length / q_length must exceed 2 beta0 dL
-    j2 = max(
-        config.j2,
-        math.floor(zero_beta * gap_length * q_length / (math.pi * rec_length)) + 1,
-    )
-    # background_coupling * rec_length = (2 pi j1 / unit) rec_length must exceed 2 C0 dL
-    j1 = max(
-        config.j1,
-        math.floor(zero_coupling * gap_length * config.recurrence_unit / (math.pi * rec_length))
-        + 1,
-    )
+    q = config.recurrence.denominator
+    # background_beta * rec_length = 2 pi j2 * rec_length / q must exceed 2 beta0 dL
+    j2 = max(config.j2, math.floor(zero_beta * gap_length * q / (math.pi * rec_length)) + 1)
+    # background_coupling * rec_length = 2 pi j1 rec_length must exceed 2 C0 dL
+    j1 = max(config.j1, math.floor(zero_coupling * gap_length / (math.pi * rec_length)) + 1)
     return j1, j2
+
+
+def _recurrence_sections(
+    config: TrotterConfig, gap_length: float, zero_voltage: tuple[float, float] | None
+) -> list[PlanSection]:
+    """The physical sections that realize one recurrence step e^{-i B L~}:
+    the bare background, or a compensated electrode between two gaps."""
+    rec_phases = config.recurrence_phases()
+    if gap_length <= 0.0:
+        return [
+            PlanSection(
+                kind=SECTION_B,
+                hamiltonian=config.background_hamiltonian(),
+                reduced_phases=tuple(float(x) for x in rec_phases),
+            )
+        ]
+    d = config.dimension
+    spec = gap_compensate(config.background_hamiltonian(), gap_length, zero_voltage)
+    zero_beta, zero_coupling = (float(x) for x in zero_voltage)
+    gap_phases = (zero_beta + zero_coupling * toeplitz_eigenvalues(d)) * gap_length
+    gap_section = PlanSection(
+        kind=SECTION_GAP,
+        hamiltonian=spec.gap_hamiltonian(d),
+        reduced_phases=tuple(float(x) for x in gap_phases),
+    )
+    electrode_section = PlanSection(
+        kind=SECTION_B,
+        hamiltonian=spec.electrode_hamiltonian(d),
+        reduced_phases=tuple(float(x) for x in rec_phases - 2.0 * gap_phases),
+    )
+    return [gap_section, electrode_section, gap_section]
 
 
 def compile_unitary(
@@ -525,8 +540,6 @@ def compile_unitary(
     j1: int = 1,
     j2: int = 1,
     epsilon: float | None = None,
-    config: TrotterConfig | None = None,
-    bounds: ParameterBounds | None = None,
     gap_length: float = 0.0,
     zero_voltage: tuple[float, float] | None = None,
     prune_identity: bool = False,
@@ -535,124 +548,63 @@ def compile_unitary(
 ) -> ChipPlan:
     """Full pipeline: decompose, synthesize, Trotterize, optionally compensate gaps.
 
-    For d = 2 the four-section synthesis is already physical and the plan is
-    exact. For d > 2 each synthesized section becomes N (B, A) pairs in
-    physical order B-first, matching the product (e^{-iA L/N} e^{-iB L~})^N.
+    For d = 2 the four-section synthesis is already physical: each section is
+    emitted once, bare, and the plan is exact. For d > 2 each synthesized
+    section becomes N (B, A) pairs in physical order B-first, matching the
+    product (e^{-iA L/N} e^{-iB L~})^N.
     """
     u = require_unitary(target, atol=1e-8, what="target")
     d = u.shape[0]
-    bounds = bounds or ParameterBounds()
-    factors = two_level_decompose(u)
-    ops = adjacent_expand(factors, d, prune_identity=prune_identity)
-    global_phase = float(np.angle(np.linalg.det(u)))
-    sections: list[PlanSection] = []
+    if gap_length > 0.0:
+        if d == 2:
+            raise ValueError(
+                "gap compensation applies to recurrence sections; exact d=2 plans have none"
+            )
+        if zero_voltage is None:
+            raise ValueError("gap compensation needs the zero-voltage (beta0, C0) constants")
+    ops = adjacent_expand(two_level_decompose(u), d, prune_identity=prune_identity)
 
-    if d == 2 and gap_length > 0.0:
-        raise ValueError(
-            "gap compensation applies to recurrence sections; exact d=2 plans have none"
-        )
-    if d == 2:
-        for op_index, op in enumerate(ops):
-            for su2_index, sec in enumerate(synthesize_su2(op.matrix, section_length, bounds)):
-                ham = TridiagonalHamiltonian(
+    config, steps, recurrence = None, (None,), []
+    if d > 2:
+        config = TrotterConfig.plan(d, section_length, trotter_steps, j1, j2, epsilon)
+        if gap_length > 0.0:
+            need_j1, need_j2 = _gap_windings_for_feasibility(config, gap_length, zero_voltage)
+            if (need_j1, need_j2) != (config.j1, config.j2):
+                config = TrotterConfig.plan(
+                    d, section_length, trotter_steps, need_j1, need_j2, epsilon
+                )
+        steps = range(config.trotter_steps)
+        recurrence = _recurrence_sections(config, gap_length, zero_voltage)
+
+    sections: list[PlanSection] = []
+    for op_index, op in enumerate(ops):
+        for su2_index, sec in enumerate(synthesize_su2(op.matrix, section_length)):
+            if config is None:
+                drive = TridiagonalHamiltonian(
                     betas=np.array([sec.beta_top, sec.beta_bottom]),
                     couplings=np.array([sec.coupling]),
                     length=section_length,
                 )
-                sections.append(
-                    PlanSection(
-                        kind=SECTION_A,
-                        hamiltonian=ham,
-                        factor_index=op_index,
-                        su2_index=su2_index,
-                    )
-                )
-        plan = ChipPlan(
-            dimension=d,
-            trotter_steps=1,
-            section_budget=4,
-            section_length=section_length,
-            sections=sections,
-            global_phase=global_phase,
-            target_name=target_name,
-        )
-        if measure:
-            plan.measured_error = operator_norm(u - plan.realize())
-        return plan
-
-    if config is None:
-        config = TrotterConfig.plan(d, section_length, trotter_steps, j1, j2, epsilon)
-    if config.dimension != d:
-        raise ValueError(f"config is for d={config.dimension}, target has d={d}")
-    if gap_length > 0.0:
-        if zero_voltage is None:
-            raise ValueError("gap compensation needs the zero-voltage (beta0, C0) constants")
-        need_j1, need_j2 = _gap_windings_for_feasibility(config, gap_length, zero_voltage)
-        if need_j1 != config.j1 or need_j2 != config.j2:
-            config = TrotterConfig.plan(
-                d,
-                config.section_length,
-                config.trotter_steps,
-                need_j1,
-                need_j2,
-                recurrence_unit=config.recurrence_unit,
-            )
-
-    rec_phases = config.recurrence_phases()
-    if gap_length > 0.0:
-        spec = gap_compensate(config.background_hamiltonian(), gap_length, zero_voltage)
-        zero_beta, zero_coupling = (float(x) for x in zero_voltage)
-        gap_phases = (zero_beta + zero_coupling * toeplitz_eigenvalues(d)) * gap_length
-        electrode_phases = rec_phases - 2.0 * gap_phases
-        gap_section = PlanSection(
-            kind=SECTION_GAP,
-            hamiltonian=spec.gap_hamiltonian(d),
-            reduced_phases=tuple(float(x) for x in gap_phases),
-        )
-        electrode_section = PlanSection(
-            kind=SECTION_B,
-            hamiltonian=spec.electrode_hamiltonian(d),
-            reduced_phases=tuple(float(x) for x in electrode_phases),
-        )
-        b_template = [gap_section, electrode_section, gap_section]
-    else:
-        b_template = [
-            PlanSection(
-                kind=SECTION_B,
-                hamiltonian=config.background_hamiltonian(),
-                reduced_phases=tuple(float(x) for x in rec_phases),
-            )
-        ]
-
-    for op_index, op in enumerate(ops):
-        for su2_index, sec in enumerate(synthesize_su2(op.matrix, section_length, bounds)):
-            pair = plan_trotter_pair(sec, op.mode, config)
+            else:
+                drive = plan_trotter_pair(sec, op.mode, config).section_a
             a_section = PlanSection(
-                kind=SECTION_A,
-                hamiltonian=pair.section_a,
-                factor_index=op_index,
-                su2_index=su2_index,
+                kind=SECTION_A, hamiltonian=drive, factor_index=op_index, su2_index=su2_index
             )
-            for step in range(config.trotter_steps):
-                for part in b_template:
-                    sections.append(
-                        replace(
-                            part,
-                            factor_index=op_index,
-                            su2_index=su2_index,
-                            trotter_step=step,
-                        )
-                    )
+            for step in steps:
+                sections.extend(
+                    replace(part, factor_index=op_index, su2_index=su2_index, trotter_step=step)
+                    for part in recurrence
+                )
                 sections.append(replace(a_section, trotter_step=step))
 
     plan = ChipPlan(
         dimension=d,
-        trotter_steps=config.trotter_steps,
-        section_budget=4 * count_sections(d) * config.trotter_steps,
+        trotter_steps=len(steps),
+        section_budget=4 * count_sections(d) * len(steps),
         section_length=section_length,
         sections=sections,
-        epsilon_certificate=config.recurrence.epsilon,
-        global_phase=global_phase,
+        epsilon_certificate=None if config is None else config.recurrence.epsilon,
+        global_phase=float(np.angle(np.linalg.det(u))),
         config=config,
         target_name=target_name,
     )

@@ -15,7 +15,6 @@ folded into the factor that is applied first).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +106,7 @@ def embed_adjacent(matrix, mode: int, d: int) -> np.ndarray:
     return full
 
 
-def two_level_decompose(u, atol: float = TWO_LEVEL_ATOL) -> list[TwoLevelFactor]:
+def two_level_decompose(u) -> list[TwoLevelFactor]:
     """Null the lower triangle of a unitary with d(d-1)/2 two-mode factors.
 
     Column q is cleared top to bottom; the factor for entry (high, low) mixes
@@ -117,7 +116,7 @@ def two_level_decompose(u, atol: float = TWO_LEVEL_ATOL) -> list[TwoLevelFactor]
     mode and is folded into the final factor, so the factor product inverts
     U exactly rather than up to a phase.
     """
-    u = require_unitary(u, atol=atol, what="input")
+    u = require_unitary(u, atol=TWO_LEVEL_ATOL, what="input")
     d = u.shape[0]
     if d < 2:
         raise ValueError("two-level decomposition needs d >= 2")
@@ -197,34 +196,3 @@ def reconstruct_adjacent(ops: list[AdjacentOp], d: int) -> np.ndarray:
     for op in ops:
         u = embed_adjacent(op.matrix, op.mode, d) @ u
     return u
-
-
-def _complex_pairs(matrix: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in matrix]
-
-
-def _from_pairs(pairs) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in pairs])
-
-
-def factors_to_json(factors: list[TwoLevelFactor], d: int) -> str:
-    payload = {
-        "schema_version": 1,
-        "d": d,
-        "factors": [
-            {"low": f.low, "high": f.high, "index": f.index, "core": _complex_pairs(f.core)}
-            for f in factors
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def factors_from_json(text: str) -> tuple[list[TwoLevelFactor], int]:
-    payload = json.loads(text)
-    factors = [
-        TwoLevelFactor(
-            low=item["low"], high=item["high"], core=_from_pairs(item["core"]), index=item["index"]
-        )
-        for item in payload["factors"]
-    ]
-    return factors, int(payload["d"])

@@ -90,13 +90,13 @@ class Su2GateParams:
         return np.exp(1j * self.global_phase) * inner
 
 
-def parse_su2(u, atol: float = PARSE_ATOL) -> Su2GateParams:
+def parse_su2(u) -> Su2GateParams:
     """Extract (r, phi, delta, eta) from a 2x2 unitary.
 
     eta = arg(det U)/2 on the branch (-pi/2, pi/2]; r = |U11|. Angles of
     vanishing entries are set to zero.
     """
-    u = require_unitary(u, atol=atol, what="gate")
+    u = require_unitary(u, atol=PARSE_ATOL, what="gate")
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {u.shape}")
     eta = float(np.angle(np.linalg.det(u)) / 2.0)

@@ -120,6 +120,53 @@ class TestSimulateCommand:
         assert code == 2
 
 
+def _plan_with_null_length(path: Path) -> list[str]:
+    from pwa_synth import compile_unitary
+
+    payload = json.loads(compile_unitary(dft(2)).to_json())
+    payload["sections"][0]["length_m"] = None
+    path.write_text(json.dumps(payload))
+    return ["simulate", "--plan", str(path)]
+
+
+def _voltages_with_string_model(path: Path) -> list[str]:
+    from pwa_synth import DeviceModel, OptimizationResult, VoltageSettings
+
+    result = OptimizationResult(
+        voltages=[VoltageSettings(level_volts=[0.0, 0.0], coupling_volts=[0.0])],
+        infidelity=1.0, restart_infidelities=[1.0], iteration_counts=[0], wall_time_s=0.0, seed=0,
+    )
+    payload = json.loads(result.to_json(model=DeviceModel()))
+    payload["model"]["wavelength"] = "808 nm"
+    path.write_text(json.dumps(payload))
+    return ["simulate", "--voltages", str(path)]
+
+
+def _matrix_of_numbers(path: Path) -> list[str]:
+    path.write_text(json.dumps({"matrix": [[1, 2], [3, 4]]}))
+    return ["compile", "--matrix", str(path)]
+
+
+def _empty_voltages(path: Path) -> list[str]:
+    path.write_text(json.dumps({"voltages": []}))
+    return ["simulate", "--voltages", str(path)]
+
+
+@pytest.mark.parametrize(
+    "write_input",
+    [_matrix_of_numbers, _empty_voltages, _plan_with_null_length, _voltages_with_string_model],
+)
+def test_malformed_input_file_exits_2_naming_the_file(capsys, tmp_path, write_input):
+    path = tmp_path / "input.json"
+    code, out = run_cli(capsys, *write_input(path))
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ValueError"
+    assert str(path) in error["message"]
+
+
 class TestBenchCommand:
     def test_error_scaling_rows_and_slope(self, capsys, tmp_path):
         code, out = run_cli(

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwa_synth import (
-    FidelityReport,
     TridiagonalHamiltonian,
     expm_hermitian,
     fidelity,
@@ -112,14 +111,6 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             fidelity(np.eye(2), np.eye(3))
-
-    def test_report_fields(self, pauli_x):
-        report = FidelityReport.compare(pauli_x, pauli_x)
-        assert report.fidelity == 1.0
-        assert report.infidelity == 0.0
-        assert report.operator_norm_error == 0.0
-        with pytest.raises(ValueError, match="exactly"):
-            FidelityReport(fidelity=0.5, infidelity=0.4, operator_norm_error=0.0)
 
 
 class TestToeplitzEigenvalues:

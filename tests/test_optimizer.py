@@ -185,16 +185,6 @@ class TestOptimize:
         assert infidelities[1] < infidelities[0]
         assert infidelities[2] < infidelities[1]
 
-    def test_task_json_round_trip(self):
-        task = OptimizationTask(
-            target=dft(3), sections=2, restarts=5, seed=9, max_iterations=77, tolerance=1e-10
-        )
-        loaded = OptimizationTask.from_json(task.to_json())
-        np.testing.assert_array_equal(loaded.target, task.target)
-        assert loaded.sections == 2 and loaded.restarts == 5 and loaded.seed == 9
-        assert loaded.max_iterations == 77 and loaded.tolerance == 1e-10
-        assert loaded.model == task.model
-
     def test_shift_d5_five_sections_high_fidelity(self):
         # five sections lift the d=5 shift gate above 90% fidelity
         task = OptimizationTask(

@@ -259,6 +259,22 @@ class TestCompileUnitary:
         for s in plan.sections:
             assert np.all(s.hamiltonian.betas > 0.0)
 
+    def test_gap_rejected_on_d2_plan(self):
+        with pytest.raises(ValueError, match="d=2"):
+            compile_unitary(dft(2), gap_length=1e-4, zero_voltage=(100.0, 50.0))
+
+    def test_gap_escalation_keeps_requested_epsilon(self):
+        # device-scale beta0 escalates j2; the re-plan must still meet the
+        # caller's epsilon, not fall back to the (100x looser) budget
+        epsilon = TrotterConfig.epsilon_budget(3, L, 4) / 100.0
+        plan = compile_unitary(
+            dft(3), trotter_steps=4, epsilon=epsilon,
+            gap_length=6e-4, zero_voltage=(2.11e7, 100.0),
+        )
+        assert plan.config.j2 > 1
+        assert plan.config.epsilon == epsilon
+        assert plan.epsilon_certificate <= epsilon
+
     def test_json_round_trip_preserves_error(self):
         plan = compile_unitary(clock(3), trotter_steps=4)
         loaded = ChipPlan.from_json(plan.to_json())
@@ -266,6 +282,26 @@ class TestCompileUnitary:
         assert err == pytest.approx(plan.measured_error, abs=1e-12)
         assert loaded.section_budget == plan.section_budget
         assert loaded.epsilon_certificate == plan.epsilon_certificate
+
+    @pytest.mark.parametrize(
+        "target, kwargs",
+        [
+            (dft(2), {}),
+            (dft(3), {"trotter_steps": 4}),
+            (clock(3), {"trotter_steps": 4, "gap_length": 6e-4, "zero_voltage": (2.11e7, 100.0)}),
+            (haar_random_unitary(4, 5), {"trotter_steps": 4}),
+        ],
+        ids=["d2", "d3", "d3-gap", "d4"],
+    )
+    def test_json_round_trips_byte_for_byte(self, target, kwargs):
+        text = compile_unitary(target, **kwargs).to_json()
+        assert ChipPlan.from_json(text).to_json() == text
+
+    def test_json_rejects_other_recurrence_unit(self):
+        text = compile_unitary(dft(3), trotter_steps=2).to_json()
+        assert text.count('"recurrence_unit": 1.0') == 1
+        with pytest.raises(ValueError, match="recurrence_unit"):
+            ChipPlan.from_json(text.replace('"recurrence_unit": 1.0', '"recurrence_unit": 2.0'))
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):

@@ -15,8 +15,6 @@ from pwa_synth.reck import (
     CORE,
     PERMUTATION,
     embed_two_level,
-    factors_from_json,
-    factors_to_json,
 )
 
 
@@ -132,16 +130,3 @@ class TestAdjacentExpand:
         factors = two_level_decompose(haar_random_unitary(4, 0))
         with pytest.raises(ValueError, match="inconsistent"):
             adjacent_expand(factors, 3)
-
-
-def test_factors_json_round_trip():
-    u = haar_random_unitary(4, 13)
-    factors = two_level_decompose(u)
-    text = factors_to_json(factors, 4)
-    loaded, d = factors_from_json(text)
-    assert d == 4
-    assert [(f.low, f.high, f.index) for f in loaded] == [
-        (f.low, f.high, f.index) for f in factors
-    ]
-    for a, b in zip(loaded, factors):
-        np.testing.assert_array_equal(a.core, b.core)
