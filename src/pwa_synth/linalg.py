@@ -18,6 +18,7 @@ over leading axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -199,6 +200,11 @@ class TridiagonalHamiltonian:
 
     def is_uniform(self) -> bool:
         """True when all betas agree and all couplings agree (Toeplitz form)."""
+        return self._uniform
+
+    @cached_property
+    def _uniform(self) -> bool:
+        # The entries are read-only, so the answer is computed once per object.
         return bool(
             np.all(self.betas == self.betas[0])
             and (self.couplings.size == 0 or np.all(self.couplings == self.couplings[0]))

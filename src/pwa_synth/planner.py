@@ -15,7 +15,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +37,11 @@ SECTION_B = "B"
 SECTION_GAP = "gap"
 
 PLAN_SCHEMA_VERSION = 1
+
+#: A section's provenance object as the stdlib encoder writes it three levels deep.
+_PROVENANCE_TEXT = (
+    '{\n        "factor_index": %s,\n        "su2_index": %s,\n        "trotter_step": %s\n      }'
+)
 
 
 class PlanError(RuntimeError):
@@ -316,6 +322,8 @@ class PlanSection:
     unitary in the shared sine basis, already reduced mod 2 pi symbolically;
     recurrence sections are kilometers to gigameters long and their raw
     eigenvalue-length products cannot be trusted in double precision.
+    The provenance fields (factor_index, su2_index, trotter_step) are each an
+    int or None.
     """
 
     kind: str
@@ -330,6 +338,10 @@ class PlanSection:
             raise ValueError(f"bad section kind {self.kind!r}")
         if self.reduced_phases is not None and not self.hamiltonian.is_uniform():
             raise ValueError("reduced phases only apply to uniform sections")
+        for name in ("factor_index", "su2_index", "trotter_step"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"provenance {name} must be an integer or null, got {value!r}")
 
     def unitary(self) -> np.ndarray:
         if self.reduced_phases is None:
@@ -361,18 +373,15 @@ class ChipPlan:
     def realize(self) -> np.ndarray:
         """Cascade product, first section applied first."""
         u = np.eye(self.dimension, dtype=complex)
+        # compile_unitary and from_json give the copies of a section one
+        # Hamiltonian and one phases object, which the plan keeps alive, so
+        # their identities key one evolution per body.
         cache: dict = {}
         for section in self.sections:
-            key = (
-                section.hamiltonian.betas.tobytes(),
-                section.hamiltonian.couplings.tobytes(),
-                section.hamiltonian.length,
-                section.reduced_phases,
-            )
+            key = (id(section.hamiltonian), id(section.reduced_phases))
             mat = cache.get(key)
             if mat is None:
-                mat = section.unitary()
-                cache[key] = mat
+                mat = cache[key] = section.unitary()
             u = mat @ u
         return u
 
@@ -386,6 +395,13 @@ class ChipPlan:
         return counts
 
     def to_json(self) -> str:
+        """Schema v1 text: ``json.dumps(payload, indent=2)`` of the whole plan.
+
+        Each distinct section body (kind, Hamiltonian object, reduced phases
+        object) is encoded once; its copies differ only in provenance, which
+        is spliced in per section. Provenance entries are ints or None, so
+        formatting them directly matches the stdlib encoder.
+        """
         payload = {
             "schema_version": PLAN_SCHEMA_VERSION,
             "metadata": {
@@ -410,25 +426,24 @@ class ChipPlan:
                     "achieved_epsilon": self.config.recurrence.epsilon,
                 },
             },
-            "sections": [
-                {
-                    "kind": s.kind,
-                    "betas": [float(x) for x in s.hamiltonian.betas],
-                    "couplings": [float(x) for x in s.hamiltonian.couplings],
-                    "length_m": s.hamiltonian.length,
-                    "provenance": {
-                        "factor_index": s.factor_index,
-                        "su2_index": s.su2_index,
-                        "trotter_step": s.trotter_step,
-                    },
-                    "reduced_phases": None
-                    if s.reduced_phases is None
-                    else list(s.reduced_phases),
-                }
-                for s in self.sections
-            ],
+            "sections": [],
         }
-        return json.dumps(payload, indent=2)
+        text = json.dumps(payload, indent=2)
+        if not self.sections:
+            return text
+        pieces = [text[: -len("[]\n}")], "[\n    "]
+        bodies: dict = {}
+        for s in self.sections:
+            key = (s.kind, id(s.hamiltonian), id(s.reduced_phases))
+            body = bodies.get(key)
+            if body is None:
+                body = bodies[key] = _encode_body(s)
+            provenance = (
+                _int_text(s.factor_index), _int_text(s.su2_index), _int_text(s.trotter_step)
+            )
+            pieces += (body[0], _PROVENANCE_TEXT % provenance, body[1], ",\n    ")
+        pieces[-1] = "\n  ]\n}"
+        return "".join(pieces)
 
     @classmethod
     def from_json(cls, text: str) -> "ChipPlan":
@@ -457,23 +472,37 @@ class ChipPlan:
                 epsilon=float(raw_cfg["epsilon"]),
                 recurrence=recurrence,
             )
-        sections = [
-            PlanSection(
-                kind=item["kind"],
-                hamiltonian=TridiagonalHamiltonian(
+        # Copies of a section share one validated Hamiltonian and one phases
+        # tuple. Hamiltonian entries are strictly positive, so equal JSON
+        # values give equal float arrays; phases are keyed by their exact bits,
+        # because 0.0 == -0.0. Every PlanSection check still runs on every copy.
+        hamiltonians: dict = {}
+        phase_tuples: dict = {}
+        sections = []
+        for item in payload["sections"]:
+            key = (tuple(item["betas"]), tuple(item["couplings"]), item["length_m"])
+            hamiltonian = hamiltonians.get(key)
+            if hamiltonian is None:
+                hamiltonian = hamiltonians[key] = TridiagonalHamiltonian(
                     betas=np.array(item["betas"]),
                     couplings=np.array(item["couplings"]),
                     length=float(item["length_m"]),
-                ),
-                factor_index=item["provenance"].get("factor_index"),
-                su2_index=item["provenance"].get("su2_index"),
-                trotter_step=item["provenance"].get("trotter_step"),
-                reduced_phases=None
-                if item.get("reduced_phases") is None
-                else tuple(float(x) for x in item["reduced_phases"]),
+                )
+            phases = item.get("reduced_phases")
+            if phases is not None:
+                bits = array("d", map(float, phases))
+                phases = phase_tuples.setdefault(bits.tobytes(), tuple(bits))
+            provenance = item["provenance"]
+            sections.append(
+                PlanSection(
+                    kind=item["kind"],
+                    hamiltonian=hamiltonian,
+                    factor_index=provenance.get("factor_index"),
+                    su2_index=provenance.get("su2_index"),
+                    trotter_step=provenance.get("trotter_step"),
+                    reduced_phases=phases,
+                )
             )
-            for item in payload["sections"]
-        ]
         return cls(
             dimension=int(meta["d"]),
             trotter_steps=int(meta["N"]),
@@ -486,6 +515,30 @@ class ChipPlan:
             config=config,
             target_name=meta.get("target_name"),
         )
+
+
+def _int_text(value: int | None) -> str:
+    return "null" if value is None else "%d" % value
+
+
+def _encode_body(section: PlanSection) -> tuple[str, str]:
+    """The stdlib encoding of a section two levels deep, split where its
+    provenance object goes."""
+    text = json.dumps(
+        {
+            "kind": section.kind,
+            "betas": [float(x) for x in section.hamiltonian.betas],
+            "couplings": [float(x) for x in section.hamiltonian.couplings],
+            "length_m": section.hamiltonian.length,
+            "provenance": None,
+            "reduced_phases": None
+            if section.reduced_phases is None
+            else list(section.reduced_phases),
+        },
+        indent=2,
+    ).replace("\n", "\n    ")
+    head, _, tail = text.partition('"provenance": null')
+    return head + '"provenance": ', tail
 
 
 def _gap_windings_for_feasibility(
@@ -587,15 +640,14 @@ def compile_unitary(
                 )
             else:
                 drive = plan_trotter_pair(sec, op.mode, config).section_a
-            a_section = PlanSection(
-                kind=SECTION_A, hamiltonian=drive, factor_index=op_index, su2_index=su2_index
-            )
+            a_section = PlanSection(kind=SECTION_A, hamiltonian=drive)
             for step in steps:
                 sections.extend(
-                    replace(part, factor_index=op_index, su2_index=su2_index, trotter_step=step)
-                    for part in recurrence
+                    PlanSection(
+                        part.kind, part.hamiltonian, op_index, su2_index, step, part.reduced_phases
+                    )
+                    for part in (*recurrence, a_section)
                 )
-                sections.append(replace(a_section, trotter_step=step))
 
     plan = ChipPlan(
         dimension=d,

@@ -129,6 +129,24 @@ def _plan_with_null_length(path: Path) -> list[str]:
     return ["simulate", "--plan", str(path)]
 
 
+def _plan_with_string_trotter_step(path: Path) -> list[str]:
+    from pwa_synth import compile_unitary
+
+    payload = json.loads(compile_unitary(dft(2)).to_json())
+    payload["sections"][0]["provenance"]["trotter_step"] = "x"
+    path.write_text(json.dumps(payload))
+    return ["simulate", "--plan", str(path)]
+
+
+def _plan_with_fractional_factor_index(path: Path) -> list[str]:
+    from pwa_synth import compile_unitary
+
+    payload = json.loads(compile_unitary(dft(2)).to_json())
+    payload["sections"][-1]["provenance"]["factor_index"] = 0.5
+    path.write_text(json.dumps(payload))
+    return ["simulate", "--plan", str(path)]
+
+
 def _voltages_with_string_model(path: Path) -> list[str]:
     from pwa_synth import DeviceModel, OptimizationResult, VoltageSettings
 
@@ -154,7 +172,14 @@ def _empty_voltages(path: Path) -> list[str]:
 
 @pytest.mark.parametrize(
     "write_input",
-    [_matrix_of_numbers, _empty_voltages, _plan_with_null_length, _voltages_with_string_model],
+    [
+        _matrix_of_numbers,
+        _empty_voltages,
+        _plan_with_null_length,
+        _plan_with_string_trotter_step,
+        _plan_with_fractional_factor_index,
+        _voltages_with_string_model,
+    ],
 )
 def test_malformed_input_file_exits_2_naming_the_file(capsys, tmp_path, write_input):
     path = tmp_path / "input.json"

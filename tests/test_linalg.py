@@ -188,6 +188,23 @@ class TestTridiagonalHamiltonian:
         direct = expm_hermitian(h.to_matrix(), h.length)
         assert operator_norm(h.unitary() - direct) < 1e-13
 
+    @pytest.mark.parametrize(
+        "betas, couplings",
+        [
+            ([3.7] * 4, [2.2] * 3),
+            ([3.7, 3.7, 3.7000000000000006, 3.7], [2.2] * 3),
+            ([3.7] * 4, [2.2, 2.2, 2.1]),
+            ([5.0], []),
+            ([1.0, 2.0], [0.5]),
+        ],
+        ids=["uniform", "beta-off-by-one-ulp", "coupling-differs", "d1", "d2-non-uniform"],
+    )
+    def test_memoized_is_uniform_matches_elementwise_check(self, betas, couplings):
+        h = TridiagonalHamiltonian(betas=betas, couplings=couplings, length=1.0)
+        expected = all(b == betas[0] for b in betas) and all(c == couplings[0] for c in couplings)
+        assert h.is_uniform() is expected
+        assert h.is_uniform() is expected
+
     def test_non_uniform_matrix(self):
         h = TridiagonalHamiltonian(betas=[1.0, 2.0], couplings=[0.5], length=1.0)
         assert not h.is_uniform()

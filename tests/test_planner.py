@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from pwa_synth import (
     gap_compensate,
     haar_random_unitary,
     operator_norm,
+    PlanSection,
     plan_trotter_pair,
     synthesize_su2,
 )
@@ -306,3 +311,174 @@ class TestCompileUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             compile_unitary(np.ones((3, 3)))
+
+
+ZERO_VOLTAGE = (2.11e7, 100.0)
+
+
+def reference_json(plan: ChipPlan) -> str:
+    """Schema v1 text from the stdlib encoder over the whole payload, built
+    from the plan's fields in the v1 key order."""
+    config = plan.config
+    payload = {
+        "schema_version": 1,
+        "metadata": {
+            "d": plan.dimension,
+            "N": plan.trotter_steps,
+            "K": plan.section_budget,
+            "measured_error": plan.measured_error,
+            "epsilon_certificate": plan.epsilon_certificate,
+            "section_length_m": plan.section_length,
+            "global_phase": plan.global_phase,
+            "target_name": plan.target_name,
+            "config": None
+            if config is None
+            else {
+                "j1": config.j1,
+                "j2": config.j2,
+                "epsilon": config.epsilon,
+                "recurrence_unit": 1.0,
+                "q": config.recurrence.denominator,
+                "numerators": list(config.recurrence.numerators),
+                "residuals": list(config.recurrence.residuals),
+                "achieved_epsilon": config.recurrence.epsilon,
+            },
+        },
+        "sections": [
+            {
+                "kind": s.kind,
+                "betas": [float(x) for x in s.hamiltonian.betas],
+                "couplings": [float(x) for x in s.hamiltonian.couplings],
+                "length_m": s.hamiltonian.length,
+                "provenance": {
+                    "factor_index": s.factor_index,
+                    "su2_index": s.su2_index,
+                    "trotter_step": s.trotter_step,
+                },
+                "reduced_phases": None if s.reduced_phases is None else list(s.reduced_phases),
+            }
+            for s in plan.sections
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
+def hand_built_plan() -> ChipPlan:
+    """No config, no provenance on some sections, no reduced phases on most,
+    equal Hamiltonians held by separate objects, and one Hamiltonian object
+    held by sections of other kinds and reduced phases (0.0 and -0.0 among
+    them)."""
+
+    def ham(betas, couplings, length):
+        return TridiagonalHamiltonian(betas=betas, couplings=couplings, length=length)
+
+    shared = ham([2.0, 2.0, 2.0], [1.0, 1.0], 7.5)
+    sections = [
+        PlanSection("A", ham([1.0, 2.5, 3.0], [0.5, 0.25], 1e-3)),
+        PlanSection("A", ham([1.0, 2.5, 3.0], [0.5, 0.25], 1e-3)),
+        PlanSection("B", shared, 0, None, 3),
+        PlanSection("gap", shared, 12, 3, None, (0.1, -0.2, 3.0)),
+        PlanSection("B", shared, 1, 1, 1, (0.1, -0.2, 3.0)),
+        PlanSection("B", shared, 2, 0, 0, (0.0, -0.2, 3.0)),
+        PlanSection("B", shared, 2, 0, 1, (-0.0, -0.2, 3.0)),
+        PlanSection("B", ham([1e7, 1e7, 1e7], [2 * np.pi] * 2, 4.0e9), 1, 2, 0),
+    ]
+    return ChipPlan(
+        dimension=3, trotter_steps=1, section_budget=7, section_length=1e-3, sections=sections
+    )
+
+
+def single_mode_plan() -> ChipPlan:
+    section = PlanSection("A", TridiagonalHamiltonian(betas=[4.0], couplings=[], length=0.5))
+    return ChipPlan(
+        dimension=1, trotter_steps=1, section_budget=1, section_length=0.5, sections=[section],
+        measured_error=0.0, target_name="identity",
+    )
+
+
+class TestPlanJson:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: compile_unitary(dft(2)),
+            lambda: compile_unitary(dft(3), trotter_steps=4),
+            lambda: compile_unitary(haar_random_unitary(4, 5), trotter_steps=2),
+            lambda: compile_unitary(haar_random_unitary(5, 6), trotter_steps=2),
+            lambda: compile_unitary(clock(6), trotter_steps=2, target_name="clock"),
+            lambda: compile_unitary(
+                clock(3), trotter_steps=4, gap_length=6e-4, zero_voltage=ZERO_VOLTAGE
+            ),
+            lambda: compile_unitary(
+                haar_random_unitary(4, 2), trotter_steps=2, gap_length=6e-4,
+                zero_voltage=ZERO_VOLTAGE,
+            ),
+            lambda: compile_unitary(dft(3), trotter_steps=2, measure=False),
+            lambda: compile_unitary(np.eye(3), prune_identity=True),
+            hand_built_plan,
+            single_mode_plan,
+        ],
+        ids=["d2", "d3", "d4", "d5", "d6", "d3-gap", "d4-gap", "unmeasured", "empty",
+             "hand-built", "d1"],
+    )
+    def test_to_json_equals_stdlib_encoding(self, build):
+        plan = build()
+        text = plan.to_json()
+        assert text == reference_json(plan)
+        assert ChipPlan.from_json(text).to_json() == text
+
+    @pytest.mark.parametrize(
+        "kind, tamper, match",
+        [
+            ("A", lambda s: s["betas"].__setitem__(0, 0.0), "strictly positive"),
+            ("A", lambda s: s["betas"].__setitem__(1, -3.0), "strictly positive"),
+            ("B", lambda s: s["couplings"].append(1.0), "couplings"),
+            ("A", lambda s: s.__setitem__("reduced_phases", [0.0, 0.0, 0.0]), "uniform"),
+            ("B", lambda s: s.__setitem__("kind", "C"), "kind"),
+        ],
+        ids=["zero-beta", "negative-beta", "coupling-count", "phases-on-drive", "kind"],
+    )
+    def test_tampering_with_one_copy_is_rejected(self, kind, tamper, match):
+        payload = json.loads(compile_unitary(dft(3), trotter_steps=4).to_json())
+        copies = [s for s in payload["sections"] if s["kind"] == kind
+                  and s["provenance"]["factor_index"] == 0 and s["provenance"]["su2_index"] == 0]
+        assert len(copies) == 4
+        assert all(c["betas"] == copies[0]["betas"] for c in copies)
+        tamper(copies[2])
+        with pytest.raises(ValueError, match=match):
+            ChipPlan.from_json(json.dumps(payload, indent=2))
+
+    @pytest.mark.parametrize(
+        "provenance",
+        [{"trotter_step": "x"}, {"factor_index": 0.5}, {"su2_index": True}, {"trotter_step": [1]}],
+    )
+    def test_provenance_must_be_integer_or_null(self, provenance):
+        section = compile_unitary(dft(2)).sections[0]
+        with pytest.raises(ValueError, match="provenance"):
+            dataclasses.replace(section, **provenance)
+        payload = json.loads(compile_unitary(dft(3), trotter_steps=2).to_json())
+        payload["sections"][-1]["provenance"].update(provenance)
+        with pytest.raises(ValueError, match="provenance"):
+            ChipPlan.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: compile_unitary(haar_random_unitary(4, 3), trotter_steps=4),
+            lambda: compile_unitary(
+                clock(3), trotter_steps=4, gap_length=6e-4, zero_voltage=ZERO_VOLTAGE
+            ),
+            hand_built_plan,
+        ],
+        ids=["d4", "d3-gap", "hand-built"],
+    )
+    def test_shared_and_unshared_sections_realize_identically(self, build):
+        plan = build()
+        loaded = ChipPlan.from_json(plan.to_json())
+        unshared = dataclasses.replace(
+            loaded, sections=[copy.deepcopy(s) for s in loaded.sections]
+        )
+        assert len({id(s.hamiltonian) for s in loaded.sections}) < len(loaded.sections)
+        assert len({id(s.hamiltonian) for s in unshared.sections}) == len(unshared.sections)
+        realized = loaded.realize()
+        assert np.array_equal(realized, unshared.realize())
+        assert np.array_equal(realized, plan.realize())
