@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,25 +61,9 @@ def _resolve_target(args) -> tuple[np.ndarray, str]:
     return named_gate(args.gate, args.d), args.gate
 
 
-def _jobs(args) -> int:
-    env = os.environ.get("PWA_SYNTH_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"PWA_SYNTH_JOBS must be an integer, got {env!r}") from None
-    return max(1, getattr(args, "jobs", 1) or 1)
-
-
 def _cmd_compile(args) -> int:
     target, name = _resolve_target(args)
-    zero_voltage = None
-    if args.gap > 0.0:
-        model = DeviceModel()
-        zero_voltage = (
-            args.zero_beta if args.zero_beta is not None else model.beta_zero,
-            args.zero_coupling if args.zero_coupling is not None else model.base_coupling,
-        )
+    model = DeviceModel()
     plan = compile_unitary(
         target,
         section_length=args.L,
@@ -90,7 +72,7 @@ def _cmd_compile(args) -> int:
         j2=args.j2,
         epsilon=args.eps,
         gap_length=args.gap,
-        zero_voltage=zero_voltage,
+        zero_voltage=(model.beta_zero, model.base_coupling),
         prune_identity=args.prune_identity,
         target_name=name,
     )
@@ -116,7 +98,7 @@ def _cmd_optimize(args) -> int:
         seed=args.seed,
         max_iterations=args.maxiter,
     )
-    result = optimize(task, jobs=_jobs(args))
+    result = optimize(task, jobs=args.jobs)
     print(f"best_infidelity = {_fmt(result.infidelity)}")
     print(f"best_fidelity = {_fmt(result.fidelity)}")
     print(f"restarts = {task.restarts}")
@@ -183,7 +165,7 @@ class BenchSpec:
             raise ValueError("empty section-count sweep")
 
 
-def _bench_rows(spec: BenchSpec, jobs: int) -> list[str]:
+def _bench_rows(spec: BenchSpec) -> list[str]:
     """Execute the sweep; one CSV line per row, ordering fixed by the sweep key."""
 
     def opt_row(gate_name, target, d, k, length, seed):
@@ -220,20 +202,17 @@ def _bench_rows(spec: BenchSpec, jobs: int) -> list[str]:
     else:
         raise ValueError(f"_bench_rows cannot run {spec.experiment}")
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda w: opt_row(*w), work))
     return [opt_row(*w) for w in work]
 
 
-def run_bench(spec: BenchSpec, jobs: int = 1) -> list[Path]:
+def run_bench(spec: BenchSpec) -> list[Path]:
     """Run one experiment, returning the files written."""
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     if spec.experiment in ("gate-sweep", "haar-sweep"):
-        rows = _bench_rows(spec, jobs)
+        rows = _bench_rows(spec)
         path = outdir / f"{spec.experiment.replace('-', '_')}.csv"
         path.write_text(
             "gate,d,K,L_m,seed,best_infidelity,status\n" + "\n".join(rows) + "\n",
@@ -307,7 +286,7 @@ def _cmd_bench(args) -> int:
         max_iterations=args.maxiter,
         output_dir=args.out,
     )
-    written = run_bench(spec, jobs=_jobs(args))
+    written = run_bench(spec)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -330,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j2", type=int, default=1, help="background level winding")
     p.add_argument("--eps", type=float, default=None, help="Diophantine precision (default: budget)")
     p.add_argument("--gap", type=float, default=0.0, help="electrode gap length in meters")
-    p.add_argument("--zero-beta", type=float, default=None, help="zero-voltage beta for gaps")
-    p.add_argument("--zero-coupling", type=float, default=None, help="zero-voltage coupling for gaps")
     p.add_argument("--prune-identity", action="store_true", help="drop identity factors")
     p.add_argument("--out", help="plan JSON output path")
     p.set_defaults(func=_cmd_compile)
@@ -370,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N-values", default="4,8,16,32")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--maxiter", type=int, default=500)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="bench_out")
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -6,9 +6,6 @@ waveguide modes elsewhere in the package are 1-based {|1>, ..., |d>}.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import haar_random_unitary
@@ -57,44 +54,6 @@ def pauli_x() -> np.ndarray:
     return np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-class GateKind(str, enum.Enum):
-    DFT = "dft"
-    CLOCK = "clock"
-    SHIFT = "shift"
-    IDENTITY = "identity"
-    HADAMARD = "hadamard"
-    PAULI_X = "pauli-x"
-
-
-_TWO_MODE_ONLY = {GateKind.HADAMARD, GateKind.PAULI_X}
-
-
-@dataclass(frozen=True)
-class NamedGate:
-    kind: GateKind
-    dimension: int
-
-    def __post_init__(self):
-        if self.kind in _TWO_MODE_ONLY:
-            if self.dimension != 2:
-                raise ValueError(f"{self.kind.value} is a 2x2 gate, got d={self.dimension}")
-        else:
-            _require_dimension(self.dimension, minimum=1 if self.kind is GateKind.IDENTITY else 2)
-
-    def matrix(self) -> np.ndarray:
-        if self.kind is GateKind.DFT:
-            return dft(self.dimension)
-        if self.kind is GateKind.CLOCK:
-            return clock(self.dimension)
-        if self.kind is GateKind.SHIFT:
-            return shift(self.dimension)
-        if self.kind is GateKind.IDENTITY:
-            return identity(self.dimension)
-        if self.kind is GateKind.HADAMARD:
-            return hadamard()
-        return pauli_x()
-
-
 def named_gate(name: str, dimension: int) -> np.ndarray:
     """Resolve a CLI gate string: one of the named kinds, or "haar:<seed>"."""
     name = name.strip().lower()
@@ -104,9 +63,19 @@ def named_gate(name: str, dimension: int) -> np.ndarray:
         except ValueError:
             raise ValueError(f"bad Haar gate spec {name!r}, expected haar:<seed>") from None
         return haar_random_unitary(dimension, seed)
-    try:
-        kind = GateKind(name)
-    except ValueError:
-        valid = ", ".join(k.value for k in GateKind)
-        raise ValueError(f"unknown gate {name!r}; expected one of {valid} or haar:<seed>") from None
-    return NamedGate(kind, dimension).matrix()
+    gates = {
+        "dft": dft,
+        "clock": clock,
+        "shift": shift,
+        "identity": identity,
+        "hadamard": hadamard,
+        "pauli-x": pauli_x,
+    }
+    if name not in gates:
+        valid = ", ".join(gates)
+        raise ValueError(f"unknown gate {name!r}; expected one of {valid} or haar:<seed>")
+    if name in ("hadamard", "pauli-x"):
+        if dimension != 2:
+            raise ValueError(f"{name} is a 2x2 gate, got d={dimension}")
+        return gates[name]()
+    return gates[name](dimension)

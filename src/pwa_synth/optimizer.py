@@ -32,7 +32,6 @@ class OptimizationTask:
     restarts: int = 48
     seed: int = 0
     max_iterations: int = 2000
-    record_trace: bool = False
 
     def __post_init__(self):
         target = require_unitary(self.target, atol=1e-8, what="target")
@@ -160,7 +159,6 @@ class OptimizationResult:
     iteration_counts: list[int]
     wall_time_s: float
     seed: int
-    traces: list[list[float]] | None = None
 
     def __post_init__(self):
         if self.infidelity != min(self.restart_infidelities):
@@ -220,27 +218,21 @@ def _run_restart(task: OptimizationTask, objective: _ChipObjective, restart: int
     vmax = task.model.max_voltage
     v0 = rng.uniform(-vmax, vmax, task.parameters)
     u0 = np.arctanh(np.clip(v0 / vmax, -1.0 + 1e-12, 1.0 - 1e-12))
-    trace: list[float] = []
 
     def fun(u):
         th = np.tanh(u)
         value, grad = objective.value_and_gradient(vmax * th)
         return value, grad * vmax * (1.0 - th * th)
 
-    callback = None
-    if task.record_trace:
-        callback = lambda uk: trace.append(fun(uk)[0])  # noqa: E731
-
     res = minimize(
         fun,
         u0,
         jac=True,
         method="L-BFGS-B",
-        callback=callback,
         options={"maxiter": task.max_iterations, "ftol": 1e-12, "gtol": 1e-12},
     )
     volts = vmax * np.tanh(res.x)
-    return float(res.fun), volts, int(res.nit), trace
+    return float(res.fun), volts, int(res.nit)
 
 
 def optimize(task: OptimizationTask, jobs: int = 1) -> OptimizationResult:
@@ -272,5 +264,4 @@ def optimize(task: OptimizationTask, jobs: int = 1) -> OptimizationResult:
         iteration_counts=iterations,
         wall_time_s=wall,
         seed=task.seed,
-        traces=[o[3] for o in outcomes] if task.record_trace else None,
     )

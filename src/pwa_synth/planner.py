@@ -197,24 +197,13 @@ def _block_values(section) -> tuple[float, float, float]:
     return float(block[0, 0]), float(block[1, 1]), float(block[0, 1])
 
 
-@dataclass(frozen=True)
-class TrotterPair:
-    """One alternating pair: drive section A (length L/N) and recurrence
-    section B (length L~), with the exact float block A - B."""
+def plan_trotter_pair(section, mode: int, config: TrotterConfig) -> TridiagonalHamiltonian:
+    """The drive section A of one Trotter pair for a 2x2 section embedded at
+    (mode, mode+1): the uniform background plus the section block at the
+    target modes, over one step L/N.
 
-    section_a: TridiagonalHamiltonian
-    section_b: TridiagonalHamiltonian
-    block: np.ndarray
-    mode: int
-
-
-def plan_trotter_pair(section, mode: int, config: TrotterConfig) -> TrotterPair:
-    """Build the (A, B) pair for a 2x2 section embedded at (mode, mode+1).
-
-    A is the uniform background plus the section block at the target modes;
-    B is the bare background over the recurrence length. ``block`` records
-    A - B as actually representable in floats, so the cancellation
-    (A - B == block) holds bitwise on the stored plan.
+    Its partner is the bare background ``config.background_hamiltonian()``;
+    A minus that background is zero off the block, bitwise.
     """
     d = config.dimension
     if not 1 <= mode <= d - 1:
@@ -230,20 +219,7 @@ def plan_trotter_pair(section, mode: int, config: TrotterConfig) -> TrotterPair:
     couplings = np.full(d - 1, bg_coupling)
     couplings[mode - 1] = bg_coupling + coupling
     step = config.section_length / config.trotter_steps
-    rec_length = config.recurrence_length
-    if rec_length <= 0.0:
-        raise PlanError(f"recurrence length {rec_length:g} m is not positive")
-    section_a = TridiagonalHamiltonian(betas=betas, couplings=couplings, length=step)
-    section_b = TridiagonalHamiltonian(
-        betas=np.full(d, bg_beta), couplings=np.full(d - 1, bg_coupling), length=rec_length
-    )
-    block = np.array(
-        [
-            [betas[mode - 1] - bg_beta, couplings[mode - 1] - bg_coupling],
-            [couplings[mode - 1] - bg_coupling, betas[mode] - bg_beta],
-        ]
-    )
-    return TrotterPair(section_a=section_a, section_b=section_b, block=block, mode=mode)
+    return TridiagonalHamiltonian(betas=betas, couplings=couplings, length=step)
 
 
 @dataclass(frozen=True)
@@ -447,10 +423,10 @@ class ChipPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "ChipPlan":
-        payload = json.loads(text)
+        payload = _require_json(json.loads(text), dict, "plan JSON")
         if payload.get("schema_version") != PLAN_SCHEMA_VERSION:
             raise ValueError(f"unsupported plan schema {payload.get('schema_version')!r}")
-        meta = payload["metadata"]
+        meta = _require_json(payload["metadata"], dict, "plan metadata")
         config = None
         raw_cfg = meta.get("config")
         if raw_cfg is not None:
@@ -479,7 +455,8 @@ class ChipPlan:
         hamiltonians: dict = {}
         phase_tuples: dict = {}
         sections = []
-        for item in payload["sections"]:
+        for item in _require_json(payload["sections"], list, "plan sections"):
+            _require_json(item, dict, "plan section")
             key = (tuple(item["betas"]), tuple(item["couplings"]), item["length_m"])
             hamiltonian = hamiltonians.get(key)
             if hamiltonian is None:
@@ -492,7 +469,7 @@ class ChipPlan:
             if phases is not None:
                 bits = array("d", map(float, phases))
                 phases = phase_tuples.setdefault(bits.tobytes(), tuple(bits))
-            provenance = item["provenance"]
+            provenance = _require_json(item["provenance"], dict, "section provenance")
             sections.append(
                 PlanSection(
                     kind=item["kind"],
@@ -515,6 +492,14 @@ class ChipPlan:
             config=config,
             target_name=meta.get("target_name"),
         )
+
+
+def _require_json(value, kind: type, what: str):
+    """``value``, which must be a JSON object (``dict``) or array (``list``)."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {expected}, got {type(value).__name__}")
+    return value
 
 
 def _int_text(value: int | None) -> str:
@@ -606,6 +591,8 @@ def compile_unitary(
     section becomes N (B, A) pairs in physical order B-first, matching the
     product (e^{-iA L/N} e^{-iB L~})^N.
     """
+    if not (math.isfinite(gap_length) and gap_length >= 0.0):
+        raise ValueError(f"gap length must be finite and non-negative, got {gap_length!r}")
     u = require_unitary(target, atol=1e-8, what="target")
     d = u.shape[0]
     if gap_length > 0.0:
@@ -639,7 +626,7 @@ def compile_unitary(
                     length=section_length,
                 )
             else:
-                drive = plan_trotter_pair(sec, op.mode, config).section_a
+                drive = plan_trotter_pair(sec, op.mode, config)
             a_section = PlanSection(kind=SECTION_A, hamiltonian=drive)
             for step in steps:
                 sections.extend(

@@ -53,6 +53,20 @@ class TestCompileCommand:
         code, _ = run_cli(capsys, "compile", "--matrix", str(path), "--N", "4")
         assert code == 0
 
+    @pytest.mark.parametrize("gap", ["-6e-4", "inf", "nan"])
+    def test_bad_gap_exits_2(self, capsys, tmp_path, gap):
+        out_path = tmp_path / "plan.json"
+        code, out = run_cli(
+            capsys, "compile", "--gate", "dft", "--d", "3", f"--gap={gap}", "--out", str(out_path)
+        )
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ValueError"
+        assert "gap length" in error["message"]
+        assert not out_path.exists()
+
     def test_gate_requires_dimension(self, capsys):
         code, out = run_cli(capsys, "compile", "--gate", "dft")
         assert code == 2
@@ -160,6 +174,25 @@ def _voltages_with_string_model(path: Path) -> list[str]:
     return ["simulate", "--voltages", str(path)]
 
 
+def _plan_with_list_provenance(path: Path) -> list[str]:
+    from pwa_synth import compile_unitary
+
+    payload = json.loads(compile_unitary(dft(2)).to_json())
+    payload["sections"][0]["provenance"] = [0, 0, None]
+    path.write_text(json.dumps(payload))
+    return ["simulate", "--plan", str(path)]
+
+
+def _plan_that_is_a_list(path: Path) -> list[str]:
+    path.write_text("[]")
+    return ["simulate", "--plan", str(path)]
+
+
+def _plan_with_list_metadata(path: Path) -> list[str]:
+    path.write_text(json.dumps({"schema_version": 1, "metadata": [], "sections": []}))
+    return ["simulate", "--plan", str(path)]
+
+
 def _matrix_of_numbers(path: Path) -> list[str]:
     path.write_text(json.dumps({"matrix": [[1, 2], [3, 4]]}))
     return ["compile", "--matrix", str(path)]
@@ -178,6 +211,9 @@ def _empty_voltages(path: Path) -> list[str]:
         _plan_with_null_length,
         _plan_with_string_trotter_step,
         _plan_with_fractional_factor_index,
+        _plan_with_list_provenance,
+        _plan_that_is_a_list,
+        _plan_with_list_metadata,
         _voltages_with_string_model,
     ],
 )
@@ -253,21 +289,6 @@ class TestBenchCommand:
             by_k[row[2]].append(float(row[5]))
         median_k1 = float(np.median(by_k["1"]))
         assert all(x < median_k1 for x in by_k["5"])
-
-    def test_jobs_env_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("PWA_SYNTH_JOBS", "2")
-        code, _ = run_cli(
-            capsys, "bench", "--experiment", "gate-sweep", "--dims", "2",
-            "--sections", "1", "--gates", "dft", "--restarts", "2",
-            "--maxiter", "20", "--jobs", "1", "--out", str(tmp_path),
-        )
-        assert code == 0
-        monkeypatch.setenv("PWA_SYNTH_JOBS", "zebra")
-        code, out = run_cli(
-            capsys, "bench", "--experiment", "gate-sweep", "--dims", "2",
-            "--sections", "1", "--gates", "dft", "--out", str(tmp_path),
-        )
-        assert code == 2
 
     def test_propagation_experiment_writes_traces(self, capsys, tmp_path):
         code, _ = run_cli(

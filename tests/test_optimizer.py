@@ -146,21 +146,6 @@ class TestOptimize:
             assert np.max(np.abs(v.level_volts)) <= 15.0
             assert np.max(np.abs(v.coupling_volts)) <= 15.0
 
-    def test_accepted_values_non_increasing(self):
-        task = OptimizationTask(
-            target=haar_random_unitary(3, 3),
-            sections=2,
-            restarts=2,
-            max_iterations=120,
-            record_trace=True,
-        )
-        result = optimize(task)
-        assert result.traces is not None
-        for trace in result.traces:
-            assert len(trace) >= 2
-            diffs = np.diff(trace)
-            assert np.all(diffs <= 1e-12)
-
     def test_more_sections_do_not_hurt(self):
         target = dft(3)
         best = {}

@@ -10,6 +10,7 @@ from pwa_synth import (
     GapInfeasible,
     TridiagonalHamiltonian,
     TrotterConfig,
+    adjacent_expand,
     clock,
     compile_unitary,
     dft,
@@ -20,6 +21,7 @@ from pwa_synth import (
     PlanSection,
     plan_trotter_pair,
     synthesize_su2,
+    two_level_decompose,
 )
 
 from conftest import taylor_expm
@@ -92,36 +94,39 @@ class TestTrotterConfig:
 
 
 class TestPlanTrotterPair:
+    """The drive section A against its partner, the bare background B that
+    plans store: ``config.background_hamiltonian()``."""
+
     def test_block_difference_is_bitwise_exact(self):
         cfg = make_config()
         sec = synthesize_su2(haar_random_unitary(2, 0), L)[3]
-        pair = plan_trotter_pair(sec, 1, cfg)
-        diff_betas = pair.section_a.betas - pair.section_b.betas
-        diff_coups = pair.section_a.couplings - pair.section_b.couplings
-        # zeros off the block, and the block equals the recorded values bitwise
+        drive = plan_trotter_pair(sec, 1, cfg)
+        background = cfg.background_hamiltonian()
+        diff_betas = drive.betas - background.betas
+        diff_coups = drive.couplings - background.couplings
+        # zeros off the block, bitwise
         assert diff_betas[2] == 0.0
         assert diff_coups[1] == 0.0
-        assert diff_betas[0] == pair.block[0, 0]
-        assert diff_betas[1] == pair.block[1, 1]
-        assert diff_coups[0] == pair.block[0, 1]
-        # and the recorded block is the intended section block to high accuracy
-        assert pair.block[0, 0] == pytest.approx(sec.beta_top, rel=1e-9)
-        assert pair.block[0, 1] == pytest.approx(sec.coupling, rel=1e-9)
+        # and the block is the intended section block to high accuracy
+        assert diff_betas[0] == pytest.approx(sec.beta_top, rel=1e-9)
+        assert diff_betas[1] == pytest.approx(sec.beta_bottom, rel=1e-9, abs=1e-9)
+        assert diff_coups[0] == pytest.approx(sec.coupling, rel=1e-9)
 
     def test_lengths(self):
         cfg = make_config()
         sec = synthesize_su2(haar_random_unitary(2, 1), L)[0]
-        pair = plan_trotter_pair(sec, 2, cfg)
-        assert pair.section_a.length == pytest.approx(L / cfg.trotter_steps)
-        assert pair.section_b.length == pytest.approx(cfg.recurrence_length)
-        assert pair.section_b.is_uniform()
+        drive = plan_trotter_pair(sec, 2, cfg)
+        background = cfg.background_hamiltonian()
+        assert drive.length == pytest.approx(L / cfg.trotter_steps)
+        assert background.length == pytest.approx(cfg.recurrence_length)
+        assert background.is_uniform()
 
     def test_degenerate_zero_block_gives_equal_sections(self):
         cfg = make_config()
-        pair = plan_trotter_pair(np.zeros((2, 2)), 1, cfg)
-        np.testing.assert_array_equal(pair.section_a.betas, pair.section_b.betas)
-        np.testing.assert_array_equal(pair.section_a.couplings, pair.section_b.couplings)
-        np.testing.assert_array_equal(pair.block, np.zeros((2, 2)))
+        drive = plan_trotter_pair(np.zeros((2, 2)), 1, cfg)
+        background = cfg.background_hamiltonian()
+        np.testing.assert_array_equal(drive.betas, background.betas)
+        np.testing.assert_array_equal(drive.couplings, background.couplings)
 
     def test_trotter_product_converges_to_block_unitary(self):
         # one Hadamard section at modes (1,2) of d=3: N pairs approach
@@ -131,8 +136,8 @@ class TestPlanTrotterPair:
         errors = []
         for steps in (8, 16, 32):
             cfg = make_config(d=d, steps=steps)
-            pair = plan_trotter_pair(target_block, 1, cfg)
-            step_u = pair.section_a.unitary() @ pair.section_b.unitary()
+            drive = plan_trotter_pair(target_block, 1, cfg)
+            step_u = drive.unitary() @ cfg.background_hamiltonian().unitary()
             total = np.linalg.matrix_power(step_u, steps)
             want = np.eye(d, dtype=complex)
             want[:2, :2] = expm_hermitian(
@@ -146,6 +151,26 @@ class TestPlanTrotterPair:
         cfg = make_config()
         with pytest.raises(ValueError, match="mode"):
             plan_trotter_pair(np.zeros((2, 2)), 3, cfg)
+
+    @pytest.mark.parametrize("target", [dft(3), haar_random_unitary(4, 5)], ids=["d3", "d4"])
+    def test_compiled_drive_minus_stored_background_is_zero_off_block(self, target):
+        d = target.shape[0]
+        plan = compile_unitary(target, trotter_steps=4)
+        modes = [op.mode for op in adjacent_expand(two_level_decompose(target), d)]
+        backgrounds = {id(s.hamiltonian): s.hamiltonian for s in plan.sections if s.kind == "B"}
+        (background,) = backgrounds.values()
+        expected = plan.config.background_hamiltonian()
+        np.testing.assert_array_equal(background.betas, expected.betas)
+        np.testing.assert_array_equal(background.couplings, expected.couplings)
+        assert background.length == expected.length
+        drives = [s for s in plan.sections if s.kind == "A"]
+        assert drives
+        for s in drives:
+            m = modes[s.factor_index]
+            diff_betas = s.hamiltonian.betas - background.betas
+            diff_coups = s.hamiltonian.couplings - background.couplings
+            assert np.all(np.delete(diff_betas, [m - 1, m]) == 0.0)
+            assert np.all(np.delete(diff_coups, m - 1) == 0.0)
 
 
 class TestGapCompensate:
