@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -159,8 +160,8 @@ class BenchSpec:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not self.dimensions:
             raise ValueError("empty dimension sweep")
-        if not self.lengths or any(l <= 0 for l in self.lengths):
-            raise ValueError("lengths must be positive and non-empty")
+        if not self.lengths or not all(math.isfinite(l) and l > 0.0 for l in self.lengths):
+            raise ValueError(f"section lengths must be positive and finite, got {self.lengths!r}")
         if self.experiment in ("gate-sweep", "haar-sweep") and not self.section_counts:
             raise ValueError("empty section-count sweep")
 

@@ -123,9 +123,7 @@ def chip_sections(chip, model: DeviceModel | None = None) -> list[TridiagonalHam
     gaps of length 0.1 L, the layout of the numerical experiments.
     """
     if isinstance(chip, ChipPlan):
-        return chip.section_hamiltonians()
-    if isinstance(chip, TridiagonalHamiltonian):
-        return [chip]
+        return [s.hamiltonian for s in chip.sections]
     chip = list(chip)
     if not chip:
         return []

@@ -1,13 +1,15 @@
 """Trotter planning: turn embedded 2-mode sections into physical cascades.
 
-Each synthesized 2x2 section, embedded at modes (m, m+1) of a d-mode array,
-becomes N alternating pairs: a drive section A carrying the 2x2 block on top
-of a uniform positive background, and a recurrence section B equal to the
-bare background. The pair implements e^{-i(A-B)L} in the large-N limit; the
-backward evolution e^{+iB L/N} is realized as forward propagation over the
-recurrence length q - L/N, with q certified by simultaneous Diophantine
-approximation of the background eigenvalues. Electrode gaps around B
-sections are compensated exactly because everything uniform commutes.
+Every section, from synthesis to plan, is a ``TridiagonalHamiltonian``.
+Each synthesized 2-mode section, embedded at modes (m, m+1) of a d-mode
+array, becomes N alternating pairs: a drive section A carrying the 2x2
+block on top of a uniform positive background, and a recurrence section B
+equal to the bare background. The pair implements e^{-i(A-B)L} in the
+large-N limit; the backward evolution e^{+iB L/N} is realized as forward
+propagation over the recurrence length q - L/N, with q certified by
+simultaneous Diophantine approximation of the background eigenvalues.
+Electrode gaps around B sections are compensated exactly because everything
+uniform commutes. At d = 2 the synthesized sections are the plan.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .linalg import (
     toeplitz_eigenvectors,
 )
 from .reck import adjacent_expand, count_sections, two_level_decompose
-from .su2 import Su2Section, synthesize_su2
+from .su2 import synthesize_su2
 
 SECTION_A = "A"
 SECTION_B = "B"
@@ -61,8 +63,8 @@ def _cached_recurrence(d: int, eps: float) -> DiophantineResult:
 def _require_design(dimension: int, section_length: float, trotter_steps: int, j1: int, j2: int):
     if dimension < 2:
         raise ValueError("need at least two modes")
-    if section_length <= 0.0:
-        raise ValueError("section length must be positive")
+    if not (math.isfinite(section_length) and section_length > 0.0):
+        raise ValueError(f"section length must be positive and finite, got {section_length!r}")
     if trotter_steps < 1:
         raise ValueError("trotter_steps must be a positive integer")
     if j1 < 1 or j2 < 1:
@@ -187,20 +189,12 @@ class TrotterConfig:
         return float(np.max(np.abs(np.exp(-2j * math.pi * self.j1 * residuals) - 1.0)))
 
 
-def _block_values(section) -> tuple[float, float, float]:
-    """Accept an Su2Section or a symmetric 2x2 array; return (top, bottom, coupling)."""
-    if isinstance(section, Su2Section):
-        return section.beta_top, section.beta_bottom, section.coupling
-    block = np.asarray(section, dtype=float)
-    if block.shape != (2, 2) or block[0, 1] != block[1, 0]:
-        raise ValueError("expected an Su2Section or a symmetric 2x2 block")
-    return float(block[0, 0]), float(block[1, 1]), float(block[0, 1])
-
-
-def plan_trotter_pair(section, mode: int, config: TrotterConfig) -> TridiagonalHamiltonian:
-    """The drive section A of one Trotter pair for a 2x2 section embedded at
-    (mode, mode+1): the uniform background plus the section block at the
-    target modes, over one step L/N.
+def plan_trotter_pair(
+    section: TridiagonalHamiltonian, mode: int, config: TrotterConfig
+) -> TridiagonalHamiltonian:
+    """The drive section A of one Trotter pair for a 2-mode section embedded
+    at (mode, mode+1): the uniform background plus the section's levels and
+    coupling at the target modes, over one step L/N.
 
     Its partner is the bare background ``config.background_hamiltonian()``;
     A minus that background is zero off the block, bitwise.
@@ -208,64 +202,36 @@ def plan_trotter_pair(section, mode: int, config: TrotterConfig) -> TridiagonalH
     d = config.dimension
     if not 1 <= mode <= d - 1:
         raise ValueError(f"mode {mode} out of range for d={d}")
-    top, bottom, coupling = _block_values(section)
-    if min(top, bottom, coupling) < 0.0:
-        raise ValueError("section block values must be non-negative")
+    if section.dimension != 2:
+        raise ValueError(f"expected a 2-mode section, got {section.dimension} modes")
     bg_beta = config.background_beta
     bg_coupling = config.background_coupling
     betas = np.full(d, bg_beta)
-    betas[mode - 1] = bg_beta + top
-    betas[mode] = bg_beta + bottom
+    betas[mode - 1 : mode + 1] += section.betas
     couplings = np.full(d - 1, bg_coupling)
-    couplings[mode - 1] = bg_coupling + coupling
+    couplings[mode - 1] += section.couplings[0]
     step = config.section_length / config.trotter_steps
     return TridiagonalHamiltonian(betas=betas, couplings=couplings, length=step)
 
 
-@dataclass(frozen=True)
-class GapSpec:
-    """Compensated recurrence section: two zero-voltage gaps of ``gap_length``
-    bracket an electrode of ``electrode_length`` whose rescaled parameters
-    reproduce e^{-i B L~} exactly (everything uniform commutes)."""
-
-    gap_length: float
-    electrode_length: float
-    zero_beta: float
-    zero_coupling: float
-    adjusted_beta: float
-    adjusted_coupling: float
-
-    def electrode_hamiltonian(self, d: int) -> TridiagonalHamiltonian:
-        return TridiagonalHamiltonian(
-            betas=np.full(d, self.adjusted_beta),
-            couplings=np.full(d - 1, self.adjusted_coupling),
-            length=self.electrode_length,
-        )
-
-    def gap_hamiltonian(self, d: int) -> TridiagonalHamiltonian:
-        return TridiagonalHamiltonian(
-            betas=np.full(d, self.zero_beta),
-            couplings=np.full(d - 1, self.zero_coupling),
-            length=self.gap_length,
-        )
-
-
 def gap_compensate(
     section_b: TridiagonalHamiltonian, gap_length: float, zero_voltage: tuple[float, float]
-) -> GapSpec:
+) -> tuple[TridiagonalHamiltonian, TridiagonalHamiltonian]:
     """Rescale a uniform recurrence section to absorb its two electrode gaps.
 
-    beta' = (beta0~ L~ - 2 beta0 dL)/L' and likewise for the coupling, with
-    L' = L~ - 2 dL. Raises GapInfeasible when a rescaled parameter is not
-    strictly positive.
+    Returns (gap, electrode): two zero-voltage gaps of ``gap_length`` bracket
+    the electrode, whose rescaled parameters reproduce e^{-i B L~} exactly
+    (everything uniform commutes). beta' = (beta0~ L~ - 2 beta0 dL)/L' and
+    likewise for the coupling, with L' = L~ - 2 dL. Raises GapInfeasible when
+    a rescaled parameter is not strictly positive.
     """
     if not section_b.is_uniform():
         raise ValueError("gap compensation requires a uniform (Toeplitz) section")
     zero_beta, zero_coupling = (float(x) for x in zero_voltage)
     if zero_beta <= 0.0 or zero_coupling <= 0.0:
         raise ValueError("zero-voltage constants must be strictly positive")
-    if gap_length < 0.0:
-        raise ValueError("gap length must be non-negative")
+    if not gap_length > 0.0:
+        raise ValueError(f"gap length must be positive, got {gap_length!r}")
     electrode = section_b.length - 2.0 * gap_length
     if electrode <= 0.0:
         raise ValueError(
@@ -280,14 +246,16 @@ def gap_compensate(
             f"compensation gives beta'={adjusted_beta:g}, C'={adjusted_coupling:g}; "
             "increase the background windings j1/j2 or shrink the gap"
         )
-    return GapSpec(
-        gap_length=float(gap_length),
-        electrode_length=float(electrode),
-        zero_beta=zero_beta,
-        zero_coupling=zero_coupling,
-        adjusted_beta=float(adjusted_beta),
-        adjusted_coupling=float(adjusted_coupling),
+    d = section_b.dimension
+    gap = TridiagonalHamiltonian(
+        betas=np.full(d, zero_beta), couplings=np.full(d - 1, zero_coupling), length=gap_length
     )
+    electrode_section = TridiagonalHamiltonian(
+        betas=np.full(d, adjusted_beta),
+        couplings=np.full(d - 1, adjusted_coupling),
+        length=electrode,
+    )
+    return gap, electrode_section
 
 
 @dataclass(frozen=True)
@@ -361,9 +329,6 @@ class ChipPlan:
             u = mat @ u
         return u
 
-    def section_hamiltonians(self) -> list[TridiagonalHamiltonian]:
-        return [s.hamiltonian for s in self.sections]
-
     def kind_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for s in self.sections:
@@ -427,6 +392,11 @@ class ChipPlan:
         if payload.get("schema_version") != PLAN_SCHEMA_VERSION:
             raise ValueError(f"unsupported plan schema {payload.get('schema_version')!r}")
         meta = _require_json(payload["metadata"], dict, "plan metadata")
+        section_length = float(meta["section_length_m"])
+        if not (math.isfinite(section_length) and section_length > 0.0):
+            raise ValueError(
+                f"plan section_length_m must be positive and finite, got {section_length!r}"
+            )
         config = None
         raw_cfg = meta.get("config")
         if raw_cfg is not None:
@@ -441,7 +411,7 @@ class ChipPlan:
             )
             config = TrotterConfig(
                 dimension=int(meta["d"]),
-                section_length=float(meta["section_length_m"]),
+                section_length=section_length,
                 trotter_steps=int(meta["N"]),
                 j1=int(raw_cfg["j1"]),
                 j2=int(raw_cfg["j2"]),
@@ -484,7 +454,7 @@ class ChipPlan:
             dimension=int(meta["d"]),
             trotter_steps=int(meta["N"]),
             section_budget=int(meta["K"]),
-            section_length=float(meta["section_length_m"]),
+            section_length=section_length,
             sections=sections,
             measured_error=meta.get("measured_error"),
             epsilon_certificate=meta.get("epsilon_certificate"),
@@ -554,18 +524,15 @@ def _recurrence_sections(
                 reduced_phases=tuple(float(x) for x in rec_phases),
             )
         ]
-    d = config.dimension
-    spec = gap_compensate(config.background_hamiltonian(), gap_length, zero_voltage)
+    gap, electrode = gap_compensate(config.background_hamiltonian(), gap_length, zero_voltage)
     zero_beta, zero_coupling = (float(x) for x in zero_voltage)
-    gap_phases = (zero_beta + zero_coupling * toeplitz_eigenvalues(d)) * gap_length
+    gap_phases = (zero_beta + zero_coupling * toeplitz_eigenvalues(config.dimension)) * gap_length
     gap_section = PlanSection(
-        kind=SECTION_GAP,
-        hamiltonian=spec.gap_hamiltonian(d),
-        reduced_phases=tuple(float(x) for x in gap_phases),
+        kind=SECTION_GAP, hamiltonian=gap, reduced_phases=tuple(float(x) for x in gap_phases)
     )
     electrode_section = PlanSection(
         kind=SECTION_B,
-        hamiltonian=spec.electrode_hamiltonian(d),
+        hamiltonian=electrode,
         reduced_phases=tuple(float(x) for x in rec_phases - 2.0 * gap_phases),
     )
     return [gap_section, electrode_section, gap_section]
@@ -619,14 +586,7 @@ def compile_unitary(
     sections: list[PlanSection] = []
     for op_index, op in enumerate(ops):
         for su2_index, sec in enumerate(synthesize_su2(op.matrix, section_length)):
-            if config is None:
-                drive = TridiagonalHamiltonian(
-                    betas=np.array([sec.beta_top, sec.beta_bottom]),
-                    couplings=np.array([sec.coupling]),
-                    length=section_length,
-                )
-            else:
-                drive = plan_trotter_pair(sec, op.mode, config)
+            drive = sec if config is None else plan_trotter_pair(sec, op.mode, config)
             a_section = PlanSection(kind=SECTION_A, hamiltonian=drive)
             for step in steps:
                 sections.extend(

@@ -1,15 +1,16 @@
 """Exact synthesis of 2x2 unitaries as at most four physical sections.
 
-Every section Hamiltonian has the form
+Every section is a 2-mode ``TridiagonalHamiltonian``
 
     [[beta_mean + detune, coupling], [coupling, beta_mean - detune]]
 
-with strictly positive couplings and diagonal entries. A generic gate costs
-four sections: Hadamard, a pure-coupling rotation, Hadamard, and a final
-rotation carrying the gate's amplitude/phase structure. Diagonal (phase)
-gates need three sections; the identity is two Hadamards. Free 2*pi windings
-of the diagonal level and of the middle coupling are chosen to put every
-parameter inside the caller's bounds.
+with strictly positive couplings and diagonal entries, the one section type
+that the planner and the device use. A generic gate costs four sections:
+Hadamard, a pure-coupling rotation, Hadamard, and a final rotation carrying
+the gate's amplitude/phase structure. Diagonal (phase) gates need three
+sections; the identity is two Hadamards. Free 2*pi windings of the diagonal
+level and of the middle coupling are chosen to put every parameter inside
+the caller's bounds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm_hermitian, require_unitary
+from .linalg import TridiagonalHamiltonian, require_unitary
 
 #: Input unitarity tolerance for parsing.
 PARSE_ATOL = 1e-10
@@ -127,56 +128,20 @@ class ParameterBounds:
             raise ValueError("lower bounds below zero would violate positivity")
 
 
-@dataclass(frozen=True)
-class Su2Section:
-    """One physical section of the four-section synthesis.
-
-    The Hamiltonian is beta_mean on the diagonal split by +-detune, with
-    ``coupling`` off-diagonal. ``phase_winding`` is the 2*pi multiple folded
-    into beta_mean; ``coupling_winding`` the one folded into the coupling
-    (middle sections only).
-    """
-
-    beta_mean: float
-    detune: float
-    coupling: float
-    length: float
-    phase_winding: int
-    coupling_winding: int | None
-    role: str
-
-    def __post_init__(self):
-        if self.length <= 0.0:
-            raise ValueError("section length must be positive")
-        if not self.coupling > 0.0:
-            raise ValueError(f"coupling must be strictly positive, got {self.coupling!r}")
-        if not (self.beta_top > 0.0 and self.beta_bottom > 0.0):
-            raise ValueError(
-                f"diagonal levels must be strictly positive, got "
-                f"({self.beta_top!r}, {self.beta_bottom!r})"
-            )
-
-    @property
-    def beta_top(self) -> float:
-        return self.beta_mean + self.detune
-
-    @property
-    def beta_bottom(self) -> float:
-        return self.beta_mean - self.detune
-
-    def hamiltonian(self) -> np.ndarray:
-        return np.array(
-            [[self.beta_top, self.coupling], [self.coupling, self.beta_bottom]], dtype=complex
-        )
-
-    def unitary(self) -> np.ndarray:
-        return expm_hermitian(self.hamiltonian(), self.length)
+def _section(mean: float, detune: float, coupling: float, length: float) -> TridiagonalHamiltonian:
+    """Levels mean +- detune coupled by ``coupling`` over ``length``."""
+    return TridiagonalHamiltonian(
+        betas=np.array([mean + detune, mean - detune]),
+        couplings=np.array([coupling]),
+        length=length,
+    )
 
 
 def _wind_mean_level(
     phase: float, half_span: float, length: float, bounds: ParameterBounds, role: str
-) -> tuple[float, int]:
-    """Smallest integer k with (-phase + 2 pi k)/length +- half_span inside the beta window."""
+) -> float:
+    """(-phase + 2 pi k)/length for the smallest integer k that puts the
+    levels +- half_span inside the beta window."""
     low = bounds.beta_min + half_span
     k = math.floor((low * length + phase) / (2.0 * math.pi)) + 1
     value = (-phase + 2.0 * math.pi * k) / length
@@ -189,13 +154,11 @@ def _wind_mean_level(
             f"({bounds.beta_min:g}, {bounds.beta_max:g}]",
             role,
         )
-    return value, k
+    return value
 
 
-def _wind_coupling(
-    angle: float, length: float, bounds: ParameterBounds, role: str
-) -> tuple[float, int]:
-    """Smallest integer l with (angle + 2 pi l)/length inside the kappa window."""
+def _wind_coupling(angle: float, length: float, bounds: ParameterBounds, role: str) -> float:
+    """(angle + 2 pi l)/length for the smallest integer l that puts it inside the kappa window."""
     l = math.floor((bounds.kappa_min * length - angle) / (2.0 * math.pi)) + 1
     value = (angle + 2.0 * math.pi * l) / length
     while not value > bounds.kappa_min:
@@ -207,10 +170,12 @@ def _wind_coupling(
             f"({bounds.kappa_min:g}, {bounds.kappa_max:g}]",
             role,
         )
-    return value, l
+    return value
 
 
-def hadamard_section(length: float, bounds: ParameterBounds | None = None) -> Su2Section:
+def hadamard_section(
+    length: float, bounds: ParameterBounds | None = None
+) -> TridiagonalHamiltonian:
     """Single section realizing the Hadamard gate exactly:
     detune = coupling = pi/(2 sqrt(2) L), mean level set so e^{-i beta L} = e^{i pi/2}."""
     bounds = bounds or ParameterBounds()
@@ -219,38 +184,22 @@ def hadamard_section(length: float, bounds: ParameterBounds | None = None) -> Su
         raise BoundsInfeasible(
             f"hadamard: fixed coupling {half:g} outside the kappa window", HADAMARD_ROLE
         )
-    mean, k = _wind_mean_level(np.pi / 2.0, half, length, bounds, HADAMARD_ROLE)
-    return Su2Section(
-        beta_mean=mean,
-        detune=half,
-        coupling=half,
-        length=length,
-        phase_winding=k,
-        coupling_winding=None,
-        role=HADAMARD_ROLE,
-    )
+    mean = _wind_mean_level(np.pi / 2.0, half, length, bounds, HADAMARD_ROLE)
+    return _section(mean, half, half, length)
 
 
 def _coupler_section(
     xi: float, folded_phase: float, length: float, bounds: ParameterBounds
-) -> Su2Section:
+) -> TridiagonalHamiltonian:
     """Pure-coupling section: e^{i folded_phase} Rx(xi) with Rx(xi) = e^{-i xi sigma_x}."""
-    kappa, l = _wind_coupling(xi, length, bounds, COUPLER_ROLE)
-    mean, k = _wind_mean_level(folded_phase, 0.0, length, bounds, COUPLER_ROLE)
-    return Su2Section(
-        beta_mean=mean,
-        detune=0.0,
-        coupling=kappa,
-        length=length,
-        phase_winding=k,
-        coupling_winding=l,
-        role=COUPLER_ROLE,
-    )
+    kappa = _wind_coupling(xi, length, bounds, COUPLER_ROLE)
+    mean = _wind_mean_level(folded_phase, 0.0, length, bounds, COUPLER_ROLE)
+    return _section(mean, 0.0, kappa, length)
 
 
 def rotation_section(
     params: Su2GateParams, length: float, bounds: ParameterBounds | None = None
-) -> Su2Section:
+) -> TridiagonalHamiltonian:
     """Section realizing e^{i eta} R(r, zeta, pi/2) exactly.
 
     coupling = sqrt(1-r^2) theta / (L sin theta) and
@@ -272,54 +221,36 @@ def rotation_section(
         raise BoundsInfeasible(
             f"rotation: fixed coupling {coupling:g} outside the kappa window", ROTATION_ROLE
         )
-    mean, k = _wind_mean_level(params.global_phase, abs(detune), length, bounds, ROTATION_ROLE)
-    return Su2Section(
-        beta_mean=mean,
-        detune=detune,
-        coupling=coupling,
-        length=length,
-        phase_winding=k,
-        coupling_winding=None,
-        role=ROTATION_ROLE,
-    )
+    mean = _wind_mean_level(params.global_phase, abs(detune), length, bounds, ROTATION_ROLE)
+    return _section(mean, detune, coupling, length)
 
 
 def synthesize_su2(
     u, length: float, bounds: ParameterBounds | None = None
-) -> list[Su2Section]:
+) -> list[TridiagonalHamiltonian]:
     """Synthesize a 2x2 unitary as <= 4 sections, exact including global phase.
 
-    Returned sections are in physical order (first applied first); the
-    reverse-order product of their unitaries equals ``u``. Generic gates take
-    [Hadamard, coupler(xi), Hadamard, rotation]; diagonal gates take
-    [Hadamard, coupler, Hadamard] with the global phase folded into the
-    middle section; the identity takes two Hadamards.
+    Returned sections are 2-mode Hamiltonians in physical order (first
+    applied first); the reverse-order product of their unitaries equals
+    ``u``. Generic gates take [Hadamard, coupler(xi), Hadamard, rotation];
+    diagonal gates take [Hadamard, coupler, Hadamard] with the global phase
+    folded into the middle section; the identity takes two Hadamards. Both
+    Hadamard slots hold the same object.
     """
-    if length <= 0.0:
-        raise ValueError("section length must be positive")
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"section length must be positive and finite, got {length!r}")
     bounds = bounds or ParameterBounds()
     params = parse_su2(u)
+    hadamard = hadamard_section(length, bounds)
     if params.amplitude >= ROTATION_AMPLITUDE_LIMIT:
         xi = _wrap_angle(-params.top_phase)
         eta = params.global_phase
         if abs(xi) <= ANGLE_ATOL and abs(eta) <= ANGLE_ATOL:
-            return [hadamard_section(length, bounds), hadamard_section(length, bounds)]
-        return [
-            hadamard_section(length, bounds),
-            _coupler_section(xi, eta, length, bounds),
-            hadamard_section(length, bounds),
-        ]
+            return [hadamard, hadamard]
+        return [hadamard, _coupler_section(xi, eta, length, bounds), hadamard]
     return [
-        hadamard_section(length, bounds),
+        hadamard,
         _coupler_section(_wrap_angle(params.z_rotation), 0.0, length, bounds),
-        hadamard_section(length, bounds),
+        hadamard,
         rotation_section(params, length, bounds),
     ]
-
-
-def sections_unitary(sections: list[Su2Section]) -> np.ndarray:
-    """Reverse-order product of section unitaries (first section applied first)."""
-    u = np.eye(2, dtype=complex)
-    for section in sections:
-        u = section.unitary() @ u
-    return u

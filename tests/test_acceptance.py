@@ -24,8 +24,8 @@ from pwa_synth import (
     haar_random_unitary,
     operator_norm,
     optimize,
+    realize,
     reconstruct_adjacent,
-    sections_unitary,
     shift,
     simultaneous_diophantine,
     synthesize_su2,
@@ -66,8 +66,8 @@ def test_criterion_1_d2_exactness():
             sections = synthesize_su2(u, L)
             assert len(sections) <= 4
             for s in sections:  # positivity is also enforced by construction
-                assert s.coupling > 0.0 and s.beta_top > 0.0 and s.beta_bottom > 0.0
-            worst = max(worst, operator_norm(sections_unitary(sections) - u))
+                assert s.couplings[0] > 0.0 and np.all(s.betas > 0.0)
+            worst = max(worst, operator_norm(realize(sections) - u))
         assert worst <= 1e-9, f"worst reconstruction error {worst:.3e}"
 
 
@@ -145,12 +145,8 @@ def test_criterion_5_gap_compensation_identity():
             section = TridiagonalHamiltonian(
                 betas=np.full(d, beta), couplings=np.full(d - 1, coupling), length=length
             )
-            spec = gap_compensate(section, gap, (zero_beta, zero_coupling))
-            composite = (
-                spec.gap_hamiltonian(d).unitary()
-                @ spec.electrode_hamiltonian(d).unitary()
-                @ spec.gap_hamiltonian(d).unitary()
-            )
+            gap_section, electrode = gap_compensate(section, gap, (zero_beta, zero_coupling))
+            composite = gap_section.unitary() @ electrode.unitary() @ gap_section.unitary()
             assert operator_norm(composite - section.unitary()) <= 1e-10
             checked += 1
 

@@ -67,6 +67,21 @@ class TestCompileCommand:
         assert "gap length" in error["message"]
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("d", ["2", "3"])
+    @pytest.mark.parametrize("length", ["nan", "inf"])
+    def test_non_finite_section_length_exits_2(self, capsys, tmp_path, length, d):
+        out_path = tmp_path / "plan.json"
+        code, out = run_cli(
+            capsys, "compile", "--gate", "dft", "--d", d, "--L", length, "--out", str(out_path)
+        )
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == f"section length must be positive and finite, got {length}"
+        assert not out_path.exists()
+
     def test_gate_requires_dimension(self, capsys):
         code, out = run_cli(capsys, "compile", "--gate", "dft")
         assert code == 2
@@ -143,6 +158,15 @@ def _plan_with_null_length(path: Path) -> list[str]:
     return ["simulate", "--plan", str(path)]
 
 
+def _plan_with_nan_section_length(path: Path) -> list[str]:
+    from pwa_synth import compile_unitary
+
+    payload = json.loads(compile_unitary(dft(2)).to_json())
+    payload["metadata"]["section_length_m"] = float("nan")
+    path.write_text(json.dumps(payload))
+    return ["simulate", "--plan", str(path)]
+
+
 def _plan_with_string_trotter_step(path: Path) -> list[str]:
     from pwa_synth import compile_unitary
 
@@ -209,6 +233,7 @@ def _empty_voltages(path: Path) -> list[str]:
         _matrix_of_numbers,
         _empty_voltages,
         _plan_with_null_length,
+        _plan_with_nan_section_length,
         _plan_with_string_trotter_step,
         _plan_with_fractional_factor_index,
         _plan_with_list_provenance,
@@ -308,3 +333,5 @@ class TestBenchCommand:
             BenchSpec(experiment="gate-sweep", dimensions=())
         with pytest.raises(ValueError, match="lengths"):
             BenchSpec(experiment="gate-sweep", dimensions=(3,), lengths=(-1.0,))
+        with pytest.raises(ValueError, match="section lengths"):
+            BenchSpec(experiment="error-scaling", dimensions=(3,), lengths=(float("nan"),))

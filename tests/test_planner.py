@@ -107,10 +107,10 @@ class TestPlanTrotterPair:
         # zeros off the block, bitwise
         assert diff_betas[2] == 0.0
         assert diff_coups[1] == 0.0
-        # and the block is the intended section block to high accuracy
-        assert diff_betas[0] == pytest.approx(sec.beta_top, rel=1e-9)
-        assert diff_betas[1] == pytest.approx(sec.beta_bottom, rel=1e-9, abs=1e-9)
-        assert diff_coups[0] == pytest.approx(sec.coupling, rel=1e-9)
+        # and the block is the section added onto the background, bitwise
+        assert drive.betas[0] == background.betas[0] + sec.betas[0]
+        assert drive.betas[1] == background.betas[1] + sec.betas[1]
+        assert drive.couplings[0] == background.couplings[0] + sec.couplings[0]
 
     def test_lengths(self):
         cfg = make_config()
@@ -120,13 +120,6 @@ class TestPlanTrotterPair:
         assert drive.length == pytest.approx(L / cfg.trotter_steps)
         assert background.length == pytest.approx(cfg.recurrence_length)
         assert background.is_uniform()
-
-    def test_degenerate_zero_block_gives_equal_sections(self):
-        cfg = make_config()
-        drive = plan_trotter_pair(np.zeros((2, 2)), 1, cfg)
-        background = cfg.background_hamiltonian()
-        np.testing.assert_array_equal(drive.betas, background.betas)
-        np.testing.assert_array_equal(drive.couplings, background.couplings)
 
     def test_trotter_product_converges_to_block_unitary(self):
         # one Hadamard section at modes (1,2) of d=3: N pairs approach
@@ -140,17 +133,22 @@ class TestPlanTrotterPair:
             step_u = drive.unitary() @ cfg.background_hamiltonian().unitary()
             total = np.linalg.matrix_power(step_u, steps)
             want = np.eye(d, dtype=complex)
-            want[:2, :2] = expm_hermitian(
-                np.array([[target_block.beta_top, target_block.coupling],
-                          [target_block.coupling, target_block.beta_bottom]]), L)
+            want[:2, :2] = expm_hermitian(target_block.to_matrix(), L)
             errors.append(operator_norm(total - want))
         assert errors[1] <= 0.75 * errors[0]
         assert errors[2] <= 0.75 * errors[1]
 
     def test_mode_range_checked(self):
         cfg = make_config()
+        sec = synthesize_su2(np.eye(2), L)[0]
         with pytest.raises(ValueError, match="mode"):
-            plan_trotter_pair(np.zeros((2, 2)), 3, cfg)
+            plan_trotter_pair(sec, 3, cfg)
+
+    def test_rejects_section_that_is_not_2_mode(self):
+        cfg = make_config()
+        three_mode = TridiagonalHamiltonian(betas=[1.0] * 3, couplings=[1.0] * 2, length=L)
+        with pytest.raises(ValueError, match="2-mode"):
+            plan_trotter_pair(three_mode, 1, cfg)
 
     @pytest.mark.parametrize("target", [dft(3), haar_random_unitary(4, 5)], ids=["d3", "d4"])
     def test_compiled_drive_minus_stored_background_is_zero_off_block(self, target):
@@ -174,25 +172,24 @@ class TestPlanTrotterPair:
 
 
 class TestGapCompensate:
-    def test_zero_gap_is_noop(self):
+    def test_zero_gap_rejected(self):
         b = TridiagonalHamiltonian(betas=[10.0] * 3, couplings=[2.0 * np.pi] * 2, length=1.0)
-        spec = gap_compensate(b, 0.0, (1.0, 1.0))
-        assert spec.adjusted_beta == pytest.approx(10.0)
-        assert spec.adjusted_coupling == pytest.approx(2.0 * np.pi)
-        assert spec.electrode_length == pytest.approx(1.0)
+        for gap in (0.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="gap length"):
+                gap_compensate(b, gap, (1.0, 1.0))
 
     def test_worked_example(self):
         b = TridiagonalHamiltonian(betas=[10.0] * 3, couplings=[2.0 * np.pi] * 2, length=1.0)
-        spec = gap_compensate(b, 0.1, (1.0, 1.0))
-        assert spec.adjusted_beta == pytest.approx((10.0 - 0.2) / 0.8)
-        assert spec.adjusted_beta == pytest.approx(12.25)
-        assert spec.adjusted_coupling == pytest.approx((2.0 * np.pi - 0.2) / 0.8)
-        d = 3
-        composite = (
-            spec.gap_hamiltonian(d).unitary()
-            @ spec.electrode_hamiltonian(d).unitary()
-            @ spec.gap_hamiltonian(d).unitary()
-        )
+        gap, electrode = gap_compensate(b, 0.1, (1.0, 1.0))
+        np.testing.assert_array_equal(gap.betas, [1.0] * 3)
+        np.testing.assert_array_equal(gap.couplings, [1.0] * 2)
+        assert gap.length == 0.1
+        assert electrode.is_uniform()
+        assert electrode.length == pytest.approx(0.8)
+        assert electrode.betas[0] == pytest.approx((10.0 - 0.2) / 0.8)
+        assert electrode.betas[0] == pytest.approx(12.25)
+        assert electrode.couplings[0] == pytest.approx((2.0 * np.pi - 0.2) / 0.8)
+        composite = gap.unitary() @ electrode.unitary() @ gap.unitary()
         assert operator_norm(composite - b.unitary()) <= 1e-10
 
     def test_infeasible_raises(self):

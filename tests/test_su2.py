@@ -8,20 +8,27 @@ from pwa_synth import (
     haar_random_unitary,
     operator_norm,
     parse_su2,
+    realize,
     rotation_section,
-    sections_unitary,
     synthesize_su2,
 )
-from pwa_synth.su2 import (
-    COUPLER_ROLE,
-    HADAMARD_ROLE,
-    ROTATION_ROLE,
-    Su2GateParams,
-    Su2Section,
-    hadamard_section,
-)
+from pwa_synth.su2 import HADAMARD_ROLE, Su2GateParams, hadamard_section
 
 L = 6e-3
+
+
+def levels(section):
+    """(mean level, detune, coupling) of a 2-mode section."""
+    top, bottom = section.betas
+    return (top + bottom) / 2.0, (top - bottom) / 2.0, section.couplings[0]
+
+
+def same_section(a, b):
+    return (
+        np.array_equal(a.betas, b.betas)
+        and np.array_equal(a.couplings, b.couplings)
+        and a.length == b.length
+    )
 
 
 class TestParseSu2:
@@ -61,11 +68,12 @@ class TestRotationSection:
     def test_hadamard_parameters(self, hadamard_matrix):
         p = parse_su2(hadamard_matrix)
         sec = rotation_section(p, L)
+        mean, detune, coupling = levels(sec)
         expected = np.pi / (2.0 * np.sqrt(2.0) * L)
-        assert sec.coupling == pytest.approx(expected, rel=1e-12)
-        assert sec.detune == pytest.approx(expected, rel=1e-12)
+        assert coupling == pytest.approx(expected, rel=1e-12)
+        assert detune == pytest.approx(expected, rel=1e-12)
         # mean level realizes the pi/2 global phase: beta*L = -pi/2 mod 2pi
-        phase = (sec.beta_mean * L) % (2.0 * np.pi)
+        phase = (mean * L) % (2.0 * np.pi)
         assert phase == pytest.approx(2.0 * np.pi - np.pi / 2.0, abs=1e-9)
         assert operator_norm(sec.unitary() - hadamard_matrix) <= 1e-10
 
@@ -73,9 +81,10 @@ class TestRotationSection:
         # r = 0: quarter rotation, no detuning
         p = Su2GateParams(amplitude=0.0, top_phase=0.0, off_phase=-np.pi / 2, global_phase=0.3)
         sec = rotation_section(p, L)
+        _, detune, coupling = levels(sec)
         assert p.rotation_angle == pytest.approx(np.pi / 2.0)
-        assert sec.coupling == pytest.approx(np.pi / (2.0 * L), rel=1e-12)
-        assert sec.detune == pytest.approx(0.0, abs=1e-12)
+        assert coupling == pytest.approx(np.pi / (2.0 * L), rel=1e-12)
+        assert detune == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_rotation_block(self):
         # e^{i eta} R(r, zeta, pi/2) for (r, zeta, eta) = (0.6, 0.3, 1.1)
@@ -91,7 +100,7 @@ class TestRotationSection:
             [[r * np.exp(-1j * zeta), -1j * s], [-1j * s, r * np.exp(1j * zeta)]]
         )
         assert operator_norm(sec.unitary() - target) <= 1e-10
-        assert sec.coupling > 0.0
+        assert sec.couplings[0] > 0.0
 
     def test_phase_gate_raises(self):
         p = Su2GateParams(amplitude=1.0, top_phase=0.4, off_phase=0.0, global_phase=0.0)
@@ -104,40 +113,47 @@ class TestSynthesizeSu2:
         xi = 0.4
         u = np.diag([np.exp(-1j * xi), np.exp(1j * xi)])
         sections = synthesize_su2(u, L)
-        assert [s.role for s in sections] == [HADAMARD_ROLE, COUPLER_ROLE, HADAMARD_ROLE]
+        assert len(sections) == 3
+        assert sections[0] is sections[2]
+        assert same_section(sections[0], hadamard_section(L))
         middle = sections[1]
-        assert middle.coupling == pytest.approx(xi / L, rel=1e-12)
-        assert middle.detune == 0.0
-        assert operator_norm(sections_unitary(sections) - u) <= 1e-10
+        assert middle.couplings[0] == pytest.approx(xi / L, rel=1e-12)
+        assert middle.betas[0] == middle.betas[1]  # a pure coupler has equal levels
+        assert operator_norm(realize(sections) - u) <= 1e-10
 
     def test_identity_two_hadamards(self):
         sections = synthesize_su2(np.eye(2), L)
-        assert [s.role for s in sections] == [HADAMARD_ROLE, HADAMARD_ROLE]
-        assert operator_norm(sections_unitary(sections) - np.eye(2)) <= 1e-10
+        assert len(sections) == 2
+        assert all(same_section(s, hadamard_section(L)) for s in sections)
+        assert operator_norm(realize(sections) - np.eye(2)) <= 1e-10
 
     def test_haar_four_sections(self):
         u = haar_random_unitary(2, 3)
         sections = synthesize_su2(u, L)
         assert len(sections) == 4
-        assert sections[3].role == ROTATION_ROLE
-        assert operator_norm(sections_unitary(sections) - u) <= 1e-10
+        assert same_section(sections[3], rotation_section(parse_su2(u), L))
+        assert sections[1].betas[0] == sections[1].betas[1]
+        assert operator_norm(realize(sections) - u) <= 1e-10
 
     def test_hadamard_sections_match_table_columns(self):
         # sections 1 and 3 of any synthesis are the same Hadamard section
         u = haar_random_unitary(2, 8)
         sections = synthesize_su2(u, L)
-        assert sections[0] == sections[2]
+        assert sections[0] is sections[2]
+        assert same_section(sections[0], hadamard_section(L))
+        _, detune, coupling = levels(sections[0])
         expected = np.pi / (2.0 * np.sqrt(2.0) * L)
-        assert sections[0].coupling == pytest.approx(expected, rel=1e-12)
-        assert sections[0].detune == pytest.approx(expected, rel=1e-12)
+        assert coupling == pytest.approx(expected, rel=1e-12)
+        assert detune == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_positivity_always_holds(self, seed):
         sections = synthesize_su2(haar_random_unitary(2, seed), L)
         for s in sections:
-            assert s.coupling > 0.0
-            assert s.beta_top > 0.0
-            assert s.beta_bottom > 0.0
+            assert s.dimension == 2
+            assert s.length == L
+            assert s.couplings[0] > 0.0
+            assert np.all(s.betas > 0.0)
 
     @pytest.mark.parametrize(
         "u_builder",
@@ -153,13 +169,13 @@ class TestSynthesizeSu2:
         u = u_builder()
         sections = synthesize_su2(u, L)
         assert len(sections) <= 4
-        assert operator_norm(sections_unitary(sections) - u) <= 1e-10
+        assert operator_norm(realize(sections) - u) <= 1e-10
 
     def test_bounds_respected_and_infeasible(self):
         bounds = ParameterBounds(beta_min=100.0, beta_max=5000.0, kappa_min=0.0, kappa_max=1e4)
         sections = synthesize_su2(haar_random_unitary(2, 5), L, bounds)
         for s in sections:
-            assert 100.0 < s.beta_bottom and s.beta_top <= 5000.0
+            assert 100.0 < s.betas.min() and s.betas.max() <= 5000.0
         tight = ParameterBounds(beta_min=0.0, beta_max=10.0)
         with pytest.raises(BoundsInfeasible):
             synthesize_su2(haar_random_unitary(2, 5), L, tight)
@@ -171,18 +187,6 @@ class TestSynthesizeSu2:
         assert err.value.role == HADAMARD_ROLE
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError, match="length"):
-            synthesize_su2(np.eye(2), 0.0)
-
-
-def test_section_validation():
-    with pytest.raises(ValueError, match="coupling"):
-        Su2Section(
-            beta_mean=1.0, detune=0.0, coupling=0.0, length=L,
-            phase_winding=0, coupling_winding=None, role=COUPLER_ROLE,
-        )
-    with pytest.raises(ValueError, match="positive"):
-        Su2Section(
-            beta_mean=1.0, detune=2.0, coupling=1.0, length=L,
-            phase_winding=0, coupling_winding=None, role=ROTATION_ROLE,
-        )
+        for length in (0.0, -L, np.nan, np.inf):
+            with pytest.raises(ValueError, match="section length"):
+                synthesize_su2(np.eye(2), length)
