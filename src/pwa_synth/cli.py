@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +21,7 @@ from .gates import named_gate
 from .lattice import PrecisionUnreachable
 from .linalg import haar_random_unitary, require_unitary
 from .optimizer import OptimizationResult, OptimizationTask, optimize
-from .planner import ChipPlan, GapInfeasible, PlanError, compile_unitary
-from .su2 import BoundsInfeasible
+from .planner import ChipPlan, PlanError, compile_unitary
 
 
 def _fmt(x: float) -> str:
@@ -53,9 +51,9 @@ def load_unitary_file(path: str) -> np.ndarray:
 
 
 def _resolve_target(args) -> tuple[np.ndarray, str]:
-    if getattr(args, "matrix", None):
+    if args.matrix:
         return load_unitary_file(args.matrix), args.matrix
-    if not getattr(args, "gate", None):
+    if not args.gate:
         raise ValueError("provide either --gate or --matrix")
     if args.d is None:
         raise ValueError("--d is required with --gate")
@@ -88,24 +86,36 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _cmd_optimize(args) -> int:
-    target, name = _resolve_target(args)
-    model = DeviceModel() if args.L is None else DeviceModel(section_length=args.L, gap_length=0.1 * args.L)
+def _device(length: float) -> DeviceModel:
+    """The device with sections of ``length`` and electrode gaps of 0.1 ``length``."""
+    return DeviceModel(section_length=length, gap_length=0.1 * length)
+
+
+def _optimize(
+    args, target, sections: int, model: DeviceModel, seed: int, jobs: int = 1
+) -> OptimizationResult:
+    """``optimize`` with the restart and iteration budget of ``args``."""
     task = OptimizationTask(
         target=target,
-        sections=args.K,
+        sections=sections,
         model=model,
         restarts=args.restarts,
-        seed=args.seed,
+        seed=seed,
         max_iterations=args.maxiter,
     )
-    result = optimize(task, jobs=args.jobs)
+    return optimize(task, jobs=jobs)
+
+
+def _cmd_optimize(args) -> int:
+    target, name = _resolve_target(args)
+    model = DeviceModel() if args.L is None else _device(args.L)
+    result = _optimize(args, target, args.K, model, args.seed, args.jobs)
     print(f"best_infidelity = {_fmt(result.infidelity)}")
     print(f"best_fidelity = {_fmt(result.fidelity)}")
-    print(f"restarts = {task.restarts}")
+    print(f"restarts = {args.restarts}")
     if args.out:
         Path(args.out).write_text(
-            result.to_json(model=model, extra={"target": name, "K": args.K, "d": task.dimension}),
+            result.to_json(model=model, extra={"target": name, "K": args.K, "d": len(target)}),
             encoding="utf-8",
         )
         print(f"voltages written to {args.out}")
@@ -127,9 +137,7 @@ def _cmd_simulate(args) -> int:
         d = chip[0].dimension
     if not 0 <= args.input < d:
         raise ValueError(f"--input must be a basis index in [0, {d - 1}]")
-    state = np.zeros(d, dtype=complex)
-    state[args.input] = 1.0
-    trace = propagate(state, chip, model=model, dz=args.dz)
+    trace = propagate(np.eye(d, dtype=complex)[args.input], chip, model=model, dz=args.dz)
     csv = trace.to_csv()
     if args.out:
         Path(args.out).write_text(csv, encoding="utf-8")
@@ -139,155 +147,76 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class BenchSpec:
-    """One benchmark run: which experiment, over which sweeps."""
-
-    experiment: str
-    dimensions: tuple[int, ...]
-    section_counts: tuple[int, ...] = (1, 3, 5)
-    lengths: tuple[float, ...] = (6e-3,)
-    gates: tuple[str, ...] = ("dft", "clock", "shift")
-    seeds: tuple[int, ...] = (0,)
-    haar_count: int = 10
-    trotter_steps: tuple[int, ...] = (4, 8, 16, 32)
-    restarts: int = 8
-    max_iterations: int = 500
-    output_dir: str = "."
-
-    def __post_init__(self):
-        if self.experiment not in ("gate-sweep", "haar-sweep", "error-scaling", "propagation"):
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        if not self.dimensions:
-            raise ValueError("empty dimension sweep")
-        if not self.lengths or not all(math.isfinite(l) and l > 0.0 for l in self.lengths):
-            raise ValueError(f"section lengths must be positive and finite, got {self.lengths!r}")
-        if self.experiment in ("gate-sweep", "haar-sweep") and not self.section_counts:
-            raise ValueError("empty section-count sweep")
-
-
-def _bench_rows(spec: BenchSpec) -> list[str]:
-    """Execute the sweep; one CSV line per row, ordering fixed by the sweep key."""
-
-    def opt_row(gate_name, target, d, k, length, seed):
-        model = DeviceModel(section_length=length, gap_length=0.1 * length)
-        try:
-            task = OptimizationTask(
-                target=target,
-                sections=k,
-                model=model,
-                restarts=spec.restarts,
-                seed=seed,
-                max_iterations=spec.max_iterations,
-            )
-            result = optimize(task)
-            return f"{gate_name},{d},{k},{_fmt(length)},{seed},{_fmt(result.infidelity)},ok"
-        except Exception as exc:  # per-row failures recorded, run continues
-            return f"{gate_name},{d},{k},{_fmt(length)},{seed},nan,error:{exc}"
-
-    work = []
-    if spec.experiment == "gate-sweep":
-        for gate in spec.gates:
-            for d in spec.dimensions:
-                for k in spec.section_counts:
-                    for length in spec.lengths:
-                        for seed in spec.seeds:
-                            work.append((gate, named_gate(gate, d), d, k, length, seed))
-    elif spec.experiment == "haar-sweep":
-        for d in spec.dimensions:
-            for i in range(spec.haar_count):
-                target = haar_random_unitary(d, i)
-                for k in spec.section_counts:
-                    for length in spec.lengths:
-                        work.append((f"haar:{i}", target, d, k, length, spec.seeds[0]))
-    else:
-        raise ValueError(f"_bench_rows cannot run {spec.experiment}")
-
-    return [opt_row(*w) for w in work]
-
-
-def run_bench(spec: BenchSpec) -> list[Path]:
-    """Run one experiment, returning the files written."""
-    outdir = Path(spec.output_dir)
+def _cmd_bench(args) -> int:
+    dims = [int(x) for x in args.dims.split(",")]
+    counts = [int(x) for x in args.sections.split(",")]
+    lengths = tuple(float(x) for x in args.lengths.split(","))
+    gates = args.gates.split(",")
+    seeds = [int(x) for x in args.seeds.split(",")]
+    trotter_steps = [int(x) for x in args.N_values.split(",")]
+    if not all(math.isfinite(l) and l > 0.0 for l in lengths):
+        raise ValueError(f"section lengths must be positive and finite, got {lengths!r}")
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    if spec.experiment in ("gate-sweep", "haar-sweep"):
-        rows = _bench_rows(spec)
-        path = outdir / f"{spec.experiment.replace('-', '_')}.csv"
-        path.write_text(
-            "gate,d,K,L_m,seed,best_infidelity,status\n" + "\n".join(rows) + "\n",
-            encoding="utf-8",
-        )
+    def write(name: str, text: str):
+        path = outdir / name
+        path.write_text(text, encoding="utf-8")
         written.append(path)
-    elif spec.experiment == "error-scaling":
+
+    if args.experiment == "error-scaling":
         lines = ["gate,d,N,L_m,error"]
         slopes = ["gate,d,L_m,slope"]
-        for gate in spec.gates:
-            for d in spec.dimensions:
+        for gate in gates:
+            for d in dims:
                 target = named_gate(gate, d)
-                for length in spec.lengths:
+                for length in lengths:
                     errors = []
-                    for n in spec.trotter_steps:
+                    for n in trotter_steps:
                         try:
                             plan = compile_unitary(target, section_length=length, trotter_steps=n)
                             errors.append(plan.measured_error)
                             lines.append(f"{gate},{d},{n},{_fmt(length)},{_fmt(plan.measured_error)}")
                         except Exception as exc:
                             lines.append(f"{gate},{d},{n},{_fmt(length)},error:{exc}")
-                    if len(errors) == len(spec.trotter_steps) and len(errors) >= 2:
-                        slope = float(
-                            np.polyfit(np.log(spec.trotter_steps), np.log(errors), 1)[0]
-                        )
+                    if len(errors) == len(trotter_steps) and len(errors) >= 2:
+                        slope = float(np.polyfit(np.log(trotter_steps), np.log(errors), 1)[0])
                         slopes.append(f"{gate},{d},{_fmt(length)},{_fmt(slope)}")
                         print(f"error-scaling {gate} d={d} L={_fmt(length)}: slope = {_fmt(slope)}")
-        path = outdir / "error_scaling.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
-        path = outdir / "error_scaling_slopes.csv"
-        path.write_text("\n".join(slopes) + "\n", encoding="utf-8")
-        written.append(path)
-    else:  # propagation
-        for gate in spec.gates:
-            for d in spec.dimensions:
-                target = named_gate(gate, d)
-                length = spec.lengths[0]
-                k = spec.section_counts[-1]
-                model = DeviceModel(section_length=length, gap_length=0.1 * length)
-                task = OptimizationTask(
-                    target=target,
-                    sections=k,
-                    model=model,
-                    restarts=spec.restarts,
-                    seed=spec.seeds[0],
-                    max_iterations=spec.max_iterations,
-                )
-                result = optimize(task)
-                for basis in range(d):
-                    state = np.zeros(d, dtype=complex)
-                    state[basis] = 1.0
+        write("error_scaling.csv", "\n".join(lines) + "\n")
+        write("error_scaling_slopes.csv", "\n".join(slopes) + "\n")
+    elif args.experiment == "propagation":
+        length, k = lengths[0], counts[-1]
+        model = _device(length)
+        for gate in gates:
+            for d in dims:
+                result = _optimize(args, named_gate(gate, d), k, model, seeds[0])
+                for basis, state in enumerate(np.eye(d, dtype=complex)):
                     trace = propagate(state, result.voltages, model=model, dz=length / 50.0)
-                    path = outdir / f"propagation_{gate}_d{d}_K{k}_in{basis}.csv"
-                    path.write_text(trace.to_csv(), encoding="utf-8")
-                    written.append(path)
-    return written
-
-
-def _cmd_bench(args) -> int:
-    spec = BenchSpec(
-        experiment=args.experiment,
-        dimensions=tuple(int(x) for x in args.dims.split(",")),
-        section_counts=tuple(int(x) for x in args.sections.split(",")),
-        lengths=tuple(float(x) for x in args.lengths.split(",")),
-        gates=tuple(args.gates.split(",")),
-        seeds=tuple(int(x) for x in args.seeds.split(",")),
-        haar_count=args.haar_count,
-        trotter_steps=tuple(int(x) for x in args.N_values.split(",")),
-        restarts=args.restarts,
-        max_iterations=args.maxiter,
-        output_dir=args.out,
-    )
-    written = run_bench(spec)
+                    write(f"propagation_{gate}_d{d}_K{k}_in{basis}.csv", trace.to_csv())
+    else:
+        # One row per (name, target, d, K, L, seed) point, in the order listed.
+        if args.experiment == "gate-sweep":
+            points = [
+                (gate, named_gate(gate, d), d, k, length, seed)
+                for gate in gates for d in dims for k in counts
+                for length in lengths for seed in seeds
+            ]
+        else:
+            points = [
+                (f"haar:{i}", haar_random_unitary(d, i), d, k, length, seeds[0])
+                for d in dims for i in range(args.haar_count) for k in counts for length in lengths
+            ]
+        rows = ["gate,d,K,L_m,seed,best_infidelity,status"]
+        for name, target, d, k, length, seed in points:
+            model = _device(length)
+            key = f"{name},{d},{k},{_fmt(length)},{seed}"
+            try:
+                rows.append(f"{key},{_fmt(_optimize(args, target, k, model, seed).infidelity)},ok")
+            except Exception as exc:  # per-row failures recorded, run continues
+                rows.append(f"{key},nan,error:{exc}")
+        write(f"{args.experiment.replace('-', '_')}.csv", "\n".join(rows) + "\n")
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -358,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, BoundsInfeasible, GapInfeasible, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError, KeyError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2
     except (PlanError, PrecisionUnreachable) as exc:

@@ -32,7 +32,7 @@ from .linalg import (
     toeplitz_eigenvectors,
 )
 from .reck import adjacent_expand, count_sections, two_level_decompose
-from .su2 import synthesize_su2
+from .su2 import _require_length, synthesize_su2
 
 SECTION_A = "A"
 SECTION_B = "B"
@@ -63,8 +63,7 @@ def _cached_recurrence(d: int, eps: float) -> DiophantineResult:
 def _require_design(dimension: int, section_length: float, trotter_steps: int, j1: int, j2: int):
     if dimension < 2:
         raise ValueError("need at least two modes")
-    if not (math.isfinite(section_length) and section_length > 0.0):
-        raise ValueError(f"section length must be positive and finite, got {section_length!r}")
+    _require_length(section_length)
     if trotter_steps < 1:
         raise ValueError("trotter_steps must be a positive integer")
     if j1 < 1 or j2 < 1:
@@ -392,6 +391,7 @@ class ChipPlan:
         if payload.get("schema_version") != PLAN_SCHEMA_VERSION:
             raise ValueError(f"unsupported plan schema {payload.get('schema_version')!r}")
         meta = _require_json(payload["metadata"], dict, "plan metadata")
+        d, trotter_steps, budget = (_require_count(meta, key) for key in ("d", "N", "K"))
         section_length = float(meta["section_length_m"])
         if not (math.isfinite(section_length) and section_length > 0.0):
             raise ValueError(
@@ -410,9 +410,9 @@ class ChipPlan:
                 requested=float(raw_cfg["epsilon"]),
             )
             config = TrotterConfig(
-                dimension=int(meta["d"]),
+                dimension=d,
                 section_length=section_length,
-                trotter_steps=int(meta["N"]),
+                trotter_steps=trotter_steps,
                 j1=int(raw_cfg["j1"]),
                 j2=int(raw_cfg["j2"]),
                 epsilon=float(raw_cfg["epsilon"]),
@@ -435,6 +435,10 @@ class ChipPlan:
                     couplings=np.array(item["couplings"]),
                     length=float(item["length_m"]),
                 )
+                if hamiltonian.dimension != d:
+                    raise ValueError(
+                        f"plan section has {hamiltonian.dimension} modes, metadata d is {d}"
+                    )
             phases = item.get("reduced_phases")
             if phases is not None:
                 bits = array("d", map(float, phases))
@@ -451,9 +455,9 @@ class ChipPlan:
                 )
             )
         return cls(
-            dimension=int(meta["d"]),
-            trotter_steps=int(meta["N"]),
-            section_budget=int(meta["K"]),
+            dimension=d,
+            trotter_steps=trotter_steps,
+            section_budget=budget,
             section_length=section_length,
             sections=sections,
             measured_error=meta.get("measured_error"),
@@ -469,6 +473,14 @@ def _require_json(value, kind: type, what: str):
     if not isinstance(value, kind):
         expected = "an object" if kind is dict else "a list"
         raise ValueError(f"{what} must be {expected}, got {type(value).__name__}")
+    return value
+
+
+def _require_count(meta: dict, key: str) -> int:
+    """``meta[key]``, which must be a positive JSON integer."""
+    value = meta[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"plan metadata {key} must be a positive integer, got {value!r}")
     return value
 
 
@@ -569,6 +581,7 @@ def compile_unitary(
             )
         if zero_voltage is None:
             raise ValueError("gap compensation needs the zero-voltage (beta0, C0) constants")
+    _require_design(d, section_length, trotter_steps, j1, j2)
     ops = adjacent_expand(two_level_decompose(u), d, prune_identity=prune_identity)
 
     config, steps, recurrence = None, (None,), []

@@ -128,6 +128,11 @@ class ParameterBounds:
             raise ValueError("lower bounds below zero would violate positivity")
 
 
+def _require_length(length: float):
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"section length must be positive and finite, got {length!r}")
+
+
 def _section(mean: float, detune: float, coupling: float, length: float) -> TridiagonalHamiltonian:
     """Levels mean +- detune coupled by ``coupling`` over ``length``."""
     return TridiagonalHamiltonian(
@@ -178,6 +183,7 @@ def hadamard_section(
 ) -> TridiagonalHamiltonian:
     """Single section realizing the Hadamard gate exactly:
     detune = coupling = pi/(2 sqrt(2) L), mean level set so e^{-i beta L} = e^{i pi/2}."""
+    _require_length(length)
     bounds = bounds or ParameterBounds()
     half = np.pi / (2.0 * np.sqrt(2.0) * length)
     if not bounds.kappa_min < half <= bounds.kappa_max:
@@ -207,6 +213,7 @@ def rotation_section(
     the axis-angle form of e^{-iHL} entry by entry. Raises PhaseGateRequired
     when r is too close to 1 for a strictly positive coupling.
     """
+    _require_length(length)
     bounds = bounds or ParameterBounds()
     r = params.amplitude
     if r >= ROTATION_AMPLITUDE_LIMIT:
@@ -237,8 +244,6 @@ def synthesize_su2(
     folded into the middle section; the identity takes two Hadamards. Both
     Hadamard slots hold the same object.
     """
-    if not (math.isfinite(length) and length > 0.0):
-        raise ValueError(f"section length must be positive and finite, got {length!r}")
     bounds = bounds or ParameterBounds()
     params = parse_su2(u)
     hadamard = hadamard_section(length, bounds)

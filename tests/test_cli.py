@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pwa_synth import ChipPlan, dft, operator_norm
-from pwa_synth.cli import BenchSpec, load_unitary_file, main
+from pwa_synth.cli import load_unitary_file, main
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +80,19 @@ class TestCompileCommand:
         error = json.loads(lines[0])["error"]
         assert error["type"] == "ValueError"
         assert error["message"] == f"section length must be positive and finite, got {length}"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("d", ["2", "3"])
+    @pytest.mark.parametrize("flag", ["--N=0", "--j1=0", "--j2=-1"])
+    def test_bad_design_parameter_exits_2(self, capsys, tmp_path, flag, d):
+        out_path = tmp_path / "plan.json"
+        code, out = run_cli(
+            capsys, "compile", "--gate", "dft", "--d", d, flag, "--out", str(out_path)
+        )
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "ValueError"
         assert not out_path.exists()
 
     def test_gate_requires_dimension(self, capsys):
@@ -167,6 +180,24 @@ def _plan_with_nan_section_length(path: Path) -> list[str]:
     return ["simulate", "--plan", str(path)]
 
 
+def _plan_with_nonpositive_counts(path: Path) -> list[str]:
+    from pwa_synth import compile_unitary
+
+    payload = json.loads(compile_unitary(dft(2)).to_json())
+    payload["metadata"].update(N=0, K=-5)
+    path.write_text(json.dumps(payload))
+    return ["simulate", "--plan", str(path)]
+
+
+def _plan_with_wrong_dimension(path: Path) -> list[str]:
+    from pwa_synth import compile_unitary
+
+    payload = json.loads(compile_unitary(dft(2)).to_json())
+    payload["metadata"]["d"] = 3
+    path.write_text(json.dumps(payload))
+    return ["simulate", "--plan", str(path)]
+
+
 def _plan_with_string_trotter_step(path: Path) -> list[str]:
     from pwa_synth import compile_unitary
 
@@ -234,6 +265,8 @@ def _empty_voltages(path: Path) -> list[str]:
         _empty_voltages,
         _plan_with_null_length,
         _plan_with_nan_section_length,
+        _plan_with_nonpositive_counts,
+        _plan_with_wrong_dimension,
         _plan_with_string_trotter_step,
         _plan_with_fractional_factor_index,
         _plan_with_list_provenance,
@@ -292,28 +325,49 @@ class TestBenchCommand:
         assert len(lines) == 3
         assert all(l.endswith(",ok") for l in lines[1:])
 
-    def test_haar_sweep_more_sections_beat_single_section_median(self, tmp_path):
-        import numpy as np
-
-        from pwa_synth.cli import run_bench
-
-        spec = BenchSpec(
-            experiment="haar-sweep",
-            dimensions=(3,),
-            section_counts=(1, 5),
-            haar_count=10,
-            restarts=4,
-            max_iterations=300,
-            output_dir=str(tmp_path),
+    def test_haar_sweep_more_sections_beat_single_section_median(self, capsys, tmp_path):
+        code, _ = run_cli(
+            capsys, "bench", "--experiment", "haar-sweep", "--dims", "3", "--sections", "1,5",
+            "--haar-count", "10", "--restarts", "4", "--maxiter", "300", "--out", str(tmp_path),
         )
-        (path,) = run_bench(spec)
-        rows = [l.split(",") for l in path.read_text().strip().splitlines()[1:]]
+        assert code == 0
+        lines = (tmp_path / "haar_sweep.csv").read_text().strip().splitlines()
+        rows = [l.split(",") for l in lines[1:]]
         by_k = {"1": [], "5": []}
         for row in rows:
             assert row[-1] == "ok"
             by_k[row[2]].append(float(row[5]))
         median_k1 = float(np.median(by_k["1"]))
         assert all(x < median_k1 for x in by_k["5"])
+
+    @pytest.mark.parametrize(
+        "experiment, flags, expected",
+        [
+            (
+                "gate-sweep",
+                ["--gates", "dft,shift", "--dims", "2,3", "--sections", "1,2", "--seeds", "0,3"],
+                [
+                    f"{gate},{d},{k},{seed}"
+                    for gate in ("dft", "shift") for d in (2, 3) for k in (1, 2) for seed in (0, 3)
+                ],
+            ),
+            (
+                "haar-sweep",
+                ["--dims", "2,3", "--haar-count", "2", "--sections", "1,2", "--seeds", "4,5"],
+                [f"haar:{i},{d},{k},4" for d in (2, 3) for i in (0, 1) for k in (1, 2)],
+            ),
+        ],
+    )
+    def test_sweep_row_order(self, capsys, tmp_path, experiment, flags, expected):
+        code, _ = run_cli(
+            capsys, "bench", "--experiment", experiment, *flags, "--restarts", "1",
+            "--maxiter", "1", "--out", str(tmp_path),
+        )
+        assert code == 0
+        lines = (tmp_path / f"{experiment.replace('-', '_')}.csv").read_text().splitlines()
+        keys = [",".join(l.split(",")[i] for i in (0, 1, 2, 4)) for l in lines[1:]]
+        assert keys == expected
+        assert all(l.split(",")[3] == "0.0060000000000000001" for l in lines[1:])
 
     def test_propagation_experiment_writes_traces(self, capsys, tmp_path):
         code, _ = run_cli(
@@ -326,12 +380,13 @@ class TestBenchCommand:
         assert len(traces) == 2
         assert traces[0].read_text().startswith("z_m,mode_index,re,im,probability")
 
-    def test_bench_spec_validation(self):
-        with pytest.raises(ValueError, match="experiment"):
-            BenchSpec(experiment="nope", dimensions=(3,))
-        with pytest.raises(ValueError, match="dimension"):
-            BenchSpec(experiment="gate-sweep", dimensions=())
-        with pytest.raises(ValueError, match="lengths"):
-            BenchSpec(experiment="gate-sweep", dimensions=(3,), lengths=(-1.0,))
-        with pytest.raises(ValueError, match="section lengths"):
-            BenchSpec(experiment="error-scaling", dimensions=(3,), lengths=(float("nan"),))
+    @pytest.mark.parametrize("flag", ["--lengths=-1", "--lengths=nan", "--dims="])
+    def test_bad_sweep_flag_exits_2(self, capsys, tmp_path, flag):
+        code, out = run_cli(
+            capsys, "bench", "--experiment", "error-scaling", flag, "--out", str(tmp_path / "b"),
+        )
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "ValueError"
+        assert not (tmp_path / "b").exists()

@@ -187,6 +187,12 @@ class TestSynthesizeSu2:
         assert err.value.role == HADAMARD_ROLE
 
     def test_rejects_bad_length(self):
-        for length in (0.0, -L, np.nan, np.inf):
-            with pytest.raises(ValueError, match="section length"):
-                synthesize_su2(np.eye(2), length)
+        params = parse_su2(haar_random_unitary(2, 5))
+        for build in (
+            lambda length: synthesize_su2(np.eye(2), length),
+            hadamard_section,
+            lambda length: rotation_section(params, length),
+        ):
+            for length in (0.0, -L, np.nan, np.inf):
+                with pytest.raises(ValueError, match="section length must be positive and finite"):
+                    build(length)
