@@ -9,6 +9,7 @@ exit code 2 for input errors, 1 for pipeline failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -61,8 +62,13 @@ def _resolve_target(args) -> tuple[np.ndarray, str]:
 
 
 def _cmd_compile(args) -> int:
+    if not (math.isfinite(args.gap) and args.gap >= 0.0):
+        raise ValueError(f"gap length must be finite and non-negative, got {args.gap!r}")
     target, name = _resolve_target(args)
-    model = DeviceModel()
+    gap = None
+    if args.gap > 0.0:
+        zero_voltage = DeviceModel().zero_voltage_hamiltonian(len(target))
+        gap = dataclasses.replace(zero_voltage, length=args.gap)
     plan = compile_unitary(
         target,
         section_length=args.L,
@@ -70,8 +76,7 @@ def _cmd_compile(args) -> int:
         j1=args.j1,
         j2=args.j2,
         epsilon=args.eps,
-        gap_length=args.gap,
-        zero_voltage=(model.beta_zero, model.base_coupling),
+        gap=gap,
         prune_identity=args.prune_identity,
         target_name=name,
     )
@@ -180,7 +185,8 @@ def _cmd_bench(args) -> int:
                             lines.append(f"{gate},{d},{n},{_fmt(length)},{_fmt(plan.measured_error)}")
                         except Exception as exc:
                             lines.append(f"{gate},{d},{n},{_fmt(length)},error:{exc}")
-                    if len(errors) == len(trotter_steps) and len(errors) >= 2:
+                    # d = 2 plans are exact and ignore N: there is no slope to fit.
+                    if d > 2 and len(errors) == len(trotter_steps) >= 2:
                         slope = float(np.polyfit(np.log(trotter_steps), np.log(errors), 1)[0])
                         slopes.append(f"{gate},{d},{_fmt(length)},{_fmt(slope)}")
                         print(f"error-scaling {gate} d={d} L={_fmt(length)}: slope = {_fmt(slope)}")
@@ -222,8 +228,16 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a ValueError, so ``main`` prints them as one
+    JSON line like every other input error; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pwa-synth",
         description="Compile, optimize, simulate, and benchmark waveguide-array unitaries.",
     )
@@ -283,9 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))

@@ -242,6 +242,8 @@ def optimize(task: OptimizationTask, jobs: int = 1) -> OptimizationResult:
     SeedSequence(task.seed, spawn_key=(r,)), and aggregation is by restart
     index regardless of the number of worker threads.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     objective = _ChipObjective(task)
     started = time.monotonic()
     if jobs > 1:

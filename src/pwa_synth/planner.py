@@ -7,8 +7,9 @@ block on top of a uniform positive background, and a recurrence section B
 equal to the bare background. The pair implements e^{-i(A-B)L} in the
 large-N limit; the backward evolution e^{+iB L/N} is realized as forward
 propagation over the recurrence length q - L/N, with q certified by
-simultaneous Diophantine approximation of the background eigenvalues.
-Electrode gaps around B sections are compensated exactly because everything
+simultaneous Diophantine approximation of the background eigenvalues; a q
+no longer than L/N is a PlanError. Electrode gaps around B sections are the
+caller's zero-voltage section and are compensated exactly because everything
 uniform commutes. At d = 2 the synthesized sections are the plan.
 """
 
@@ -60,14 +61,16 @@ def _cached_recurrence(d: int, eps: float) -> DiophantineResult:
     return simultaneous_diophantine(tuple(toeplitz_eigenvalues(d)), eps)
 
 
-def _require_design(dimension: int, section_length: float, trotter_steps: int, j1: int, j2: int):
-    if dimension < 2:
+def _require_design(d: int, length: float, steps: int, j1: int, j2: int, epsilon: float | None):
+    if d < 2:
         raise ValueError("need at least two modes")
-    _require_length(section_length)
-    if trotter_steps < 1:
+    _require_length(length)
+    if steps < 1:
         raise ValueError("trotter_steps must be a positive integer")
     if j1 < 1 or j2 < 1:
         raise ValueError("background windings j1, j2 must be positive integers")
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,9 @@ class TrotterConfig:
     recurrence: DiophantineResult
 
     def __post_init__(self):
-        _require_design(self.dimension, self.section_length, self.trotter_steps, self.j1, self.j2)
+        _require_design(
+            self.dimension, self.section_length, self.trotter_steps, self.j1, self.j2, self.epsilon
+        )
         budget = self.epsilon_budget(self.dimension, self.section_length, self.trotter_steps, self.j1)
         if self.epsilon > budget * (1.0 + 1e-12):
             raise ValueError(
@@ -114,26 +119,13 @@ class TrotterConfig:
         j2: int = 1,
         epsilon: float | None = None,
     ) -> "TrotterConfig":
-        _require_design(dimension, section_length, trotter_steps, j1, j2)
+        _require_design(dimension, section_length, trotter_steps, j1, j2, epsilon)
         if epsilon is None:
             epsilon = cls.epsilon_budget(dimension, section_length, trotter_steps, j1)
         recurrence = _cached_recurrence(int(dimension), float(epsilon))
-        step = section_length / trotter_steps
-        if recurrence.denominator <= step:
-            factor = math.floor(step / recurrence.denominator) + 1
-            scaled_eps = factor * recurrence.epsilon
-            if scaled_eps > epsilon:
-                raise PlanError(
-                    f"recurrence length {recurrence.denominator:g} m is shorter "
-                    f"than the Trotter step and scaling q by {factor} breaks the certificate"
-                )
-            recurrence = DiophantineResult(
-                denominator=factor * recurrence.denominator,
-                numerators=tuple(factor * p for p in recurrence.numerators),
-                residuals=tuple(factor * r for r in recurrence.residuals),
-                epsilon=scaled_eps,
-                requested=recurrence.requested,
-            )
+        shortfall = recurrence.denominator - section_length / trotter_steps
+        if shortfall <= 0.0:
+            raise PlanError(f"q - L/N = {shortfall:g} m: the recurrence length must be positive")
         return cls(
             dimension=int(dimension),
             section_length=float(section_length),
@@ -214,31 +206,27 @@ def plan_trotter_pair(
 
 
 def gap_compensate(
-    section_b: TridiagonalHamiltonian, gap_length: float, zero_voltage: tuple[float, float]
-) -> tuple[TridiagonalHamiltonian, TridiagonalHamiltonian]:
-    """Rescale a uniform recurrence section to absorb its two electrode gaps.
-
-    Returns (gap, electrode): two zero-voltage gaps of ``gap_length`` bracket
-    the electrode, whose rescaled parameters reproduce e^{-i B L~} exactly
-    (everything uniform commutes). beta' = (beta0~ L~ - 2 beta0 dL)/L' and
-    likewise for the coupling, with L' = L~ - 2 dL. Raises GapInfeasible when
-    a rescaled parameter is not strictly positive.
+    section_b: TridiagonalHamiltonian, gap: TridiagonalHamiltonian
+) -> TridiagonalHamiltonian:
+    """The electrode that reproduces the uniform recurrence section e^{-i B L~}
+    exactly between two copies of the zero-voltage ``gap`` (uniform sections
+    commute): beta' = (beta0~ L~ - 2 beta0 dL)/L' and likewise for the
+    coupling, with L' = L~ - 2 dL and dL the gap's length. Raises
+    GapInfeasible when a rescaled parameter is not strictly positive.
     """
-    if not section_b.is_uniform():
-        raise ValueError("gap compensation requires a uniform (Toeplitz) section")
-    zero_beta, zero_coupling = (float(x) for x in zero_voltage)
-    if zero_beta <= 0.0 or zero_coupling <= 0.0:
-        raise ValueError("zero-voltage constants must be strictly positive")
-    if not gap_length > 0.0:
-        raise ValueError(f"gap length must be positive, got {gap_length!r}")
-    electrode = section_b.length - 2.0 * gap_length
+    if not (section_b.is_uniform() and gap.is_uniform()):
+        raise ValueError("gap compensation requires a uniform (Toeplitz) section and gap")
+    if gap.dimension != section_b.dimension:
+        raise ValueError(f"gap has {gap.dimension} modes, the section {section_b.dimension}")
+    length, gap_length = section_b.length, gap.length
+    electrode = length - 2.0 * gap_length
     if electrode <= 0.0:
         raise ValueError(
             f"electrode length {electrode:g} m not positive: gap too long for the section"
         )
-    adjusted_beta = (section_b.betas[0] * section_b.length - 2.0 * zero_beta * gap_length) / electrode
+    adjusted_beta = (section_b.betas[0] * length - 2.0 * gap.betas[0] * gap_length) / electrode
     adjusted_coupling = (
-        section_b.couplings[0] * section_b.length - 2.0 * zero_coupling * gap_length
+        section_b.couplings[0] * length - 2.0 * gap.couplings[0] * gap_length
     ) / electrode
     if adjusted_beta <= 0.0 or adjusted_coupling <= 0.0:
         raise GapInfeasible(
@@ -246,15 +234,11 @@ def gap_compensate(
             "increase the background windings j1/j2 or shrink the gap"
         )
     d = section_b.dimension
-    gap = TridiagonalHamiltonian(
-        betas=np.full(d, zero_beta), couplings=np.full(d - 1, zero_coupling), length=gap_length
-    )
-    electrode_section = TridiagonalHamiltonian(
+    return TridiagonalHamiltonian(
         betas=np.full(d, adjusted_beta),
         couplings=np.full(d - 1, adjusted_coupling),
         length=electrode,
     )
-    return gap, electrode_section
 
 
 @dataclass(frozen=True)
@@ -327,12 +311,6 @@ class ChipPlan:
                 mat = cache[key] = section.unitary()
             u = mat @ u
         return u
-
-    def kind_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for s in self.sections:
-            counts[s.kind] = counts.get(s.kind, 0) + 1
-        return counts
 
     def to_json(self) -> str:
         """Schema v1 text: ``json.dumps(payload, indent=2)`` of the whole plan.
@@ -509,26 +487,26 @@ def _encode_body(section: PlanSection) -> tuple[str, str]:
 
 
 def _gap_windings_for_feasibility(
-    config: TrotterConfig, gap_length: float, zero_voltage: tuple[float, float]
+    config: TrotterConfig, gap: TridiagonalHamiltonian
 ) -> tuple[int, int]:
     """Smallest (j1, j2) keeping both compensated parameters positive."""
-    zero_beta, zero_coupling = zero_voltage
+    zero_beta, zero_coupling = float(gap.betas[0]), float(gap.couplings[0])
     rec_length = config.recurrence_length
     q = config.recurrence.denominator
     # background_beta * rec_length = 2 pi j2 * rec_length / q must exceed 2 beta0 dL
-    j2 = max(config.j2, math.floor(zero_beta * gap_length * q / (math.pi * rec_length)) + 1)
+    j2 = max(config.j2, math.floor(zero_beta * gap.length * q / (math.pi * rec_length)) + 1)
     # background_coupling * rec_length = 2 pi j1 rec_length must exceed 2 C0 dL
-    j1 = max(config.j1, math.floor(zero_coupling * gap_length / (math.pi * rec_length)) + 1)
+    j1 = max(config.j1, math.floor(zero_coupling * gap.length / (math.pi * rec_length)) + 1)
     return j1, j2
 
 
 def _recurrence_sections(
-    config: TrotterConfig, gap_length: float, zero_voltage: tuple[float, float] | None
+    config: TrotterConfig, gap: TridiagonalHamiltonian | None
 ) -> list[PlanSection]:
     """The physical sections that realize one recurrence step e^{-i B L~}:
     the bare background, or a compensated electrode between two gaps."""
     rec_phases = config.recurrence_phases()
-    if gap_length <= 0.0:
+    if gap is None:
         return [
             PlanSection(
                 kind=SECTION_B,
@@ -536,9 +514,10 @@ def _recurrence_sections(
                 reduced_phases=tuple(float(x) for x in rec_phases),
             )
         ]
-    gap, electrode = gap_compensate(config.background_hamiltonian(), gap_length, zero_voltage)
-    zero_beta, zero_coupling = (float(x) for x in zero_voltage)
-    gap_phases = (zero_beta + zero_coupling * toeplitz_eigenvalues(config.dimension)) * gap_length
+    electrode = gap_compensate(config.background_hamiltonian(), gap)
+    gap_phases = (
+        gap.betas[0] + gap.couplings[0] * toeplitz_eigenvalues(config.dimension)
+    ) * gap.length
     gap_section = PlanSection(
         kind=SECTION_GAP, hamiltonian=gap, reduced_phases=tuple(float(x) for x in gap_phases)
     )
@@ -557,8 +536,7 @@ def compile_unitary(
     j1: int = 1,
     j2: int = 1,
     epsilon: float | None = None,
-    gap_length: float = 0.0,
-    zero_voltage: tuple[float, float] | None = None,
+    gap: TridiagonalHamiltonian | None = None,
     prune_identity: bool = False,
     measure: bool = True,
     target_name: str | None = None,
@@ -568,33 +546,30 @@ def compile_unitary(
     For d = 2 the four-section synthesis is already physical: each section is
     emitted once, bare, and the plan is exact. For d > 2 each synthesized
     section becomes N (B, A) pairs in physical order B-first, matching the
-    product (e^{-iA L/N} e^{-iB L~})^N.
+    product (e^{-iA L/N} e^{-iB L~})^N. ``gap``, when given, is the uniform
+    zero-voltage section that brackets every recurrence electrode; its length
+    is the gap length.
     """
-    if not (math.isfinite(gap_length) and gap_length >= 0.0):
-        raise ValueError(f"gap length must be finite and non-negative, got {gap_length!r}")
     u = require_unitary(target, atol=1e-8, what="target")
     d = u.shape[0]
-    if gap_length > 0.0:
-        if d == 2:
-            raise ValueError(
-                "gap compensation applies to recurrence sections; exact d=2 plans have none"
-            )
-        if zero_voltage is None:
-            raise ValueError("gap compensation needs the zero-voltage (beta0, C0) constants")
-    _require_design(d, section_length, trotter_steps, j1, j2)
+    if gap is not None and d == 2:
+        raise ValueError("gap compensation applies to recurrence sections; exact d=2 plans have none")
+    if gap is not None and gap.dimension != d:
+        raise ValueError(f"gap has {gap.dimension} modes, the target {d}")
+    _require_design(d, section_length, trotter_steps, j1, j2, epsilon)
     ops = adjacent_expand(two_level_decompose(u), d, prune_identity=prune_identity)
 
     config, steps, recurrence = None, (None,), []
     if d > 2:
         config = TrotterConfig.plan(d, section_length, trotter_steps, j1, j2, epsilon)
-        if gap_length > 0.0:
-            need_j1, need_j2 = _gap_windings_for_feasibility(config, gap_length, zero_voltage)
+        if gap is not None:
+            need_j1, need_j2 = _gap_windings_for_feasibility(config, gap)
             if (need_j1, need_j2) != (config.j1, config.j2):
                 config = TrotterConfig.plan(
                     d, section_length, trotter_steps, need_j1, need_j2, epsilon
                 )
         steps = range(config.trotter_steps)
-        recurrence = _recurrence_sections(config, gap_length, zero_voltage)
+        recurrence = _recurrence_sections(config, gap)
 
     sections: list[PlanSection] = []
     for op_index, op in enumerate(ops):

@@ -26,9 +26,6 @@ TWO_LEVEL_ATOL = 1e-8
 #: Ops whose matrix is within this of the identity may be pruned on request.
 IDENTITY_PRUNE_ATOL = 1e-12
 
-CORE = "core"
-PERMUTATION = "permutation"
-
 _X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -38,13 +35,12 @@ class TwoLevelFactor:
 
     ``core`` is the 2x2 unitary block in (low, high) ordering; embedding it
     on those two modes gives the full d x d factor. Applying the factors in
-    ``index`` order to the input unitary yields the identity.
+    list order to the input unitary yields the identity.
     """
 
     low: int
     high: int
     core: np.ndarray
-    index: int
 
     def __post_init__(self):
         if not 1 <= self.low < self.high:
@@ -61,15 +57,11 @@ class AdjacentOp:
     """A 2x2 unitary acting on modes (mode, mode+1), 1-based."""
 
     mode: int
-    kind: str
     matrix: np.ndarray
-    source_factor: int
 
     def __post_init__(self):
         if self.mode < 1:
             raise ValueError(f"mode must be >= 1, got {self.mode}")
-        if self.kind not in (CORE, PERMUTATION):
-            raise ValueError(f"bad op kind {self.kind!r}")
         matrix = np.array(self.matrix, dtype=complex)
         if matrix.shape != (2, 2):
             raise ValueError(f"op matrix must be 2x2, got {matrix.shape}")
@@ -122,7 +114,6 @@ def two_level_decompose(u) -> list[TwoLevelFactor]:
         raise ValueError("two-level decomposition needs d >= 2")
     running = u.copy()
     factors: list[TwoLevelFactor] = []
-    index = 0
     for low in range(1, d):
         for high in range(low + 1, d + 1):
             pivot = running[low - 1, low - 1]
@@ -139,15 +130,12 @@ def two_level_decompose(u) -> list[TwoLevelFactor]:
                 row_high = running[high - 1].copy()
                 running[low - 1] = core[0, 0] * row_low + core[0, 1] * row_high
                 running[high - 1] = core[1, 0] * row_low + core[1, 1] * row_high
-            factors.append(TwoLevelFactor(low=low, high=high, core=core, index=index))
-            index += 1
+            factors.append(TwoLevelFactor(low=low, high=high, core=core))
     residual = running[d - 1, d - 1]
     residual /= abs(residual)
     last = factors[-1]
     phase_fix = np.array([[1.0, 0.0], [0.0, np.conj(residual)]], dtype=complex)
-    factors[-1] = TwoLevelFactor(
-        low=last.low, high=last.high, core=phase_fix @ last.core, index=last.index
-    )
+    factors[-1] = TwoLevelFactor(low=last.low, high=last.high, core=phase_fix @ last.core)
     return factors
 
 
@@ -182,11 +170,9 @@ def adjacent_expand(
         core = f.core.conj().T
         if prune_identity and np.max(np.abs(core - np.eye(2))) <= IDENTITY_PRUNE_ATOL:
             continue
-        for mode in range(f.high - 1, f.low, -1):
-            ops.append(AdjacentOp(mode=mode, kind=PERMUTATION, matrix=_X2, source_factor=f.index))
-        ops.append(AdjacentOp(mode=f.low, kind=CORE, matrix=core, source_factor=f.index))
-        for mode in range(f.low + 1, f.high):
-            ops.append(AdjacentOp(mode=mode, kind=PERMUTATION, matrix=_X2, source_factor=f.index))
+        ops += [AdjacentOp(mode, _X2) for mode in range(f.high - 1, f.low, -1)]
+        ops.append(AdjacentOp(f.low, core))
+        ops += [AdjacentOp(mode, _X2) for mode in range(f.low + 1, f.high)]
     return ops
 
 

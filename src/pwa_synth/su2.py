@@ -29,10 +29,6 @@ ROTATION_AMPLITUDE_LIMIT = 1.0 - 1e-9
 #: Angle comparisons mod 2*pi.
 ANGLE_ATOL = 1e-12
 
-HADAMARD_ROLE = "hadamard"
-COUPLER_ROLE = "coupler"
-ROTATION_ROLE = "rotation"
-
 
 class PhaseGateRequired(Exception):
     """Raised by rotation_section when the gate is (nearly) diagonal: the
@@ -41,11 +37,8 @@ class PhaseGateRequired(Exception):
 
 
 class BoundsInfeasible(ValueError):
-    """No integer winding places a section's parameters inside the bounds."""
-
-    def __init__(self, message: str, role: str):
-        super().__init__(message)
-        self.role = role
+    """No integer winding places a section's parameters inside the bounds.
+    The message starts with the section's role: hadamard, coupler or rotation."""
 
 
 def _wrap_angle(a: float) -> float:
@@ -156,8 +149,7 @@ def _wind_mean_level(
     if value + half_span > bounds.beta_max:
         raise BoundsInfeasible(
             f"{role}: no 2*pi winding places the diagonal levels inside "
-            f"({bounds.beta_min:g}, {bounds.beta_max:g}]",
-            role,
+            f"({bounds.beta_min:g}, {bounds.beta_max:g}]"
         )
     return value
 
@@ -172,8 +164,7 @@ def _wind_coupling(angle: float, length: float, bounds: ParameterBounds, role: s
     if value > bounds.kappa_max:
         raise BoundsInfeasible(
             f"{role}: no 2*pi winding places the coupling inside "
-            f"({bounds.kappa_min:g}, {bounds.kappa_max:g}]",
-            role,
+            f"({bounds.kappa_min:g}, {bounds.kappa_max:g}]"
         )
     return value
 
@@ -187,10 +178,8 @@ def hadamard_section(
     bounds = bounds or ParameterBounds()
     half = np.pi / (2.0 * np.sqrt(2.0) * length)
     if not bounds.kappa_min < half <= bounds.kappa_max:
-        raise BoundsInfeasible(
-            f"hadamard: fixed coupling {half:g} outside the kappa window", HADAMARD_ROLE
-        )
-    mean = _wind_mean_level(np.pi / 2.0, half, length, bounds, HADAMARD_ROLE)
+        raise BoundsInfeasible(f"hadamard: fixed coupling {half:g} outside the kappa window")
+    mean = _wind_mean_level(np.pi / 2.0, half, length, bounds, "hadamard")
     return _section(mean, half, half, length)
 
 
@@ -198,8 +187,8 @@ def _coupler_section(
     xi: float, folded_phase: float, length: float, bounds: ParameterBounds
 ) -> TridiagonalHamiltonian:
     """Pure-coupling section: e^{i folded_phase} Rx(xi) with Rx(xi) = e^{-i xi sigma_x}."""
-    kappa = _wind_coupling(xi, length, bounds, COUPLER_ROLE)
-    mean = _wind_mean_level(folded_phase, 0.0, length, bounds, COUPLER_ROLE)
+    kappa = _wind_coupling(xi, length, bounds, "coupler")
+    mean = _wind_mean_level(folded_phase, 0.0, length, bounds, "coupler")
     return _section(mean, 0.0, kappa, length)
 
 
@@ -225,10 +214,8 @@ def rotation_section(
     coupling = root * theta / (length * math.sin(theta))
     detune = r * math.sin(params.rotation_phase) * coupling / root
     if not bounds.kappa_min < coupling <= bounds.kappa_max:
-        raise BoundsInfeasible(
-            f"rotation: fixed coupling {coupling:g} outside the kappa window", ROTATION_ROLE
-        )
-    mean = _wind_mean_level(params.global_phase, abs(detune), length, bounds, ROTATION_ROLE)
+        raise BoundsInfeasible(f"rotation: fixed coupling {coupling:g} outside the kappa window")
+    mean = _wind_mean_level(params.global_phase, abs(detune), length, bounds, "rotation")
     return _section(mean, detune, coupling, length)
 
 

@@ -145,7 +145,10 @@ def test_criterion_5_gap_compensation_identity():
             section = TridiagonalHamiltonian(
                 betas=np.full(d, beta), couplings=np.full(d - 1, coupling), length=length
             )
-            gap_section, electrode = gap_compensate(section, gap, (zero_beta, zero_coupling))
+            gap_section = TridiagonalHamiltonian(
+                betas=np.full(d, zero_beta), couplings=np.full(d - 1, zero_coupling), length=gap
+            )
+            electrode = gap_compensate(section, gap_section)
             composite = gap_section.unitary() @ electrode.unitary() @ gap_section.unitary()
             assert operator_norm(composite - section.unitary()) <= 1e-10
             checked += 1

@@ -95,6 +95,32 @@ class TestCompileCommand:
         assert json.loads(lines[0])["error"]["type"] == "ValueError"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("flag", ["--eps=nan", "--eps=-1"])
+    def test_bad_epsilon_exits_2_on_exact_plan(self, capsys, tmp_path, flag):
+        out_path = tmp_path / "plan.json"
+        code, out = run_cli(
+            capsys, "compile", "--gate", "dft", "--d", "2", flag, "--out", str(out_path)
+        )
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert "epsilon" in json.loads(lines[0])["error"]["message"]
+        assert not out_path.exists()
+
+    def test_recurrence_no_longer_than_step_exits_1(self, capsys, tmp_path):
+        out_path = tmp_path / "plan.json"
+        code, out = run_cli(
+            capsys, "compile", "--gate", "dft", "--d", "3", "--L", "9", "--N", "1",
+            "--out", str(out_path),
+        )
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "PlanError"
+        assert "q - L/N" in error["message"]
+        assert not out_path.exists()
+
     def test_gate_requires_dimension(self, capsys):
         code, out = run_cli(capsys, "compile", "--gate", "dft")
         assert code == 2
@@ -121,6 +147,15 @@ class TestOptimizeCommand:
         code, out = run_cli(capsys, "optimize", "--gate", "dft", "--d", "3", "--K", "0")
         assert code == 2
         assert json.loads(out.strip().splitlines()[-1])["error"]["type"] == "ValueError"
+
+    def test_negative_jobs_exits_2(self, capsys):
+        code, out = run_cli(
+            capsys, "optimize", "--gate", "dft", "--d", "3", "--K", "1", "--jobs=-3"
+        )
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert "jobs" in json.loads(lines[0])["error"]["message"]
 
 
 class TestSimulateCommand:
@@ -286,6 +321,32 @@ def test_malformed_input_file_exits_2_naming_the_file(capsys, tmp_path, write_in
     assert str(path) in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--gate", "dft", "--d", "3"],
+        ["compile", "--gate", "dft", "--d", "3", "--gap", "-6e-4"],
+        ["bench", "--experiment", "nope"],
+    ],
+    ids=["missing-K", "dash-value", "bad-choice"],
+)
+def test_argument_errors_print_one_json_line(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"pwa-synth {argv[0]}: ")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compile", "--help"])
+    assert exit_info.value.code == 0
+    assert "--gap" in capsys.readouterr().out
+
+
 class TestBenchCommand:
     def test_error_scaling_rows_and_slope(self, capsys, tmp_path):
         code, out = run_cli(
@@ -299,6 +360,20 @@ class TestBenchCommand:
         assert len(body) == 3
         slopes = (tmp_path / "error_scaling_slopes.csv").read_text()
         assert "dft,3," in slopes
+
+    def test_error_scaling_fits_no_slope_to_exact_plans(self, capsys, tmp_path):
+        code, out = run_cli(
+            capsys, "bench", "--experiment", "error-scaling", "--dims", "2,3",
+            "--gates", "dft", "--N-values", "4,8", "--lengths", "6e-3",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        rows = (tmp_path / "error_scaling.csv").read_text().strip().splitlines()
+        assert [r.split(",")[1] for r in rows[1:]] == ["2", "2", "3", "3"]
+        slopes = (tmp_path / "error_scaling_slopes.csv").read_text().strip().splitlines()
+        assert [r.split(",")[:2] for r in slopes[1:]] == [["dft", "3"]]
+        printed = [l for l in out.splitlines() if "slope =" in l]
+        assert len(printed) == 1 and printed[0].startswith("error-scaling dft d=3 ")
 
     def test_gate_sweep_deterministic_bytes(self, capsys, tmp_path):
         args = (

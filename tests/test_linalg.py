@@ -172,8 +172,9 @@ class TestTridiagonalHamiltonian:
             TridiagonalHamiltonian(betas=[1.0, -1.0], couplings=[1.0], length=1.0)
         with pytest.raises(ValueError, match="positive"):
             TridiagonalHamiltonian(betas=[1.0, 1.0], couplings=[0.0], length=1.0)
-        with pytest.raises(ValueError, match="length"):
-            TridiagonalHamiltonian(betas=[1.0, 1.0], couplings=[1.0], length=0.0)
+        for length in (0.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="length"):
+                TridiagonalHamiltonian(betas=[1.0, 1.0], couplings=[1.0], length=length)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="couplings"):

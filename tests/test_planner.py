@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import json
@@ -7,6 +8,7 @@ import pytest
 
 from pwa_synth import (
     ChipPlan,
+    DeviceModel,
     GapInfeasible,
     TridiagonalHamiltonian,
     TrotterConfig,
@@ -18,6 +20,7 @@ from pwa_synth import (
     gap_compensate,
     haar_random_unitary,
     operator_norm,
+    PlanError,
     PlanSection,
     plan_trotter_pair,
     synthesize_su2,
@@ -31,6 +34,17 @@ L = 6e-3
 
 def make_config(d=3, length=L, steps=8, j1=1, j2=1):
     return TrotterConfig.plan(d, length, steps, j1, j2)
+
+
+def uniform_section(d, beta, coupling, length):
+    return TridiagonalHamiltonian(
+        betas=np.full(d, beta), couplings=np.full(d - 1, coupling), length=length
+    )
+
+
+def device_gap(d, length=6e-4):
+    """The device's zero-voltage section over an electrode gap of ``length``."""
+    return dataclasses.replace(DeviceModel().zero_voltage_hamiltonian(d), length=length)
 
 
 class TestTrotterConfig:
@@ -91,6 +105,12 @@ class TestTrotterConfig:
             TrotterConfig.plan(3, L, 0)
         with pytest.raises(ValueError):
             TrotterConfig.plan(3, -L, 8)
+
+    @pytest.mark.parametrize("length", [3.0, 9.0])
+    def test_recurrence_no_longer_than_step_raises(self, length):
+        # q = 1 m at these budgets, so q - L/N is not positive
+        with pytest.raises(PlanError, match="q - L/N"):
+            TrotterConfig.plan(3, length, 1)
 
 
 class TestPlanTrotterPair:
@@ -172,18 +192,10 @@ class TestPlanTrotterPair:
 
 
 class TestGapCompensate:
-    def test_zero_gap_rejected(self):
-        b = TridiagonalHamiltonian(betas=[10.0] * 3, couplings=[2.0 * np.pi] * 2, length=1.0)
-        for gap in (0.0, -0.1, np.nan):
-            with pytest.raises(ValueError, match="gap length"):
-                gap_compensate(b, gap, (1.0, 1.0))
-
     def test_worked_example(self):
-        b = TridiagonalHamiltonian(betas=[10.0] * 3, couplings=[2.0 * np.pi] * 2, length=1.0)
-        gap, electrode = gap_compensate(b, 0.1, (1.0, 1.0))
-        np.testing.assert_array_equal(gap.betas, [1.0] * 3)
-        np.testing.assert_array_equal(gap.couplings, [1.0] * 2)
-        assert gap.length == 0.1
+        b = uniform_section(3, 10.0, 2.0 * np.pi, 1.0)
+        gap = uniform_section(3, 1.0, 1.0, 0.1)
+        electrode = gap_compensate(b, gap)
         assert electrode.is_uniform()
         assert electrode.length == pytest.approx(0.8)
         assert electrode.betas[0] == pytest.approx((10.0 - 0.2) / 0.8)
@@ -193,19 +205,30 @@ class TestGapCompensate:
         assert operator_norm(composite - b.unitary()) <= 1e-10
 
     def test_infeasible_raises(self):
-        b = TridiagonalHamiltonian(betas=[1.0] * 3, couplings=[6.0] * 2, length=1.0)
+        b = uniform_section(3, 1.0, 6.0, 1.0)
         with pytest.raises(GapInfeasible):
-            gap_compensate(b, 0.4, (2.0, 1.0))
+            gap_compensate(b, uniform_section(3, 2.0, 1.0, 0.4))
 
     def test_requires_uniform(self):
         b = TridiagonalHamiltonian(betas=[1.0, 2.0], couplings=[1.0], length=1.0)
         with pytest.raises(ValueError, match="uniform"):
-            gap_compensate(b, 0.1, (1.0, 1.0))
+            gap_compensate(b, uniform_section(2, 1.0, 1.0, 0.1))
+
+    def test_requires_uniform_gap(self):
+        b = uniform_section(2, 10.0, 1.0, 1.0)
+        gap = TridiagonalHamiltonian(betas=[1.0, 2.0], couplings=[1.0], length=0.1)
+        with pytest.raises(ValueError, match="uniform"):
+            gap_compensate(b, gap)
+
+    def test_gap_with_other_mode_count_rejected(self):
+        b = uniform_section(3, 10.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="modes"):
+            gap_compensate(b, uniform_section(4, 1.0, 1.0, 0.1))
 
     def test_gap_longer_than_section_rejected(self):
-        b = TridiagonalHamiltonian(betas=[10.0] * 2, couplings=[1.0], length=1.0)
+        b = uniform_section(2, 10.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="electrode"):
-            gap_compensate(b, 0.6, (1.0, 1.0))
+            gap_compensate(b, uniform_section(2, 1.0, 1.0, 0.6))
 
 
 class TestCompileUnitary:
@@ -229,7 +252,7 @@ class TestCompileUnitary:
     def test_clock_d3_counts(self):
         plan = compile_unitary(clock(3), section_length=L, trotter_steps=8)
         assert plan.section_budget == 4 * 5 * 8
-        counts = plan.kind_counts()
+        counts = collections.Counter(s.kind for s in plan.sections)
         assert counts["A"] == counts["B"]
         assert counts["A"] <= 4 * 5 * 8
         assert plan.measured_error < 0.05
@@ -266,38 +289,36 @@ class TestCompileUnitary:
     def test_gap_compensated_plan_matches_plain_plan(self):
         u = dft(3)
         plain = compile_unitary(u, trotter_steps=4)
-        gapped = compile_unitary(
-            u, trotter_steps=4, gap_length=1e-4, zero_voltage=(100.0, 50.0)
-        )
-        assert gapped.kind_counts()["gap"] == 2 * gapped.kind_counts()["B"]
+        gapped = compile_unitary(u, trotter_steps=4, gap=uniform_section(3, 100.0, 50.0, 1e-4))
+        counts = collections.Counter(s.kind for s in gapped.sections)
+        assert counts["gap"] == 2 * counts["B"]
         assert gapped.measured_error == pytest.approx(plain.measured_error, abs=1e-8)
-
-    def test_gap_needs_zero_voltage(self):
-        with pytest.raises(ValueError, match="zero-voltage"):
-            compile_unitary(dft(3), gap_length=1e-4)
 
     def test_gap_windings_autoescalate(self):
         # device-scale beta0 would make j2=1 infeasible; compile must pick a
         # feasible winding automatically
-        plan = compile_unitary(
-            dft(3), trotter_steps=4, gap_length=6e-4, zero_voltage=(2.11e7, 100.0)
-        )
+        gap = device_gap(3)
+        plan = compile_unitary(dft(3), trotter_steps=4, gap=gap)
         assert plan.config.j2 > 1
+        assert all(s.hamiltonian is gap for s in plan.sections if s.kind == "gap")
         for s in plan.sections:
             assert np.all(s.hamiltonian.betas > 0.0)
 
     def test_gap_rejected_on_d2_plan(self):
         with pytest.raises(ValueError, match="d=2"):
-            compile_unitary(dft(2), gap_length=1e-4, zero_voltage=(100.0, 50.0))
+            compile_unitary(dft(2), gap=uniform_section(2, 100.0, 50.0, 1e-4))
+
+    @pytest.mark.parametrize("modes", [1, 4])
+    def test_gap_with_other_mode_count_rejected(self, modes):
+        gap = uniform_section(modes, 100.0, 50.0, 1e-4)
+        with pytest.raises(ValueError, match="modes"):
+            compile_unitary(dft(3), gap=gap)
 
     def test_gap_escalation_keeps_requested_epsilon(self):
         # device-scale beta0 escalates j2; the re-plan must still meet the
         # caller's epsilon, not fall back to the (100x looser) budget
         epsilon = TrotterConfig.epsilon_budget(3, L, 4) / 100.0
-        plan = compile_unitary(
-            dft(3), trotter_steps=4, epsilon=epsilon,
-            gap_length=6e-4, zero_voltage=(2.11e7, 100.0),
-        )
+        plan = compile_unitary(dft(3), trotter_steps=4, epsilon=epsilon, gap=device_gap(3))
         assert plan.config.j2 > 1
         assert plan.config.epsilon == epsilon
         assert plan.epsilon_certificate <= epsilon
@@ -315,7 +336,7 @@ class TestCompileUnitary:
         [
             (dft(2), {}),
             (dft(3), {"trotter_steps": 4}),
-            (clock(3), {"trotter_steps": 4, "gap_length": 6e-4, "zero_voltage": (2.11e7, 100.0)}),
+            (clock(3), {"trotter_steps": 4, "gap": device_gap(3)}),
             (haar_random_unitary(4, 5), {"trotter_steps": 4}),
         ],
         ids=["d2", "d3", "d3-gap", "d4"],
@@ -333,9 +354,6 @@ class TestCompileUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             compile_unitary(np.ones((3, 3)))
-
-
-ZERO_VOLTAGE = (2.11e7, 100.0)
 
 
 def reference_json(plan: ChipPlan) -> str:
@@ -427,13 +445,8 @@ class TestPlanJson:
             lambda: compile_unitary(haar_random_unitary(4, 5), trotter_steps=2),
             lambda: compile_unitary(haar_random_unitary(5, 6), trotter_steps=2),
             lambda: compile_unitary(clock(6), trotter_steps=2, target_name="clock"),
-            lambda: compile_unitary(
-                clock(3), trotter_steps=4, gap_length=6e-4, zero_voltage=ZERO_VOLTAGE
-            ),
-            lambda: compile_unitary(
-                haar_random_unitary(4, 2), trotter_steps=2, gap_length=6e-4,
-                zero_voltage=ZERO_VOLTAGE,
-            ),
+            lambda: compile_unitary(clock(3), trotter_steps=4, gap=device_gap(3)),
+            lambda: compile_unitary(haar_random_unitary(4, 2), trotter_steps=2, gap=device_gap(4)),
             lambda: compile_unitary(dft(3), trotter_steps=2, measure=False),
             lambda: compile_unitary(np.eye(3), prune_identity=True),
             hand_built_plan,
@@ -486,9 +499,7 @@ class TestPlanJson:
         "build",
         [
             lambda: compile_unitary(haar_random_unitary(4, 3), trotter_steps=4),
-            lambda: compile_unitary(
-                clock(3), trotter_steps=4, gap_length=6e-4, zero_voltage=ZERO_VOLTAGE
-            ),
+            lambda: compile_unitary(clock(3), trotter_steps=4, gap=device_gap(3)),
             hand_built_plan,
         ],
         ids=["d4", "d3-gap", "hand-built"],

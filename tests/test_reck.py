@@ -11,11 +11,7 @@ from pwa_synth import (
     shift,
     two_level_decompose,
 )
-from pwa_synth.reck import (
-    CORE,
-    PERMUTATION,
-    embed_two_level,
-)
+from pwa_synth.reck import embed_two_level
 
 
 class TestTwoLevelDecompose:
@@ -89,9 +85,11 @@ class TestCountSections:
 class TestAdjacentExpand:
     def test_adjacent_factor_is_single_op(self):
         u = haar_random_unitary(2, 4)
-        ops = adjacent_expand(two_level_decompose(u), 2)
+        factors = two_level_decompose(u)
+        ops = adjacent_expand(factors, 2)
         assert len(ops) == 1
-        assert ops[0].kind == CORE and ops[0].mode == 1
+        assert ops[0].mode == 1
+        np.testing.assert_array_equal(ops[0].matrix, factors[0].core.conj().T)
 
     def test_chain_structure_for_distant_factor(self):
         # the (high, low) = (5, 2) factor walks mode 5 down to 3 and back:
@@ -102,8 +100,9 @@ class TestAdjacentExpand:
         target = next(f for f in factors if (f.low, f.high) == (2, 5))
         ops = adjacent_expand([target], d)
         assert [op.mode for op in ops] == [4, 3, 2, 3, 4]
-        assert [op.kind for op in ops] == [PERMUTATION, PERMUTATION, CORE, PERMUTATION, PERMUTATION]
-        np.testing.assert_allclose(ops[0].matrix, [[0, 1], [1, 0]], atol=0)
+        for op in ops[:2] + ops[3:]:
+            np.testing.assert_array_equal(op.matrix, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(ops[2].matrix, target.core.conj().T)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_op_count_matches_closed_form(self, d):
