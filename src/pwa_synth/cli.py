@@ -80,13 +80,15 @@ def _cmd_compile(args) -> int:
         prune_identity=args.prune_identity,
         target_name=name,
     )
+    # Write files first: a failed write then leaves only the error line on stdout.
+    if args.out:
+        Path(args.out).write_text(plan.to_json(), encoding="utf-8")
     print(f"K = {plan.section_budget}")
     print(f"sections = {len(plan.sections)}")
     print(f"measured_error = {_fmt(plan.measured_error)}")
     if plan.epsilon_certificate is not None:
         print(f"epsilon_certificate = {_fmt(plan.epsilon_certificate)}")
     if args.out:
-        Path(args.out).write_text(plan.to_json(), encoding="utf-8")
         print(f"plan written to {args.out}")
     return 0
 
@@ -115,17 +117,19 @@ def _cmd_optimize(args) -> int:
     target, name = _resolve_target(args)
     model = DeviceModel() if args.L is None else _device(args.L)
     result = _optimize(args, target, args.K, model, args.seed, args.jobs)
-    print(f"best_infidelity = {_fmt(result.infidelity)}")
-    print(f"best_fidelity = {_fmt(result.fidelity)}")
-    print(f"restarts = {args.restarts}")
-    if args.out:
+    if args.out:  # files first, as in compile
         Path(args.out).write_text(
             result.to_json(model=model, extra={"target": name, "K": args.K, "d": len(target)}),
             encoding="utf-8",
         )
-        print(f"voltages written to {args.out}")
     if args.csv:
         Path(args.csv).write_text(result.restarts_csv(), encoding="utf-8")
+    print(f"best_infidelity = {_fmt(result.infidelity)}")
+    print(f"best_fidelity = {_fmt(result.fidelity)}")
+    print(f"restarts = {args.restarts}")
+    if args.out:
+        print(f"voltages written to {args.out}")
+    if args.csv:
         print(f"per-restart CSV written to {args.csv}")
     return 0
 
@@ -300,7 +304,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2
     except (PlanError, PrecisionUnreachable) as exc:

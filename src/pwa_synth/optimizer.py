@@ -203,6 +203,9 @@ class OptimizationResult:
         if not voltages:
             raise ValueError("no voltage sections")
         model = DeviceModel(**payload["model"]) if "model" in payload else DeviceModel()
+        for v in voltages:
+            if v.require_in_range(model).dimension != voltages[0].dimension:
+                raise ValueError("all voltage sections must share the same mode count")
         return voltages, model
 
     def restarts_csv(self) -> str:

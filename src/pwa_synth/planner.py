@@ -62,6 +62,9 @@ def _cached_recurrence(d: int, eps: float) -> DiophantineResult:
 
 
 def _require_design(d: int, length: float, steps: int, j1: int, j2: int, epsilon: float | None):
+    for name, value in (("d", d), ("trotter_steps", steps), ("j1", j1), ("j2", j2)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if d < 2:
         raise ValueError("need at least two modes")
     _require_length(length)
@@ -420,7 +423,11 @@ class ChipPlan:
             phases = item.get("reduced_phases")
             if phases is not None:
                 bits = array("d", map(float, phases))
-                phases = phase_tuples.setdefault(bits.tobytes(), tuple(bits))
+                phases = phase_tuples.get(bits.tobytes())
+                if phases is None:
+                    if len(bits) != d or not all(map(math.isfinite, bits)):
+                        raise ValueError(f"plan reduced_phases must be {d} finite numbers")
+                    phases = phase_tuples[bits.tobytes()] = tuple(bits)
             provenance = _require_json(item["provenance"], dict, "section provenance")
             sections.append(
                 PlanSection(

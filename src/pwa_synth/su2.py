@@ -126,47 +126,36 @@ def _require_length(length: float):
         raise ValueError(f"section length must be positive and finite, got {length!r}")
 
 
-def _section(mean: float, detune: float, coupling: float, length: float) -> TridiagonalHamiltonian:
-    """Levels mean +- detune coupled by ``coupling`` over ``length``."""
+def _wind(angle: float, length: float, half_span: float, low: float, high: float, what: str) -> float:
+    """(angle + 2 pi k)/length for the smallest integer k that puts the value
+    +- half_span inside (low, high]; ``what`` starts the error message."""
+    k = math.floor(((low + half_span) * length - angle) / (2.0 * math.pi)) + 1
+    value = (angle + 2.0 * math.pi * k) / length
+    while not value - half_span > low:  # guard against rounding at the boundary
+        k += 1
+        value = (angle + 2.0 * math.pi * k) / length
+    if value + half_span > high:
+        raise BoundsInfeasible(f"{what} outside ({low:g}, {high:g}] for every 2*pi winding")
+    return value
+
+
+def _section(
+    phase: float, detune: float, coupling: float, length: float, bounds: ParameterBounds, role: str
+) -> TridiagonalHamiltonian:
+    """Levels mean +- detune coupled by ``coupling`` over ``length``, with
+    e^{-i mean L} = e^{i phase} and the mean wound into the beta window."""
+    if not bounds.kappa_min < coupling <= bounds.kappa_max:
+        raise BoundsInfeasible(
+            f"{role}: coupling {coupling:g} outside ({bounds.kappa_min:g}, {bounds.kappa_max:g}]"
+        )
+    mean = _wind(
+        -phase, length, abs(detune), bounds.beta_min, bounds.beta_max, f"{role}: diagonal levels"
+    )
     return TridiagonalHamiltonian(
         betas=np.array([mean + detune, mean - detune]),
         couplings=np.array([coupling]),
         length=length,
     )
-
-
-def _wind_mean_level(
-    phase: float, half_span: float, length: float, bounds: ParameterBounds, role: str
-) -> float:
-    """(-phase + 2 pi k)/length for the smallest integer k that puts the
-    levels +- half_span inside the beta window."""
-    low = bounds.beta_min + half_span
-    k = math.floor((low * length + phase) / (2.0 * math.pi)) + 1
-    value = (-phase + 2.0 * math.pi * k) / length
-    while not value - half_span > bounds.beta_min:  # guard against rounding at the boundary
-        k += 1
-        value = (-phase + 2.0 * math.pi * k) / length
-    if value + half_span > bounds.beta_max:
-        raise BoundsInfeasible(
-            f"{role}: no 2*pi winding places the diagonal levels inside "
-            f"({bounds.beta_min:g}, {bounds.beta_max:g}]"
-        )
-    return value
-
-
-def _wind_coupling(angle: float, length: float, bounds: ParameterBounds, role: str) -> float:
-    """(angle + 2 pi l)/length for the smallest integer l that puts it inside the kappa window."""
-    l = math.floor((bounds.kappa_min * length - angle) / (2.0 * math.pi)) + 1
-    value = (angle + 2.0 * math.pi * l) / length
-    while not value > bounds.kappa_min:
-        l += 1
-        value = (angle + 2.0 * math.pi * l) / length
-    if value > bounds.kappa_max:
-        raise BoundsInfeasible(
-            f"{role}: no 2*pi winding places the coupling inside "
-            f"({bounds.kappa_min:g}, {bounds.kappa_max:g}]"
-        )
-    return value
 
 
 def hadamard_section(
@@ -175,21 +164,8 @@ def hadamard_section(
     """Single section realizing the Hadamard gate exactly:
     detune = coupling = pi/(2 sqrt(2) L), mean level set so e^{-i beta L} = e^{i pi/2}."""
     _require_length(length)
-    bounds = bounds or ParameterBounds()
     half = np.pi / (2.0 * np.sqrt(2.0) * length)
-    if not bounds.kappa_min < half <= bounds.kappa_max:
-        raise BoundsInfeasible(f"hadamard: fixed coupling {half:g} outside the kappa window")
-    mean = _wind_mean_level(np.pi / 2.0, half, length, bounds, "hadamard")
-    return _section(mean, half, half, length)
-
-
-def _coupler_section(
-    xi: float, folded_phase: float, length: float, bounds: ParameterBounds
-) -> TridiagonalHamiltonian:
-    """Pure-coupling section: e^{i folded_phase} Rx(xi) with Rx(xi) = e^{-i xi sigma_x}."""
-    kappa = _wind_coupling(xi, length, bounds, "coupler")
-    mean = _wind_mean_level(folded_phase, 0.0, length, bounds, "coupler")
-    return _section(mean, 0.0, kappa, length)
+    return _section(np.pi / 2.0, half, half, length, bounds or ParameterBounds(), "hadamard")
 
 
 def rotation_section(
@@ -203,7 +179,6 @@ def rotation_section(
     when r is too close to 1 for a strictly positive coupling.
     """
     _require_length(length)
-    bounds = bounds or ParameterBounds()
     r = params.amplitude
     if r >= ROTATION_AMPLITUDE_LIMIT:
         raise PhaseGateRequired(
@@ -213,10 +188,9 @@ def rotation_section(
     root = math.sqrt(1.0 - r * r)
     coupling = root * theta / (length * math.sin(theta))
     detune = r * math.sin(params.rotation_phase) * coupling / root
-    if not bounds.kappa_min < coupling <= bounds.kappa_max:
-        raise BoundsInfeasible(f"rotation: fixed coupling {coupling:g} outside the kappa window")
-    mean = _wind_mean_level(params.global_phase, abs(detune), length, bounds, "rotation")
-    return _section(mean, detune, coupling, length)
+    return _section(
+        params.global_phase, detune, coupling, length, bounds or ParameterBounds(), "rotation"
+    )
 
 
 def synthesize_su2(
@@ -234,15 +208,16 @@ def synthesize_su2(
     bounds = bounds or ParameterBounds()
     params = parse_su2(u)
     hadamard = hadamard_section(length, bounds)
-    if params.amplitude >= ROTATION_AMPLITUDE_LIMIT:
-        xi = _wrap_angle(-params.top_phase)
-        eta = params.global_phase
-        if abs(xi) <= ANGLE_ATOL and abs(eta) <= ANGLE_ATOL:
+    rotation = params.amplitude < ROTATION_AMPLITUDE_LIMIT
+    if rotation:
+        xi, phase = _wrap_angle(params.z_rotation), 0.0
+    else:
+        xi, phase = _wrap_angle(-params.top_phase), params.global_phase
+        if abs(xi) <= ANGLE_ATOL and abs(phase) <= ANGLE_ATOL:
             return [hadamard, hadamard]
-        return [hadamard, _coupler_section(xi, eta, length, bounds), hadamard]
-    return [
-        hadamard,
-        _coupler_section(_wrap_angle(params.z_rotation), 0.0, length, bounds),
-        hadamard,
-        rotation_section(params, length, bounds),
-    ]
+    # The coupler Rx(xi) = e^{-i xi sigma_x} winds its coupling instead of a fixed one.
+    kappa = _wind(xi, length, 0.0, bounds.kappa_min, bounds.kappa_max, "coupler: coupling")
+    sections = [hadamard, _section(phase, 0.0, kappa, length, bounds, "coupler"), hadamard]
+    if rotation:
+        sections.append(rotation_section(params, length, bounds))
+    return sections

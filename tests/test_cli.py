@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwa_synth
 from pwa_synth import ChipPlan, dft, operator_norm
 from pwa_synth.cli import load_unitary_file, main
 
@@ -283,6 +287,29 @@ def _plan_with_list_metadata(path: Path) -> list[str]:
     return ["simulate", "--plan", str(path)]
 
 
+def _plan_with_nan_reduced_phases(path: Path) -> list[str]:
+    from pwa_synth import compile_unitary
+
+    payload = json.loads(compile_unitary(dft(2)).to_json())
+    payload["sections"][1]["reduced_phases"] = [float("nan"), 1.0]
+    path.write_text(json.dumps(payload))
+    return ["simulate", "--plan", str(path)]
+
+
+def _write_voltages(path: Path, sections: list[tuple[list[float], list[float]]]) -> list[str]:
+    voltages = [{"level_volts": lv, "coupling_volts": cv} for lv, cv in sections]
+    path.write_text(json.dumps({"voltages": voltages}))
+    return ["simulate", "--voltages", str(path)]
+
+
+def _voltages_with_mixed_mode_counts(path: Path) -> list[str]:
+    return _write_voltages(path, [([0.0, 0.0], [0.0]), ([0.0, 0.0, 0.0], [0.0, 0.0])])
+
+
+def _voltages_out_of_range(path: Path) -> list[str]:
+    return _write_voltages(path, [([0.0, 0.0], [0.0]), ([99.0, 0.0], [0.0])])
+
+
 def _matrix_of_numbers(path: Path) -> list[str]:
     path.write_text(json.dumps({"matrix": [[1, 2], [3, 4]]}))
     return ["compile", "--matrix", str(path)]
@@ -308,6 +335,9 @@ def _empty_voltages(path: Path) -> list[str]:
         _plan_that_is_a_list,
         _plan_with_list_metadata,
         _voltages_with_string_model,
+        _plan_with_nan_reduced_phases,
+        _voltages_with_mixed_mode_counts,
+        _voltages_out_of_range,
     ],
 )
 def test_malformed_input_file_exits_2_naming_the_file(capsys, tmp_path, write_input):
@@ -338,6 +368,64 @@ def test_argument_errors_print_one_json_line(capsys, argv):
     error = json.loads(lines[0])["error"]
     assert error["type"] == "ValueError"
     assert error["message"].startswith(f"pwa-synth {argv[0]}: ")
+
+
+def _unusable_output_paths(tmp_path: Path) -> dict[str, list[str]]:
+    """argv lists whose input or output path cannot be used as one."""
+    directory = tmp_path / "existing_dir"
+    directory.mkdir()
+    existing_file = tmp_path / "existing_file"
+    existing_file.write_text("")
+    missing = str(tmp_path / "missing" / "x.json")
+    optimize = ["optimize", "--gate", "dft", "--d", "2", "--K", "1", "--restarts", "1",
+                "--maxiter", "5"]
+    return {
+        "compile-out-dir": ["compile", "--gate", "dft", "--d", "2", "--out", str(directory)],
+        "optimize-out-dir": [*optimize, "--out", str(directory)],
+        "optimize-csv-dir": [*optimize, "--csv", str(directory)],
+        "simulate-plan-dir": ["simulate", "--plan", str(directory)],
+        "bench-out-file": ["bench", "--experiment", "gate-sweep", "--out", str(existing_file)],
+        "compile-out-missing-dir": ["compile", "--gate", "dft", "--d", "3", "--N", "2",
+                                    "--out", missing],
+        "optimize-out-missing-dir": [*optimize, "--out", missing],
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["compile-out-dir", "optimize-out-dir", "optimize-csv-dir", "simulate-plan-dir",
+     "bench-out-file", "compile-out-missing-dir", "optimize-out-missing-dir"],
+)
+def test_unusable_path_exits_2_with_one_json_line(capsys, tmp_path, case):
+    code, out = run_cli(capsys, *_unusable_output_paths(tmp_path)[case])
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] in {"IsADirectoryError", "FileExistsError",
+                                                     "FileNotFoundError"}
+
+
+def _run_module(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
+    """``python -m pwa_synth argv`` in a fresh interpreter that imports this checkout."""
+    src = str(Path(pwa_synth.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "pwa_synth", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+
+
+def test_module_entry_point(tmp_path):
+    done = _run_module(tmp_path, "compile", "--gate", "dft", "--d", "2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[:2] == ["K = 4", "sections = 4"]
+    done = _run_module(tmp_path, "compile", "--gate", "dft", "--d", "2", "--out", str(tmp_path))
+    assert done.returncode == 2
+    assert done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "IsADirectoryError"
 
 
 def test_help_still_exits_0(capsys):

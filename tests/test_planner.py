@@ -106,6 +106,21 @@ class TestTrotterConfig:
         with pytest.raises(ValueError):
             TrotterConfig.plan(3, -L, 8)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(3.0, L, 8), (True, L, 8), (3, L, 8.0), (3, L, True), (3, L, 8, 1.0), (3, L, 8, 1, 1.5),
+         (3, L, 8, 1, False)],
+        ids=["d-float", "d-bool", "N-float", "N-bool", "j1-float", "j2-float", "j2-bool"],
+    )
+    def test_rejects_non_integer_design_values(self, args):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TrotterConfig.plan(*args)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_compile_rejects_fractional_winding(self, d):
+        with pytest.raises(ValueError, match="j2 must be an integer, got 1.5"):
+            compile_unitary(dft(d), trotter_steps=2, j2=1.5)
+
     @pytest.mark.parametrize("length", [3.0, 9.0])
     def test_recurrence_no_longer_than_step_raises(self, length):
         # q = 1 m at these budgets, so q - L/N is not positive
@@ -481,6 +496,18 @@ class TestPlanJson:
         tamper(copies[2])
         with pytest.raises(ValueError, match=match):
             ChipPlan.from_json(json.dumps(payload, indent=2))
+
+    @pytest.mark.parametrize(
+        "phases", [[float("nan"), 1.0], [float("inf"), 0.0], [1.0], [0.0, 1.0, 2.0]],
+        ids=["nan", "inf", "short", "long"],
+    )
+    def test_reduced_phases_must_be_d_finite_numbers(self, phases):
+        payload = json.loads(compile_unitary(dft(2)).to_json())
+        coupler = payload["sections"][1]
+        assert coupler["betas"][0] == coupler["betas"][1] and coupler["reduced_phases"] is None
+        coupler["reduced_phases"] = phases
+        with pytest.raises(ValueError, match="reduced_phases must be 2 finite numbers"):
+            ChipPlan.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize(
         "provenance",

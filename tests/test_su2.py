@@ -185,6 +185,24 @@ class TestSynthesizeSu2:
         with pytest.raises(BoundsInfeasible, match="^hadamard: "):
             hadamard_section(L, bounds)
 
+    @pytest.mark.parametrize(
+        "seed, bounds, message",
+        [
+            (0, ParameterBounds(kappa_min=150.0, kappa_max=200.0),
+             r"coupler: coupling outside \(150, 200\] for every 2\*pi winding"),
+            (0, ParameterBounds(beta_max=1000.0),
+             r"coupler: diagonal levels outside \(0, 1000\] for every 2\*pi winding"),
+            (0, ParameterBounds(beta_max=1100.0),
+             r"rotation: diagonal levels outside \(0, 1100\] for every 2\*pi winding"),
+            (5, ParameterBounds(kappa_min=150.0, kappa_max=200.0),
+             r"rotation: coupling 268\.896 outside \(150, 200\]"),
+        ],
+        ids=["coupler-coupling", "coupler-levels", "rotation-levels", "rotation-coupling"],
+    )
+    def test_bounds_failure_names_role_and_window(self, seed, bounds, message):
+        with pytest.raises(BoundsInfeasible, match=f"^{message}$"):
+            synthesize_su2(haar_random_unitary(2, seed), L, bounds)
+
     def test_rejects_bad_length(self):
         params = parse_su2(haar_random_unitary(2, 5))
         for build in (
