@@ -3,8 +3,9 @@
 The objective is the infidelity 1 - |tr(U† U_T)|^2 / d^2 of the chip cascade
 against a target. Gradients are exact: the Fréchet derivative of each section
 exponential is evaluated in its eigenbasis with the divided-difference kernel
-(e^{-i a L} - e^{-i b L})/(a - b), collapsed to one extra pair of similarity
-transforms per section, so a full gradient costs about as much as the
+(e^{-i a L} - e^{-i b L})/(a - b). The kernel and its similarity transforms run
+as stacked (K, d, d) products over all K sections at once, in the association a
+per-section loop would use, so a full gradient costs about as much as the
 objective itself. Voltages respect the box |dV| <= V_max through a tanh
 reparameterization; each restart is seeded independently from the task seed.
 """
@@ -75,53 +76,50 @@ class _ChipObjective:
         self.beta_sens = model.beta_shift_per_volt
         self.coupling_sens = model.coupling_shift_per_volt
         self.gap_unitary = model.zero_voltage_hamiltonian(self.d).unitary()
+        # read-only constants, safe to share between restart threads
+        self.levels = np.arange(self.d)
+        self.bonds = np.arange(self.d - 1)
+        self.identity = np.eye(self.d, dtype=complex)
 
     def value_and_gradient(self, volts_flat: np.ndarray) -> tuple[float, np.ndarray]:
         d, k, length = self.d, self.k, self.length
-        target = self.task.target
+        target, idx, off = self.task.target, self.levels, self.bonds
         v = volts_flat.reshape(k, 2 * d - 1)
         hams = np.zeros((k, d, d))
-        idx = np.arange(d)
-        off = np.arange(d - 1)
         hams[:, idx, idx] = self.beta_sens * v[:, :d]
         hams[:, off, off + 1] = self.task.model.base_coupling + self.coupling_sens * v[:, d:]
         hams[:, off + 1, off] = hams[:, off, off + 1]
         eigvals, eigvecs = np.linalg.eigh(hams)
         units = assemble_unitary(eigvecs, eigvals * length)
-        mats: list[np.ndarray] = []
-        for i in range(k):
-            if i:
-                mats.append(self.gap_unitary)
-            mats.append(units[i])
-        n = len(mats)
-        below = [np.eye(d, dtype=complex)]
-        for m in mats:
-            below.append(m @ below[-1])
-        above: list[np.ndarray] = [np.eye(d, dtype=complex)] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            above[i] = above[i + 1] @ mats[i]
+        # factors: section, gap, section, ...; below[j] holds factors < j, above[j] >= j
+        n = 2 * k - 1
+        mats = [self.gap_unitary] * n
+        mats[::2] = units
+        below = np.empty((n + 1, d, d), dtype=complex)
+        above = np.empty((n + 1, d, d), dtype=complex)
+        below[0] = above[n] = self.identity
+        for j in range(n):
+            np.matmul(mats[j], below[j], out=below[j + 1])
+        for j in range(n - 1, -1, -1):
+            np.matmul(above[j + 1], mats[j], out=above[j])
         overlap = np.vdot(below[-1], target)
         value = 1.0 - (abs(overlap) / d) ** 2
-        grad = np.zeros_like(v)
-        for i in range(k):
-            pos = 2 * i
-            middle = above[pos + 1].conj().T @ target @ below[pos].conj().T
-            lam = eigvals[i]
-            vec = eigvecs[i]
-            mean = 0.5 * (lam[:, None] + lam[None, :])
-            diffs = lam[:, None] - lam[None, :]
-            kernel = -1j * length * np.exp(-1j * length * mean) * np.sinc(
-                diffs * length / (2.0 * np.pi)
-            )
-            core = np.conj(kernel) * (vec.conj().T @ middle @ vec)
-            t_mat = vec @ core @ vec.conj().T
-            d_overlap_beta = self.beta_sens * np.diagonal(t_mat)
-            d_overlap_coupling = self.coupling_sens * (
-                np.diagonal(t_mat, 1) + np.diagonal(t_mat, -1)
-            )
-            grad[i, :d] = -(2.0 / d**2) * np.real(np.conj(overlap) * d_overlap_beta)
-            grad[i, d:] = -(2.0 / d**2) * np.real(np.conj(overlap) * d_overlap_coupling)
+        # section i is factor 2i; every product keeps the per-section order
+        # (A^H T) B^H, (V^H M) V, (V C) V^H, since rounding steers L-BFGS
+        middle = _dagger(above[1::2]) @ target @ _dagger(below[::2])
+        mean = 0.5 * (eigvals[:, :, None] + eigvals[:, None, :])
+        cycles = (eigvals[:, :, None] - eigvals[:, None, :]) * length / (2.0 * np.pi)
+        kernel = -1j * length * np.exp(-1j * length * mean) * np.sinc(cycles)
+        core = np.conj(kernel) * (_dagger(eigvecs) @ middle @ eigvecs)
+        t_mat = eigvecs @ core @ _dagger(eigvecs)
+        d_beta = self.beta_sens * t_mat.diagonal(0, 1, 2)
+        d_coupling = self.coupling_sens * (t_mat.diagonal(1, 1, 2) + t_mat.diagonal(-1, 1, 2))
+        grad = -(2.0 / d**2) * np.real(np.conj(overlap) * np.concatenate([d_beta, d_coupling], 1))
         return float(value), grad.ravel()
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
 
 
 def _split_settings(volts_flat: np.ndarray, sections: int, d: int) -> list[VoltageSettings]:

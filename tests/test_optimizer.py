@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from pwa_synth import (
     OptimizationResult,
     OptimizationTask,
     VoltageSettings,
+    clock,
     dft,
     fidelity,
     haar_random_unitary,
     infidelity_and_gradient,
     optimize,
     realize,
+    shift,
 )
+from pwa_synth.linalg import assemble_unitary
 from pwa_synth.optimizer import _ChipObjective
 
 
@@ -23,6 +27,77 @@ def random_settings(rng, d, vmax=15.0):
         level_volts=rng.uniform(-vmax, vmax, d),
         coupling_volts=rng.uniform(-vmax, vmax, d - 1),
     )
+
+
+def _reference_value_and_gradient(task, volts_flat):
+    """The objective evaluated one section at a time, with Python lists for
+    the prefix and suffix products: an oracle for the stacked evaluation."""
+    model = task.model
+    d, k, length = task.dimension, task.sections, model.section_length
+    target = task.target
+    v = volts_flat.reshape(k, 2 * d - 1)
+    hams = np.zeros((k, d, d))
+    idx = np.arange(d)
+    off = np.arange(d - 1)
+    hams[:, idx, idx] = model.beta_shift_per_volt * v[:, :d]
+    hams[:, off, off + 1] = model.base_coupling + model.coupling_shift_per_volt * v[:, d:]
+    hams[:, off + 1, off] = hams[:, off, off + 1]
+    eigvals, eigvecs = np.linalg.eigh(hams)
+    units = assemble_unitary(eigvecs, eigvals * length)
+    mats = []
+    for i in range(k):
+        if i:
+            mats.append(model.zero_voltage_hamiltonian(d).unitary())
+        mats.append(units[i])
+    n = len(mats)
+    below = [np.eye(d, dtype=complex)]
+    for m in mats:
+        below.append(m @ below[-1])
+    above = [np.eye(d, dtype=complex)] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        above[i] = above[i + 1] @ mats[i]
+    overlap = np.vdot(below[-1], target)
+    value = 1.0 - (abs(overlap) / d) ** 2
+    grad = np.zeros_like(v)
+    for i in range(k):
+        pos = 2 * i
+        middle = above[pos + 1].conj().T @ target @ below[pos].conj().T
+        lam = eigvals[i]
+        vec = eigvecs[i]
+        mean = 0.5 * (lam[:, None] + lam[None, :])
+        diffs = lam[:, None] - lam[None, :]
+        kernel = -1j * length * np.exp(-1j * length * mean) * np.sinc(
+            diffs * length / (2.0 * np.pi)
+        )
+        core = np.conj(kernel) * (vec.conj().T @ middle @ vec)
+        t_mat = vec @ core @ vec.conj().T
+        d_overlap_beta = model.beta_shift_per_volt * np.diagonal(t_mat)
+        d_overlap_coupling = model.coupling_shift_per_volt * (
+            np.diagonal(t_mat, 1) + np.diagonal(t_mat, -1)
+        )
+        grad[i, :d] = -(2.0 / d**2) * np.real(np.conj(overlap) * d_overlap_beta)
+        grad[i, d:] = -(2.0 / d**2) * np.real(np.conj(overlap) * d_overlap_coupling)
+    return float(value), grad.ravel()
+
+
+def _assert_gradient_matches_finite_differences(d, k, seed):
+    rng = np.random.default_rng(seed)
+    task = OptimizationTask(target=dft(d), sections=k)
+    objective = _ChipObjective(task)
+    flat = rng.uniform(-15.0, 15.0, k * (2 * d - 1))
+    _, grad = objective.value_and_gradient(flat)
+    step = 1e-4
+    for i in range(flat.size):
+        plus = flat.copy()
+        plus[i] += step
+        minus = flat.copy()
+        minus[i] -= step
+        fd = (
+            objective.value_and_gradient(plus)[0]
+            - objective.value_and_gradient(minus)[0]
+        ) / (2.0 * step)
+        if abs(grad[i]) > 1e-8:
+            assert abs(grad[i] - fd) / abs(grad[i]) <= 1e-4
 
 
 class TestInfidelityAndGradient:
@@ -59,24 +134,28 @@ class TestInfidelityAndGradient:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradient_matches_finite_differences(self, seed):
-        rng = np.random.default_rng(seed)
-        d, k = 3, 2
-        task = OptimizationTask(target=dft(d), sections=k)
-        objective = _ChipObjective(task)
-        flat = rng.uniform(-15.0, 15.0, k * (2 * d - 1))
-        _, grad = objective.value_and_gradient(flat)
-        step = 1e-4
-        for i in range(flat.size):
-            plus = flat.copy()
-            plus[i] += step
-            minus = flat.copy()
-            minus[i] -= step
-            fd = (
-                objective.value_and_gradient(plus)[0]
-                - objective.value_and_gradient(minus)[0]
-            ) / (2.0 * step)
-            if abs(grad[i]) > 1e-8:
-                assert abs(grad[i] - fd) / abs(grad[i]) <= 1e-4
+        _assert_gradient_matches_finite_differences(3, 2, seed)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("d", [2, 5, 8])
+    def test_gradient_matches_finite_differences_at_shape_edges(self, d, k, seed):
+        # K = 1 has no gap, and d = 2 has one coupling, so the +-1
+        # diagonals of the stacked gradient have length 1
+        _assert_gradient_matches_finite_differences(d, k, 10 + seed)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_per_section_reference(self, d, k):
+        model = DeviceModel()
+        rng = np.random.default_rng(10 * d + k)
+        for gate in (dft, shift, clock):
+            task = OptimizationTask(target=gate(d), sections=k, model=model)
+            flat = rng.uniform(-model.max_voltage, model.max_voltage, k * (2 * d - 1))
+            value, grad = _ChipObjective(task).value_and_gradient(flat)
+            ref_value, ref_grad = _reference_value_and_gradient(task, flat)
+            assert abs(value - ref_value) <= 1e-13
+            np.testing.assert_allclose(grad, ref_grad, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("d", range(3, 9))
@@ -132,12 +211,22 @@ class TestOptimize:
             np.testing.assert_array_equal(va.coupling_volts, vb.coupling_volts)
 
     def test_threaded_matches_serial(self):
+        # three sections take every thread through the gap and prefix
+        # products; a short switch interval interleaves the threads' calls
         task = OptimizationTask(
-            target=dft(3), sections=1, restarts=4, seed=2, max_iterations=40
+            target=dft(3), sections=3, restarts=4, seed=2, max_iterations=40
         )
         serial = optimize(task, jobs=1)
-        threaded = optimize(task, jobs=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = optimize(task, jobs=4)
+        finally:
+            sys.setswitchinterval(interval)
         assert serial.restart_infidelities == threaded.restart_infidelities
+        for a, b in zip(serial.voltages, threaded.voltages):
+            np.testing.assert_array_equal(a.level_volts, b.level_volts)
+            np.testing.assert_array_equal(a.coupling_volts, b.coupling_volts)
 
     def test_voltages_within_box(self):
         task = OptimizationTask(target=dft(3), sections=2, restarts=2, max_iterations=80)
