@@ -1,8 +1,15 @@
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pwa_synth import (
     DeviceModel,
+    PropagationTrace,
     TridiagonalHamiltonian,
     VoltageSettings,
     compile_unitary,
@@ -14,11 +21,49 @@ from pwa_synth import (
     realize,
     unitarity_defect,
 )
+from pwa_synth import cli
+from pwa_synth.device import _CSV_CHUNK
 
 
 @pytest.fixture
 def model():
     return DeviceModel()
+
+
+def _reference_csv(trace) -> str:
+    """The per-row writer: one f-string per (sample, mode) row."""
+    out = io.StringIO()
+    out.write("z_m,mode_index,re,im,probability\n")
+    d = trace.amplitudes.shape[1]
+    for i, z in enumerate(trace.z):
+        for m in range(d):
+            a = trace.amplitudes[i, m]
+            out.write(
+                f"{z:.17g},{m},{a.real:.17g},{a.imag:.17g},{trace.probabilities[i, m]:.17g}\n"
+            )
+    return out.getvalue()
+
+
+def _trace(z, re, im) -> PropagationTrace:
+    amps = np.empty(np.shape(re), dtype=complex)
+    amps.real, amps.imag = re, im
+    with np.errstate(all="ignore"):  # |a|^2 overflows near 1e300
+        return PropagationTrace(z=z, amplitudes=amps)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+                1e300, -1e300, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64))
+
+
+@st.composite
+def _traces(draw):
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 5))
+    z = draw(hnp.arrays(np.float64, n, elements=_floats))
+    re = draw(hnp.arrays(np.float64, (n, d), elements=_floats))
+    im = draw(hnp.arrays(np.float64, (n, d), elements=_floats))
+    return _trace(z, re, im)
 
 
 def volts(levels, couplings):
@@ -174,6 +219,74 @@ class TestPropagate:
         lines = trace.to_csv().strip().splitlines()
         assert lines[0] == "z_m,mode_index,re,im,probability"
         assert len(lines) == 1 + 2 * trace.z.size
+
+
+class TestTraceCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(_traces())
+    @example(_trace([-0.0], [[5e-324, -0.0]], [[np.nan, -np.inf]]))
+    def test_bulk_writer_matches_per_row_reference(self, trace):
+        assert trace.to_csv() == _reference_csv(trace)
+
+    def test_trace_longer_than_two_chunks(self):
+        rng = np.random.default_rng(3)
+        n = 2 * _CSV_CHUNK + 3
+        trace = _trace(np.cumsum(rng.uniform(0, 1e-4, n)), rng.standard_normal((n, 3)),
+                       rng.standard_normal((n, 3)))
+        text = trace.to_csv()
+        assert text == _reference_csv(trace)
+        assert text.count("\n") == 1 + 3 * n
+
+    @staticmethod
+    def _record_traces(monkeypatch) -> list:
+        traces = []
+
+        def recording(*args, **kwargs):
+            traces.append(propagate(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "propagate", recording)
+        return traces
+
+    def test_simulate_is_byte_identical(self, tmp_path, monkeypatch, capsys):
+        # one 6 mm section at dz = 2.5e-6 m: 2401 samples cross two chunk boundaries
+        path = tmp_path / "volts.json"
+        path.write_text(json.dumps({"voltages": [{"level_volts": [4.0, -9.0, 2.5],
+                                                  "coupling_volts": [7.0, -3.0]}]}))
+        traces = self._record_traces(monkeypatch)
+        argv = ["simulate", "--voltages", str(path), "--input", "1", "--dz", "2.5e-6"]
+        out = tmp_path / "trace.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        to_file, to_stdout = traces
+        assert to_file.z.size > 2 * _CSV_CHUNK
+        assert out.read_bytes() == _reference_csv(to_file).encode()
+        assert capsys.readouterr().out == _reference_csv(to_stdout)
+
+    def test_bench_propagation_is_byte_identical(self, tmp_path, monkeypatch):
+        traces = self._record_traces(monkeypatch)
+        assert cli.main(["bench", "--experiment", "propagation", "--dims", "2,3", "--gates", "dft",
+                         "--sections", "1,2", "--restarts", "2", "--maxiter", "40",
+                         "--out", str(tmp_path)]) == 0
+        names = [f"propagation_dft_d{d}_K2_in{b}.csv" for d in (2, 3) for b in range(d)]
+        assert len(traces) == len(names)
+        for name, trace in zip(names, traces):
+            assert (tmp_path / name).read_bytes() == _reference_csv(trace).encode()
+
+    @pytest.mark.parametrize(
+        "z, amplitudes",
+        [
+            ([0.0, 1.0], [1.0, 0.0]),                  # 1-D amplitudes
+            ([[0.0], [1.0]], [[1.0], [0.0]]),          # 2-D z
+            ([0.0, 1.0], np.zeros((2, 0))),            # no modes
+            ([0.0], [[1.0, 0.0], [0.0, 1.0]]),         # rows disagree with z
+            ([0.0, 1.0], np.zeros((2, 2, 1))),         # 3-D amplitudes
+        ],
+    )
+    def test_shape_validation(self, z, amplitudes):
+        with pytest.raises(ValueError, match="1-D"):
+            PropagationTrace(z=z, amplitudes=amplitudes)
 
     def test_shift_optimized_chip_moves_mass_cyclically(self, model):
         # five optimized sections implementing the d=5 cyclic shift: every
