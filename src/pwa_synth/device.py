@@ -163,6 +163,18 @@ def realize(chip, model: DeviceModel | None = None) -> np.ndarray:
     return u
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``. A read-only array that
+    owns its data, as ``propagate`` hands over, is kept; anything else is
+    copied, so a caller's array is neither shared nor frozen."""
+    if (type(values) is np.ndarray and values.dtype == dtype and values.base is None
+            and not values.flags.writeable):
+        return values
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class PropagationTrace:
     """State amplitudes sampled along the propagation axis."""
@@ -172,16 +184,15 @@ class PropagationTrace:
     probabilities: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        z = np.array(self.z, dtype=float)
-        amps = np.array(self.amplitudes, dtype=complex)
+        z = _read_only(self.z, float)
+        amps = _read_only(self.amplitudes, complex)
         if z.ndim != 1 or amps.ndim != 2 or amps.shape[0] != z.size or amps.shape[1] < 1:
             raise ValueError(
                 f"z must be 1-D and amplitudes (z.size, d) with d >= 1, "
                 f"got shapes {z.shape} and {amps.shape}"
             )
-        probs = np.abs(amps) ** 2
-        z.flags.writeable = False
-        amps.flags.writeable = False
+        probs = np.abs(amps)
+        np.square(probs, out=probs)
         probs.flags.writeable = False
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "amplitudes", amps)
@@ -254,6 +265,8 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
         # the next section reads the block's own (strided) row: a contiguous
         # copy of it takes another BLAS path and changes the last bit
         state = block[-1]
+    # read-only arrays that own their data pass into the trace uncopied
+    zs.flags.writeable = amps.flags.writeable = False
     return PropagationTrace(z=zs, amplitudes=amps)
 
 

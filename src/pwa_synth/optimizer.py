@@ -8,6 +8,11 @@ as stacked (K, d, d) products over all K sections at once, in the association a
 per-section loop would use, so a full gradient costs about as much as the
 objective itself. Voltages respect the box |dV| <= V_max through a tanh
 reparameterization; each restart is seeded independently from the task seed.
+
+``minimize`` is a module-level wrapper around ``scipy.optimize.minimize`` that
+imports scipy on its first call, so compiling and simulating never load it.
+It stays a real module attribute that ``_run_restart`` looks up as a global:
+a tracer (``perfbench/spans.py``) times each restart by swapping that name.
 """
 
 from __future__ import annotations
@@ -15,11 +20,9 @@ from __future__ import annotations
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .device import DeviceModel, VoltageSettings, realize
 from .linalg import assemble_unitary, fidelity, require_unitary
@@ -214,6 +217,13 @@ class OptimizationResult:
         return out.getvalue()
 
 
+def minimize(fun, x0, **options):
+    """``scipy.optimize.minimize(fun, x0, **options)``, importing scipy on first use."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
+
+
 def _run_restart(task: OptimizationTask, objective: _ChipObjective, restart: int):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=task.seed, spawn_key=(restart,)))
     vmax = task.model.max_voltage
@@ -248,6 +258,8 @@ def optimize(task: OptimizationTask, jobs: int = 1) -> OptimizationResult:
     objective = _ChipObjective(task)
     started = time.monotonic()
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(
                 pool.map(lambda r: _run_restart(task, objective, r), range(task.restarts))

@@ -405,15 +405,20 @@ def test_unusable_path_exits_2_with_one_json_line(capsys, tmp_path, case):
                                                      "FileNotFoundError"}
 
 
-def _run_module(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
-    """``python -m pwa_synth argv`` in a fresh interpreter that imports this checkout."""
+def _run_python(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
+    """``python argv`` in a fresh interpreter that imports this checkout."""
     src = str(Path(pwa_synth.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-m", "pwa_synth", *argv],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=tmp_path,
+        timeout=120,
     )
+
+
+def _run_module(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
+    """``python -m pwa_synth argv`` in a fresh interpreter that imports this checkout."""
+    return _run_python(tmp_path, "-m", "pwa_synth", *argv)
 
 
 def test_module_entry_point(tmp_path):
@@ -426,6 +431,44 @@ def test_module_entry_point(tmp_path):
     lines = done.stdout.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "IsADirectoryError"
+
+
+_COLD_START = """
+import sys
+
+import pwa_synth
+from pwa_synth import cli
+
+chip = sys.argv[1]
+for argv, code in [
+    (["compile", "--gate", "dft", "--d", "2"], 0),
+    (["compile", "--gate", "dft", "--d", "3", "--N", "8"], 0),
+    (["simulate", "--voltages", chip, "--input", "0", "--dz", "1e-3"], 0),
+    (["--help"], 0),
+    (["compile", "--gate", "dft"], 2),
+]:
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code, (argv, got)
+assert "scipy" not in sys.modules
+assert cli.main(["optimize", "--gate", "dft", "--d", "2", "--K", "1", "--restarts", "1",
+                 "--maxiter", "5"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_loads_only_when_optimizing(tmp_path):
+    # the compiler and simulator need numpy only; importing scipy.optimize
+    # takes most of the start-up time of a command
+    chip = tmp_path / "chip.json"
+    chip.write_text(json.dumps({
+        "schema_version": 1,
+        "voltages": [{"level_volts": [1.0, -2.0, 0.5], "coupling_volts": [3.0, -1.0]}],
+    }))
+    done = _run_python(tmp_path, "-c", _COLD_START, str(chip))
+    assert done.returncode == 0, done.stderr
 
 
 def test_help_still_exits_0(capsys):

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,40 @@ class TestPropagate:
         lines = trace.to_csv().strip().splitlines()
         assert lines[0] == "z_m,mode_index,re,im,probability"
         assert len(lines) == 1 + 2 * trace.z.size
+
+    def test_trace_takes_propagated_arrays_without_copy(self, model):
+        # d = 8, three sections, 19 201 samples: copying the amplitudes into
+        # the trace would add 2.46 MB to the 3.84 MB it keeps; what remains
+        # above the kept bytes is one section's phase temporaries
+        rng = np.random.default_rng(0)
+        chip = [volts(rng.uniform(-15, 15, 8), rng.uniform(-15, 15, 7)) for _ in range(3)]
+        state = np.eye(8)[0]
+        propagate(state, chip, model, dz=1e-6)
+        tracemalloc.start()
+        try:
+            trace = propagate(state, chip, model, dz=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = trace.z.nbytes + trace.amplitudes.nbytes + trace.probabilities.nbytes
+        assert trace.z.size == 19_201
+        assert peak < 1.5 * kept, (peak, kept)
+
+    def test_caller_arrays_stay_writeable_and_unshared(self):
+        z = np.array([0.0, 1.0])
+        amps = np.array([[1.0, 0.0], [0.6, 0.8j]])
+        view = amps[:]
+        view.flags.writeable = False
+        for trace in (PropagationTrace(z=z, amplitudes=amps),
+                      PropagationTrace(z=z, amplitudes=view)):
+            assert z.flags.writeable and amps.flags.writeable
+            assert not np.shares_memory(trace.z, z)
+            assert not np.shares_memory(trace.amplitudes, amps)
+            assert not (trace.z.flags.writeable or trace.amplitudes.flags.writeable
+                        or trace.probabilities.flags.writeable)
+        z[1] = 2.0
+        amps[1, 1] = 0.0
+        assert trace.z[1] == 1.0 and trace.amplitudes[1, 1] == 0.8j
 
 
 class TestTraceCsv:

@@ -18,6 +18,7 @@ from pwa_synth import (
     realize,
     shift,
 )
+from pwa_synth import optimizer
 from pwa_synth.linalg import assemble_unitary
 from pwa_synth.optimizer import _ChipObjective
 
@@ -225,6 +226,27 @@ class TestOptimize:
             sys.setswitchinterval(interval)
         assert serial.restart_infidelities == threaded.restart_infidelities
         for a, b in zip(serial.voltages, threaded.voltages):
+            np.testing.assert_array_equal(a.level_volts, b.level_volts)
+            np.testing.assert_array_equal(a.coupling_volts, b.coupling_volts)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_restarts_call_the_module_minimize(self, monkeypatch, jobs):
+        # a tracer times each restart by swapping optimizer.minimize
+        task = OptimizationTask(target=dft(3), sections=2, restarts=3, seed=5, max_iterations=60)
+        expected = optimize(task)
+        calls = []
+        scipy_backed = optimizer.minimize
+
+        def counting(fun, x0, **options):
+            calls.append(x0.size)
+            return scipy_backed(fun, x0, **options)
+
+        monkeypatch.setattr(optimizer, "minimize", counting)
+        result = optimize(task, jobs=jobs)
+        assert calls == [task.parameters] * task.restarts
+        assert result.restart_infidelities == expected.restart_infidelities
+        assert result.iteration_counts == expected.iteration_counts
+        for a, b in zip(result.voltages, expected.voltages):
             np.testing.assert_array_equal(a.level_volts, b.level_volts)
             np.testing.assert_array_equal(a.coupling_volts, b.coupling_volts)
 
