@@ -75,7 +75,6 @@ def _cmd_compile(args) -> int:
         trotter_steps=args.N,
         j1=args.j1,
         j2=args.j2,
-        epsilon=args.eps,
         gap=gap,
         prune_identity=args.prune_identity,
         target_name=name,
@@ -94,8 +93,12 @@ def _cmd_compile(args) -> int:
 
 
 def _device(length: float) -> DeviceModel:
-    """The device with sections of ``length`` and electrode gaps of 0.1 ``length``."""
-    return DeviceModel(section_length=length, gap_length=0.1 * length)
+    """The device with sections of ``length`` and electrode gaps scaled with
+    them, so ``_device(6e-3)`` is ``DeviceModel()``."""
+    default = DeviceModel()
+    return DeviceModel(
+        section_length=length, gap_length=default.gap_length * (length / default.section_length)
+    )
 
 
 def _optimize(
@@ -115,7 +118,7 @@ def _optimize(
 
 def _cmd_optimize(args) -> int:
     target, name = _resolve_target(args)
-    model = DeviceModel() if args.L is None else _device(args.L)
+    model = _device(args.L)
     result = _optimize(args, target, args.K, model, args.seed, args.jobs)
     if args.out:  # files first, as in compile
         Path(args.out).write_text(
@@ -255,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=8, help="Trotter steps per section")
     p.add_argument("--j1", type=int, default=1, help="background coupling winding")
     p.add_argument("--j2", type=int, default=1, help="background level winding")
-    p.add_argument("--eps", type=float, default=None, help="Diophantine precision (default: budget)")
     p.add_argument("--gap", type=float, default=0.0, help="electrode gap length in meters")
     p.add_argument("--prune-identity", action="store_true", help="drop identity factors")
     p.add_argument("--out", help="plan JSON output path")
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix")
     p.add_argument("--d", type=int)
     p.add_argument("--K", type=int, required=True, help="number of voltage sections")
-    p.add_argument("--L", type=float, default=None, help="section length (default 6e-3 m)")
+    p.add_argument("--L", type=float, default=6e-3, help="section length in meters")
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--maxiter", type=int, default=2000)

@@ -20,14 +20,18 @@ import numpy as np
 #: Classic Lovasz parameter.
 LOVASZ_DELTA = Fraction(3, 4)
 
+#: Times ``simultaneous_diophantine`` multiplies the lattice scale by 16
+#: before it gives up.
+ESCALATIONS = 64
 
-def lll_reduce(basis, delta=LOVASZ_DELTA) -> list[list[int]]:
-    """LLL-reduce integer basis rows, all-integer arithmetic throughout.
+
+def lll_reduce(basis) -> list[list[int]]:
+    """LLL-reduce integer basis rows with ``LOVASZ_DELTA``, all-integer
+    arithmetic throughout.
 
     This is the textbook integral variant that carries the Gram-Schmidt data
     as integers lam[i][j] = d_{j+1} mu_{ij} and subdeterminants d_i, so every
-    division below is exact. Raises ValueError for dependent rows or a delta
-    outside (1/4, 1).
+    division below is exact. Raises ValueError for dependent rows.
     """
     rows = [[int(x) for x in row] for row in basis]
     n = len(rows)
@@ -36,10 +40,7 @@ def lll_reduce(basis, delta=LOVASZ_DELTA) -> list[list[int]]:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged basis rows")
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError(f"Lovasz delta must lie in (1/4, 1), got {delta}")
-    dnum, dden = delta.numerator, delta.denominator
+    dnum, dden = LOVASZ_DELTA.numerator, LOVASZ_DELTA.denominator
 
     lam = [[0] * n for _ in range(n)]
     sub = [0] * (n + 1)
@@ -141,15 +142,20 @@ def _attempt(fractions: list[Fraction], q: int):
     return numerators, residuals, worst
 
 
-def simultaneous_diophantine(
-    lambdas, eps: float, max_escalations: int = 64
-) -> DiophantineResult:
+def simultaneous_diophantine(lambdas, eps: float) -> DiophantineResult:
     """Find q >= 1 and integers p_j with |lambda_j q - p_j| <= eps for all j.
 
     The lattice scale starts near 1/eps (so q comes out small when possible)
     and is multiplied by 16 until a candidate certifies, walking the ladder at
-    most ``max_escalations`` times before raising PrecisionUnreachable with
-    the best certificate found. q is small-effort, not guaranteed minimal.
+    most ``ESCALATIONS`` times before raising PrecisionUnreachable with the
+    best certificate found. q is small-effort, not guaranteed minimal.
+
+    The certificate holds for the float64 values of ``lambdas``, not for the
+    irrational numbers they round. For the background eigenvalues
+    -2cos(j pi/(d+1)) of 6 mm plans at (d, N) = (5, 32), (6, 8) and (6, 32),
+    q is 2^52 or about 6.3e14: the float residuals meet eps, the true ones
+    are 0.08 to 1, and the plans' true error is 1.9 to 2.0 while their
+    ``measured_error``, built from the same residuals, reads about 1e-3.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
@@ -177,7 +183,7 @@ def simultaneous_diophantine(
     best = (worst, 1, numerators, residuals)
 
     scale = max(16, int(4.0 / float(eps)))
-    for _ in range(max_escalations):
+    for _ in range(ESCALATIONS):
         scaled = [floor(f * scale + Fraction(1, 2)) for f in fractions]
         basis = [[1] + scaled]
         for j in range(d):
@@ -194,7 +200,7 @@ def simultaneous_diophantine(
         scale *= 16
     worst, q, numerators, residuals = best
     raise PrecisionUnreachable(
-        f"no (q, p) with residual <= {eps:g} within {max_escalations} escalations; "
+        f"no (q, p) with residual <= {eps:g} within {ESCALATIONS} escalations; "
         f"best residual {float(worst):.3e} at q={q}",
         result_for(q, numerators, residuals, worst),
     )

@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .device import DeviceModel, VoltageSettings, realize
-from .linalg import assemble_unitary, fidelity, require_unitary
+from .device import DeviceModel, VoltageSettings
+from .linalg import assemble_unitary, require_unitary
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,10 @@ def _split_settings(volts_flat: np.ndarray, sections: int, d: int) -> list[Volta
 def infidelity_and_gradient(
     voltages: list[VoltageSettings], task: OptimizationTask
 ) -> tuple[float, np.ndarray]:
-    """Infidelity of the realized chip and its gradient w.r.t. every voltage.
+    """Infidelity of the chip and its gradient w.r.t. every voltage: the
+    objective ``optimize`` minimizes, evaluated without the identity offset.
 
-    The value is literally 1 - fidelity(realize(voltages), target); the
-    gradient comes from the eigenbasis divided-difference kernel. Gradient
-    ordering: per section, d level voltages then d-1 coupling voltages.
+    Gradient ordering: per section, d level voltages then d-1 coupling voltages.
     """
     if len(voltages) != task.sections:
         raise ValueError(f"expected {task.sections} sections, got {len(voltages)}")
@@ -146,10 +145,7 @@ def infidelity_and_gradient(
             raise ValueError("voltage settings do not match the target dimension")
         volts.require_in_range(task.model)
     flat = np.concatenate([np.concatenate([v.level_volts, v.coupling_volts]) for v in voltages])
-    objective = _ChipObjective(task)
-    _, grad = objective.value_and_gradient(flat)
-    value = 1.0 - fidelity(realize(voltages, task.model), task.target)
-    return value, grad
+    return _ChipObjective(task).value_and_gradient(flat)
 
 
 @dataclass

@@ -61,7 +61,7 @@ def _cached_recurrence(d: int, eps: float) -> DiophantineResult:
     return simultaneous_diophantine(tuple(toeplitz_eigenvalues(d)), eps)
 
 
-def _require_design(d: int, length: float, steps: int, j1: int, j2: int, epsilon: float | None):
+def _require_design(d: int, length: float, steps: int, j1: int, j2: int):
     for name, value in (("d", d), ("trotter_steps", steps), ("j1", j1), ("j2", j2)):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -72,8 +72,6 @@ def _require_design(d: int, length: float, steps: int, j1: int, j2: int, epsilon
         raise ValueError("trotter_steps must be a positive integer")
     if j1 < 1 or j2 < 1:
         raise ValueError("background windings j1, j2 must be positive integers")
-    if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,9 @@ class TrotterConfig:
     recurrence: DiophantineResult
 
     def __post_init__(self):
-        _require_design(
-            self.dimension, self.section_length, self.trotter_steps, self.j1, self.j2, self.epsilon
-        )
+        _require_design(self.dimension, self.section_length, self.trotter_steps, self.j1, self.j2)
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         budget = self.epsilon_budget(self.dimension, self.section_length, self.trotter_steps, self.j1)
         if self.epsilon > budget * (1.0 + 1e-12):
             raise ValueError(
@@ -114,17 +112,11 @@ class TrotterConfig:
 
     @classmethod
     def plan(
-        cls,
-        dimension: int,
-        section_length: float,
-        trotter_steps: int,
-        j1: int = 1,
-        j2: int = 1,
-        epsilon: float | None = None,
+        cls, dimension: int, section_length: float, trotter_steps: int, j1: int = 1, j2: int = 1
     ) -> "TrotterConfig":
-        _require_design(dimension, section_length, trotter_steps, j1, j2, epsilon)
-        if epsilon is None:
-            epsilon = cls.epsilon_budget(dimension, section_length, trotter_steps, j1)
+        """The design at the precision budget ``epsilon_budget(d, L, N, j1)``."""
+        _require_design(dimension, section_length, trotter_steps, j1, j2)
+        epsilon = cls.epsilon_budget(dimension, section_length, trotter_steps, j1)
         recurrence = _cached_recurrence(int(dimension), float(epsilon))
         shortfall = recurrence.denominator - section_length / trotter_steps
         if shortfall <= 0.0:
@@ -542,7 +534,6 @@ def compile_unitary(
     trotter_steps: int = 8,
     j1: int = 1,
     j2: int = 1,
-    epsilon: float | None = None,
     gap: TridiagonalHamiltonian | None = None,
     prune_identity: bool = False,
     measure: bool = True,
@@ -563,18 +554,16 @@ def compile_unitary(
         raise ValueError("gap compensation applies to recurrence sections; exact d=2 plans have none")
     if gap is not None and gap.dimension != d:
         raise ValueError(f"gap has {gap.dimension} modes, the target {d}")
-    _require_design(d, section_length, trotter_steps, j1, j2, epsilon)
+    _require_design(d, section_length, trotter_steps, j1, j2)
     ops = adjacent_expand(two_level_decompose(u), d, prune_identity=prune_identity)
 
     config, steps, recurrence = None, (None,), []
     if d > 2:
-        config = TrotterConfig.plan(d, section_length, trotter_steps, j1, j2, epsilon)
+        config = TrotterConfig.plan(d, section_length, trotter_steps, j1, j2)
         if gap is not None:
             need_j1, need_j2 = _gap_windings_for_feasibility(config, gap)
             if (need_j1, need_j2) != (config.j1, config.j2):
-                config = TrotterConfig.plan(
-                    d, section_length, trotter_steps, need_j1, need_j2, epsilon
-                )
+                config = TrotterConfig.plan(d, section_length, trotter_steps, need_j1, need_j2)
         steps = range(config.trotter_steps)
         recurrence = _recurrence_sections(config, gap)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import pwa_synth
-from pwa_synth import ChipPlan, dft, operator_norm
+from pwa_synth import ChipPlan, DeviceModel, dft, operator_norm
 from pwa_synth.cli import load_unitary_file, main
 
 
@@ -99,16 +100,16 @@ class TestCompileCommand:
         assert json.loads(lines[0])["error"]["type"] == "ValueError"
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("flag", ["--eps=nan", "--eps=-1"])
-    def test_bad_epsilon_exits_2_on_exact_plan(self, capsys, tmp_path, flag):
+    @pytest.mark.parametrize("d", ["2", "3"])
+    def test_eps_is_an_unknown_flag(self, capsys, tmp_path, d):
         out_path = tmp_path / "plan.json"
         code, out = run_cli(
-            capsys, "compile", "--gate", "dft", "--d", "2", flag, "--out", str(out_path)
+            capsys, "compile", "--gate", "dft", "--d", d, "--eps", "1e-9", "--out", str(out_path)
         )
         assert code == 2
         lines = out.strip().splitlines()
         assert len(lines) == 1
-        assert "epsilon" in json.loads(lines[0])["error"]["message"]
+        assert "unrecognized arguments: --eps 1e-9" in json.loads(lines[0])["error"]["message"]
         assert not out_path.exists()
 
     def test_recurrence_no_longer_than_step_exits_1(self, capsys, tmp_path):
@@ -146,6 +147,31 @@ class TestOptimizeCommand:
         payload = json.loads(out_path.read_text())
         assert len(payload["voltages"]) == 4
         assert csv_path.read_text().startswith("restart_id,")
+
+    def test_default_length_is_the_default_device(self, capsys, tmp_path):
+        # optimize without --L, optimize --L 6e-3 and a bench row all run
+        # DeviceModel(); a gap of 0.1 * 6e-3 was one ulp longer
+        budget = ("--restarts", "2", "--maxiter", "60")
+        texts = []
+        for extra in ((), ("--L", "6e-3")):
+            out_path = tmp_path / "volts.json"
+            code, out = run_cli(
+                capsys, "optimize", "--gate", "dft", "--d", "3", "--K", "3", *budget,
+                "--seed", "0", *extra, "--out", str(out_path),
+            )
+            assert code == 0
+            lines = out_path.read_text().splitlines()
+            texts.append([l for l in lines if '"wall_time_s"' not in l])
+        assert texts[0] == texts[1]
+        assert json.loads(out_path.read_text())["model"] == dataclasses.asdict(DeviceModel())
+        best = next(l for l in out.splitlines() if l.startswith("best_infidelity")).split(" = ")[1]
+        code, _ = run_cli(
+            capsys, "bench", "--experiment", "gate-sweep", "--dims", "3", "--sections", "3",
+            "--gates", "dft", *budget, "--seeds", "0", "--out", str(tmp_path),
+        )
+        assert code == 0
+        row = (tmp_path / "gate_sweep.csv").read_text().splitlines()[1].split(",")
+        assert row[5] == best
 
     def test_k_zero_exits_2(self, capsys):
         code, out = run_cli(capsys, "optimize", "--gate", "dft", "--d", "3", "--K", "0")

@@ -10,6 +10,7 @@ from pwa_synth import (
     simultaneous_diophantine,
     toeplitz_eigenvalues,
 )
+from pwa_synth import lattice
 
 from conftest import assert_lll_reduced, brute_force_diophantine, gram_determinant, in_lattice
 
@@ -22,7 +23,7 @@ class TestLllReduce:
 
     def test_small_3x3_basis_reaches_optimal_norms(self):
         basis = [[1, 1, 1], [-1, 0, 2], [3, 5, 6]]
-        reduced = lll_reduce(basis, Fraction(3, 4))
+        reduced = lll_reduce(basis)
         assert_lll_reduced(reduced)
         assert gram_determinant(reduced) == gram_determinant(basis)
         for row in reduced:
@@ -58,21 +59,13 @@ class TestLllReduce:
         for row in reduced:
             assert in_lattice(row, basis)
 
-    def test_delta_variants(self):
-        basis = [[12, 2], [13, 4]]
-        for delta in (Fraction(1, 3) + Fraction(1, 12), 0.51, 0.99):
-            reduced = lll_reduce(basis, delta)
-            assert_lll_reduced(reduced, Fraction(delta))
-
     def test_rejects_dependent_rows(self):
         with pytest.raises(ValueError, match="dependent"):
             lll_reduce([[1, 2, 3], [2, 4, 6], [1, 0, 0]])
 
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError, match="delta"):
-            lll_reduce([[1, 0], [0, 1]], delta=Fraction(1, 4))
-        with pytest.raises(ValueError, match="delta"):
-            lll_reduce([[1, 0], [0, 1]], delta=1)
+    def test_delta_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            lll_reduce([[1, 0], [0, 1]], delta=Fraction(1, 2))
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError, match="ragged"):
@@ -114,13 +107,18 @@ class TestSimultaneousDiophantine:
         assert result.epsilon <= 1e-3
         assert max(abs(r) for r in result.residuals) == result.epsilon
 
-    def test_unreachable_raises_with_best(self):
+    def test_unreachable_raises_with_best(self, monkeypatch):
+        monkeypatch.setattr(lattice, "ESCALATIONS", 2)
         lam = toeplitz_eigenvalues(3)
-        with pytest.raises(PrecisionUnreachable) as err:
-            simultaneous_diophantine(lam, 1e-20, max_escalations=2)
+        with pytest.raises(PrecisionUnreachable, match="within 2 escalations") as err:
+            simultaneous_diophantine(lam, 1e-20)
         best = err.value.best
         assert isinstance(best, DiophantineResult)
         assert best.epsilon > 1e-20
+
+    def test_escalations_are_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            simultaneous_diophantine([0.5], 1e-6, max_escalations=2)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -50,10 +50,21 @@ def device_gap(d, length=6e-4):
 class TestTrotterConfig:
     def test_budget_enforced(self):
         budget = TrotterConfig.epsilon_budget(3, L, 8, 1)
-        cfg = TrotterConfig.plan(3, L, 8, epsilon=budget)
-        assert cfg.epsilon <= budget * (1 + 1e-12)
+        cfg = TrotterConfig.plan(3, L, 8)
+        assert cfg.epsilon == budget
+        # a plan file's epsilon goes through the same constructor
         with pytest.raises(ValueError, match="budget"):
-            TrotterConfig.plan(3, L, 8, epsilon=10.0 * budget)
+            dataclasses.replace(cfg, epsilon=10.0 * budget)
+        for bad in (float("nan"), float("inf"), 0.0, -budget):
+            with pytest.raises(ValueError, match="positive and finite"):
+                dataclasses.replace(cfg, epsilon=bad)
+
+    def test_precision_is_not_a_parameter(self):
+        budget = TrotterConfig.epsilon_budget(3, L, 8, 1)
+        with pytest.raises(TypeError):
+            TrotterConfig.plan(3, L, 8, epsilon=budget)
+        with pytest.raises(TypeError):
+            compile_unitary(dft(3), epsilon=budget)
 
     def test_background_values(self):
         cfg = make_config(j1=2, j2=3)
@@ -329,14 +340,13 @@ class TestCompileUnitary:
         with pytest.raises(ValueError, match="modes"):
             compile_unitary(dft(3), gap=gap)
 
-    def test_gap_escalation_keeps_requested_epsilon(self):
-        # device-scale beta0 escalates j2; the re-plan must still meet the
-        # caller's epsilon, not fall back to the (100x looser) budget
-        epsilon = TrotterConfig.epsilon_budget(3, L, 4) / 100.0
-        plan = compile_unitary(dft(3), trotter_steps=4, epsilon=epsilon, gap=device_gap(3))
+    def test_gap_escalation_uses_budget_of_final_windings(self):
+        # device-scale beta0 escalates j2, and the re-plan certifies at the
+        # budget of the windings it ends with
+        plan = compile_unitary(dft(3), trotter_steps=4, gap=device_gap(3))
         assert plan.config.j2 > 1
-        assert plan.config.epsilon == epsilon
-        assert plan.epsilon_certificate <= epsilon
+        assert plan.config.epsilon == TrotterConfig.epsilon_budget(3, L, 4, plan.config.j1)
+        assert plan.epsilon_certificate <= plan.config.epsilon
 
     def test_json_round_trip_preserves_error(self):
         plan = compile_unitary(clock(3), trotter_steps=4)
