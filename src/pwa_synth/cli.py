@@ -20,7 +20,7 @@ import numpy as np
 from .device import DeviceModel, propagate
 from .gates import named_gate
 from .lattice import PrecisionUnreachable
-from .linalg import haar_random_unitary, require_unitary
+from .linalg import haar_random_unitary, require_positive, require_unitary
 from .optimizer import OptimizationResult, OptimizationTask, optimize
 from .planner import ChipPlan, PlanError, compile_unitary
 
@@ -162,12 +162,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_bench(args) -> int:
     dims = [int(x) for x in args.dims.split(",")]
     counts = [int(x) for x in args.sections.split(",")]
-    lengths = tuple(float(x) for x in args.lengths.split(","))
+    lengths = [require_positive(float(x), "section length") for x in args.lengths.split(",")]
     gates = args.gates.split(",")
     seeds = [int(x) for x in args.seeds.split(",")]
     trotter_steps = [int(x) for x in args.N_values.split(",")]
-    if not all(math.isfinite(l) and l > 0.0 for l in lengths):
-        raise ValueError(f"section lengths must be positive and finite, got {lengths!r}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -272,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--maxiter", type=int, default=2000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="an integer >= 1, accepted for the benchmark's command lines; "
+                   "restarts always run serially")
     p.add_argument("--out", help="voltages JSON output path")
     p.add_argument("--csv", help="per-restart CSV output path")
     p.set_defaults(func=_cmd_optimize)

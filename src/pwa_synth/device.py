@@ -15,11 +15,11 @@ unitaries stay nearly tridiagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .linalg import TridiagonalHamiltonian, reduce_phases
+from .linalg import TridiagonalHamiltonian, reduce_phases, require_count, require_positive
 from .planner import ChipPlan
 
 # Samples formatted per block by ``PropagationTrace.to_csv``. The block, not
@@ -43,18 +43,8 @@ class DeviceModel:
     gap_length: float = 6e-4              # m, 0.1 L
 
     def __post_init__(self):
-        values = (
-            self.wavelength,
-            self.base_index,
-            self.index_shift_per_volt,
-            self.base_coupling,
-            self.coupling_shift_per_volt,
-            self.max_voltage,
-            self.section_length,
-            self.gap_length,
-        )
-        if any(not (math.isfinite(v) and v > 0.0) for v in values):
-            raise ValueError("device constants must all be positive and finite")
+        for constant in fields(self):
+            require_positive(getattr(self, constant.name), constant.name)
         if self.gap_length >= self.section_length:
             raise ValueError("gap must be shorter than a section")
 
@@ -68,8 +58,7 @@ class DeviceModel:
         return 2.0 * math.pi * self.index_shift_per_volt / self.wavelength
 
     def zero_voltage_hamiltonian(self, d: int) -> TridiagonalHamiltonian:
-        if d < 2:
-            raise ValueError("need at least two modes")
+        require_count(d, "mode count", 2)
         return TridiagonalHamiltonian(
             betas=np.full(d, self.beta_zero),
             couplings=np.full(d - 1, self.base_coupling),
@@ -238,8 +227,7 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"initial state norm {norm!r} is not 1")
-    if not (np.isfinite(dz) and dz > 0.0):
-        raise ValueError("dz must be positive")
+    require_positive(dz, "dz")
     shortest = min(s.length for s in sections)
     if dz > shortest * (1.0 + 1e-12):
         raise ValueError(f"dz={dz:g} m exceeds the shortest section ({shortest:g} m)")
@@ -282,8 +270,7 @@ def dyson_first_order(betas, couplings, length: float) -> np.ndarray:
     c = np.asarray(couplings, dtype=float)
     if b.ndim != 1 or c.shape != (b.size - 1,):
         raise ValueError("betas and couplings have inconsistent shapes")
-    if not (math.isfinite(length) and length > 0.0):
-        raise ValueError("length must be positive")
+    require_positive(length, "length")
     d = b.size
     diff = b[:-1] - b[1:]
     safe = np.where(diff == 0.0, 1.0, diff)

@@ -8,21 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import haar_random_unitary
+from .linalg import haar_random_unitary, require_count
 
 #: Emitted gates are unitary to well below this tolerance.
 GATE_ATOL = 1e-12
 
 
-def _require_dimension(d: int, minimum: int = 2) -> int:
-    if not isinstance(d, (int, np.integer)) or d < minimum:
-        raise ValueError(f"gate dimension must be an integer >= {minimum}, got {d!r}")
-    return int(d)
-
-
 def dft(d: int) -> np.ndarray:
     """DFT matrix with entries omega^{(d-j)k} / sqrt(d), 0-based j, k, omega = e^{2 pi i/d}."""
-    d = _require_dimension(d)
+    d = require_count(d, "gate dimension", 2)
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     exponent = ((d - j) * k) % d
     return np.exp(2j * np.pi * exponent / d) / np.sqrt(d)
@@ -30,20 +24,20 @@ def dft(d: int) -> np.ndarray:
 
 def clock(d: int) -> np.ndarray:
     """Diagonal clock matrix Z_d = diag(omega^k)."""
-    d = _require_dimension(d)
+    d = require_count(d, "gate dimension", 2)
     return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
 
 
 def shift(d: int) -> np.ndarray:
     """Cyclic shift matrix X_d mapping |k> to |k+1 mod d>."""
-    d = _require_dimension(d)
+    d = require_count(d, "gate dimension", 2)
     x = np.zeros((d, d), dtype=complex)
     x[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
     return x
 
 
 def identity(d: int) -> np.ndarray:
-    return np.eye(_require_dimension(d, minimum=1), dtype=complex)
+    return np.eye(require_count(d, "gate dimension"), dtype=complex)
 
 
 def hadamard() -> np.ndarray:

@@ -17,6 +17,8 @@ from math import floor
 
 import numpy as np
 
+from .linalg import require_count, require_positive
+
 #: Classic Lovasz parameter.
 LOVASZ_DELTA = Fraction(3, 4)
 
@@ -110,8 +112,10 @@ class DiophantineResult:
     requested: float
 
     def __post_init__(self):
-        if self.denominator < 1:
-            raise ValueError("denominator must be >= 1")
+        require_count(self.denominator, "denominator")
+        for p in self.numerators:
+            if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+                raise ValueError(f"numerators must be integers, got {p!r}")
         if len(self.numerators) != len(self.residuals):
             raise ValueError("numerators and residuals disagree in length")
 
@@ -162,8 +166,7 @@ def simultaneous_diophantine(lambdas, eps: float) -> DiophantineResult:
         raise ValueError("lambdas must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(lam)):
         raise ValueError("lambdas must be finite")
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    require_positive(eps, "eps")
     fractions = [Fraction(float(x)) for x in lam]
     bound = Fraction(float(eps))
     d = lam.size

@@ -17,8 +17,10 @@ over leading axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -28,6 +30,24 @@ HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
 
 _TWO_PI_LD = np.longdouble(2.0) * np.longdouble(np.pi)
+
+
+def require_positive(value, what: str) -> float:
+    """``value`` as a float; it must be a real number (not a bool), positive
+    and finite."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not (
+        math.isfinite(value) and value > 0.0
+    ):
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def require_count(value, what: str, minimum: int = 1) -> int:
+    """``value`` as an int; it must be an ``int`` or ``np.integer`` (not a
+    bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def as_square_matrix(matrix, what: str = "matrix") -> np.ndarray:
@@ -130,8 +150,7 @@ def toeplitz_eigenvalues(d: int) -> np.ndarray:
     (the middle eigenvalue of odd d is exactly 0.0, which the Diophantine
     solver relies on).
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    require_count(d, "dimension")
     j = np.arange(1, d // 2 + 1)
     lower = -2.0 * np.cos(j * np.pi / (d + 1))
     middle = [0.0] if d % 2 else []
@@ -149,8 +168,7 @@ def haar_random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-random d x d unitary: QR of a complex Ginibre matrix, with each
     column of Q divided by the phase of the matching R diagonal entry.
     Deterministic per (d, seed)."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    require_count(d, "dimension")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -186,13 +204,12 @@ class TridiagonalHamiltonian:
             raise ValueError("propagation constants must be strictly positive")
         if couplings.size and np.any(couplings <= 0.0):
             raise ValueError("couplings must be strictly positive")
-        if not (np.isfinite(self.length) and self.length > 0.0):
-            raise ValueError(f"section length must be positive, got {self.length!r}")
+        length = require_positive(self.length, "section length")
         betas.flags.writeable = False
         couplings.flags.writeable = False
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "couplings", couplings)
-        object.__setattr__(self, "length", float(self.length))
+        object.__setattr__(self, "length", length)
 
     @property
     def dimension(self) -> int:

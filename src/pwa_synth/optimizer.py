@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .device import DeviceModel, VoltageSettings
-from .linalg import assemble_unitary, require_unitary
+from .linalg import assemble_unitary, require_count, require_unitary
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,8 @@ class OptimizationTask:
         target = require_unitary(self.target, atol=1e-8, what="target")
         target.flags.writeable = False
         object.__setattr__(self, "target", target)
-        if self.sections < 1:
-            raise ValueError("need at least one section")
-        if self.restarts < 1:
-            raise ValueError("need at least one restart")
-        if self.max_iterations < 1:
-            raise ValueError("need a positive iteration budget")
+        for name in ("sections", "restarts", "max_iterations"):
+            require_count(getattr(self, name), name)
 
     @property
     def dimension(self) -> int:
@@ -79,7 +75,6 @@ class _ChipObjective:
         self.beta_sens = model.beta_shift_per_volt
         self.coupling_sens = model.coupling_shift_per_volt
         self.gap_unitary = model.zero_voltage_hamiltonian(self.d).unitary()
-        # read-only constants, safe to share between restart threads
         self.levels = np.arange(self.d)
         self.bonds = np.arange(self.d - 1)
         self.identity = np.eye(self.d, dtype=complex)
@@ -245,23 +240,15 @@ def _run_restart(task: OptimizationTask, objective: _ChipObjective, restart: int
 def optimize(task: OptimizationTask, jobs: int = 1) -> OptimizationResult:
     """Run the multi-restart optimization and return the best solution.
 
-    Deterministic for a fixed task: restart r draws its start point from
-    SeedSequence(task.seed, spawn_key=(r,)), and aggregation is by restart
-    index regardless of the number of worker threads.
+    Restarts run one after another. Deterministic for a fixed task: restart
+    r draws its start point from SeedSequence(task.seed, spawn_key=(r,)).
+    ``jobs`` must be an integer >= 1 and has no other effect; it is kept
+    only because the benchmark passes it.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+    require_count(jobs, "jobs")
     objective = _ChipObjective(task)
     started = time.monotonic()
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(lambda r: _run_restart(task, objective, r), range(task.restarts))
-            )
-    else:
-        outcomes = [_run_restart(task, objective, r) for r in range(task.restarts)]
+    outcomes = [_run_restart(task, objective, r) for r in range(task.restarts)]
     wall = time.monotonic() - started
 
     infidelities = [min(max(o[0], 0.0), 1.0) for o in outcomes]

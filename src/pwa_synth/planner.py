@@ -15,7 +15,6 @@ uniform commutes. At d = 2 the synthesized sections are the plan.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from array import array
@@ -28,12 +27,14 @@ from .linalg import (
     TridiagonalHamiltonian,
     assemble_unitary,
     operator_norm,
+    require_count,
+    require_positive,
     require_unitary,
     toeplitz_eigenvalues,
     toeplitz_eigenvectors,
 )
 from .reck import adjacent_expand, count_sections, two_level_decompose
-from .su2 import _require_length, synthesize_su2
+from .su2 import synthesize_su2
 
 SECTION_A = "A"
 SECTION_B = "B"
@@ -56,22 +57,12 @@ class GapInfeasible(ValueError):
     background windings or a smaller gap."""
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_recurrence(d: int, eps: float) -> DiophantineResult:
-    return simultaneous_diophantine(tuple(toeplitz_eigenvalues(d)), eps)
-
-
 def _require_design(d: int, length: float, steps: int, j1: int, j2: int):
-    for name, value in (("d", d), ("trotter_steps", steps), ("j1", j1), ("j2", j2)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if d < 2:
-        raise ValueError("need at least two modes")
-    _require_length(length)
-    if steps < 1:
-        raise ValueError("trotter_steps must be a positive integer")
-    if j1 < 1 or j2 < 1:
-        raise ValueError("background windings j1, j2 must be positive integers")
+    require_count(d, "d", 2)
+    require_positive(length, "section length")
+    require_count(steps, "trotter_steps")
+    require_count(j1, "j1")
+    require_count(j2, "j2")
 
 
 @dataclass(frozen=True)
@@ -94,8 +85,7 @@ class TrotterConfig:
 
     def __post_init__(self):
         _require_design(self.dimension, self.section_length, self.trotter_steps, self.j1, self.j2)
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        require_positive(self.epsilon, "epsilon")
         budget = self.epsilon_budget(self.dimension, self.section_length, self.trotter_steps, self.j1)
         if self.epsilon > budget * (1.0 + 1e-12):
             raise ValueError(
@@ -117,7 +107,7 @@ class TrotterConfig:
         """The design at the precision budget ``epsilon_budget(d, L, N, j1)``."""
         _require_design(dimension, section_length, trotter_steps, j1, j2)
         epsilon = cls.epsilon_budget(dimension, section_length, trotter_steps, j1)
-        recurrence = _cached_recurrence(int(dimension), float(epsilon))
+        recurrence = simultaneous_diophantine(tuple(toeplitz_eigenvalues(dimension)), epsilon)
         shortfall = recurrence.denominator - section_length / trotter_steps
         if shortfall <= 0.0:
             raise PlanError(f"q - L/N = {shortfall:g} m: the recurrence length must be positive")
@@ -214,11 +204,7 @@ def gap_compensate(
     if gap.dimension != section_b.dimension:
         raise ValueError(f"gap has {gap.dimension} modes, the section {section_b.dimension}")
     length, gap_length = section_b.length, gap.length
-    electrode = length - 2.0 * gap_length
-    if electrode <= 0.0:
-        raise ValueError(
-            f"electrode length {electrode:g} m not positive: gap too long for the section"
-        )
+    electrode = require_positive(length - 2.0 * gap_length, "electrode length L~ - 2 dL")
     adjusted_beta = (section_b.betas[0] * length - 2.0 * gap.betas[0] * gap_length) / electrode
     adjusted_coupling = (
         section_b.couplings[0] * length - 2.0 * gap.couplings[0] * gap_length
@@ -364,20 +350,18 @@ class ChipPlan:
         if payload.get("schema_version") != PLAN_SCHEMA_VERSION:
             raise ValueError(f"unsupported plan schema {payload.get('schema_version')!r}")
         meta = _require_json(payload["metadata"], dict, "plan metadata")
-        d, trotter_steps, budget = (_require_count(meta, key) for key in ("d", "N", "K"))
-        section_length = float(meta["section_length_m"])
-        if not (math.isfinite(section_length) and section_length > 0.0):
-            raise ValueError(
-                f"plan section_length_m must be positive and finite, got {section_length!r}"
-            )
+        d, trotter_steps, budget = (
+            require_count(meta[key], f"plan metadata {key}") for key in ("d", "N", "K")
+        )
+        section_length = require_positive(meta["section_length_m"], "plan section_length_m")
         config = None
         raw_cfg = meta.get("config")
         if raw_cfg is not None:
             if float(raw_cfg["recurrence_unit"]) != 1.0:
                 raise ValueError("plan recurrence_unit must be 1.0: lengths are in meters")
             recurrence = DiophantineResult(
-                denominator=int(raw_cfg["q"]),
-                numerators=tuple(int(p) for p in raw_cfg["numerators"]),
+                denominator=raw_cfg["q"],
+                numerators=tuple(raw_cfg["numerators"]),
                 residuals=tuple(float(r) for r in raw_cfg["residuals"]),
                 epsilon=float(raw_cfg["achieved_epsilon"]),
                 requested=float(raw_cfg["epsilon"]),
@@ -386,8 +370,8 @@ class ChipPlan:
                 dimension=d,
                 section_length=section_length,
                 trotter_steps=trotter_steps,
-                j1=int(raw_cfg["j1"]),
-                j2=int(raw_cfg["j2"]),
+                j1=raw_cfg["j1"],
+                j2=raw_cfg["j2"],
                 epsilon=float(raw_cfg["epsilon"]),
                 recurrence=recurrence,
             )
@@ -450,14 +434,6 @@ def _require_json(value, kind: type, what: str):
     if not isinstance(value, kind):
         expected = "an object" if kind is dict else "a list"
         raise ValueError(f"{what} must be {expected}, got {type(value).__name__}")
-    return value
-
-
-def _require_count(meta: dict, key: str) -> int:
-    """``meta[key]``, which must be a positive JSON integer."""
-    value = meta[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"plan metadata {key} must be a positive integer, got {value!r}")
     return value
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_unitary
+from .linalg import require_count, require_unitary
 
 #: Input unitarity tolerance for decomposition.
 TWO_LEVEL_ATOL = 1e-8
@@ -60,8 +60,7 @@ class AdjacentOp:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.mode < 1:
-            raise ValueError(f"mode must be >= 1, got {self.mode}")
+        require_count(self.mode, "mode")
         matrix = np.array(self.matrix, dtype=complex)
         if matrix.shape != (2, 2):
             raise ValueError(f"op matrix must be 2x2, got {matrix.shape}")
@@ -71,9 +70,8 @@ class AdjacentOp:
 
 def count_sections(d: int) -> int:
     """Adjacent-op count d(d-1)(2d-1)/6 for a full decomposition."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    return int(d) * (int(d) - 1) * (2 * int(d) - 1) // 6
+    d = require_count(d, "dimension", 2)
+    return d * (d - 1) * (2 * d - 1) // 6
 
 
 def embed_two_level(block, low: int, high: int, d: int) -> np.ndarray:
@@ -109,9 +107,7 @@ def two_level_decompose(u) -> list[TwoLevelFactor]:
     U exactly rather than up to a phase.
     """
     u = require_unitary(u, atol=TWO_LEVEL_ATOL, what="input")
-    d = u.shape[0]
-    if d < 2:
-        raise ValueError("two-level decomposition needs d >= 2")
+    d = require_count(u.shape[0], "two-level decomposition dimension", 2)
     running = u.copy()
     factors: list[TwoLevelFactor] = []
     for low in range(1, d):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TridiagonalHamiltonian, require_unitary
+from .linalg import TridiagonalHamiltonian, require_positive, require_unitary
 
 #: Input unitarity tolerance for parsing.
 PARSE_ATOL = 1e-10
@@ -121,11 +121,6 @@ class ParameterBounds:
             raise ValueError("lower bounds below zero would violate positivity")
 
 
-def _require_length(length: float):
-    if not (math.isfinite(length) and length > 0.0):
-        raise ValueError(f"section length must be positive and finite, got {length!r}")
-
-
 def _wind(angle: float, length: float, half_span: float, low: float, high: float, what: str) -> float:
     """(angle + 2 pi k)/length for the smallest integer k that puts the value
     +- half_span inside (low, high]; ``what`` starts the error message."""
@@ -163,7 +158,7 @@ def hadamard_section(
 ) -> TridiagonalHamiltonian:
     """Single section realizing the Hadamard gate exactly:
     detune = coupling = pi/(2 sqrt(2) L), mean level set so e^{-i beta L} = e^{i pi/2}."""
-    _require_length(length)
+    require_positive(length, "section length")
     half = np.pi / (2.0 * np.sqrt(2.0) * length)
     return _section(np.pi / 2.0, half, half, length, bounds or ParameterBounds(), "hadamard")
 
@@ -178,7 +173,7 @@ def rotation_section(
     the axis-angle form of e^{-iHL} entry by entry. Raises PhaseGateRequired
     when r is too close to 1 for a strictly positive coupling.
     """
-    _require_length(length)
+    require_positive(length, "section length")
     r = params.amplitude
     if r >= ROTATION_AMPLITUDE_LIMIT:
         raise PhaseGateRequired(

@@ -377,6 +377,39 @@ def test_malformed_input_file_exits_2_naming_the_file(capsys, tmp_path, write_in
     assert str(path) in error["message"]
 
 
+def _set_config(key, value):
+    return lambda config: config.__setitem__(key, value)
+
+
+def _float_numerator(config):
+    config["numerators"][0] = float(config["numerators"][0])
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_set_config("j1", 1.5), _set_config("j2", "1"), _set_config("q", 6625109.5),
+     _set_config("q", True), _float_numerator],
+    ids=["j1-float", "j2-string", "q-float", "q-bool", "numerator-float"],
+)
+def test_plan_with_non_integer_design_value_exits_2(capsys, tmp_path, tamper):
+    from pwa_synth import compile_unitary
+
+    payload = json.loads(compile_unitary(dft(3), trotter_steps=4).to_json())
+    assert payload["metadata"]["config"]["q"] == 6625109
+    tamper(payload["metadata"]["config"])
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="must be (an integer >= 1|integers), got "):
+        ChipPlan.from_json(path.read_text())
+    code, out = run_cli(capsys, "simulate", "--plan", str(path))
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ValueError"
+    assert str(path) in error["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 import json
-import sys
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -237,23 +238,40 @@ class TestOptimize:
             np.testing.assert_array_equal(va.level_volts, vb.level_volts)
             np.testing.assert_array_equal(va.coupling_volts, vb.coupling_volts)
 
-    def test_threaded_matches_serial(self):
-        # three sections take every thread through the gap and prefix
-        # products; a short switch interval interleaves the threads' calls
+    def test_jobs_starts_no_thread(self, monkeypatch):
         task = OptimizationTask(
             target=dft(3), sections=3, restarts=4, seed=2, max_iterations=40
         )
         serial = optimize(task, jobs=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = optimize(task, jobs=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert serial.restart_infidelities == threaded.restart_infidelities
-        for a, b in zip(serial.voltages, threaded.voltages):
+
+        def refuse(thread):
+            raise AssertionError(f"optimize started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = optimize(task, jobs=2)
+        assert result.restart_infidelities == serial.restart_infidelities
+        assert result.iteration_counts == serial.iteration_counts
+        for a, b in zip(result.voltages, serial.voltages):
             np.testing.assert_array_equal(a.level_volts, b.level_volts)
             np.testing.assert_array_equal(a.coupling_volts, b.coupling_volts)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("sections", True), ("sections", 2.5), ("restarts", 1.5), ("max_iterations", 3.7),
+         ("restarts", 0)],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        fields = {"sections": 1, "restarts": 1, "max_iterations": 5, name: value}
+        message = f"{name} must be an integer >= 1, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OptimizationTask(target=dft(2), **fields)
+
+    @pytest.mark.parametrize("jobs", [2.5, True, 0])
+    def test_jobs_must_be_an_integer(self, jobs):
+        task = OptimizationTask(target=dft(2), sections=1, restarts=1, max_iterations=5)
+        message = f"jobs must be an integer >= 1, got {jobs!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            optimize(task, jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_restarts_call_the_module_minimize(self, monkeypatch, jobs):

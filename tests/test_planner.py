@@ -129,7 +129,7 @@ class TestTrotterConfig:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_compile_rejects_fractional_winding(self, d):
-        with pytest.raises(ValueError, match="j2 must be an integer, got 1.5"):
+        with pytest.raises(ValueError, match="j2 must be an integer >= 1, got 1.5"):
             compile_unitary(dft(d), trotter_steps=2, j2=1.5)
 
     @pytest.mark.parametrize("length", [3.0, 9.0])
