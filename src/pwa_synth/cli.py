@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -83,7 +84,7 @@ def _cmd_compile(args) -> int:
     if args.out:
         Path(args.out).write_text(plan.to_json(), encoding="utf-8")
     print(f"K = {plan.section_budget}")
-    print(f"sections = {len(plan.sections)}")
+    print(f"sections = {sum(len(b.bodies) * len(b.trotter_steps) for b in plan.blocks)}")
     print(f"measured_error = {_fmt(plan.measured_error)}")
     if plan.epsilon_certificate is not None:
         print(f"epsilon_certificate = {_fmt(plan.epsilon_certificate)}")
@@ -241,7 +242,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="pwa-synth",
         description="Compile, optimize, simulate, and benchmark waveguide-array unitaries.",

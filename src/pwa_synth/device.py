@@ -117,7 +117,12 @@ def chip_sections(chip, model: DeviceModel | None = None) -> list[TridiagonalHam
     gaps of length 0.1 L, the layout of the numerical experiments.
     """
     if isinstance(chip, ChipPlan):
-        return [s.hamiltonian for s in chip.sections]
+        return [
+            body.hamiltonian
+            for block in chip.blocks
+            for _ in block.trotter_steps
+            for body in block.bodies
+        ]
     chip = list(chip)
     if not chip:
         return []

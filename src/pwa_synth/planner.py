@@ -11,14 +11,21 @@ simultaneous Diophantine approximation of the background eigenvalues; a q
 no longer than L/N is a PlanError. Electrode gaps around B sections are the
 caller's zero-voltage section and are compensated exactly because everything
 uniform commutes. At d = 2 the synthesized sections are the plan.
+
+A plan is held in memory as run-length blocks: each block stores the bodies
+of one Trotter step once, with the provenance they share and the step values
+they repeat over. ``ChipPlan.sections`` expands the blocks into the flat
+section list, and the plan file (schema v1) stays that flat list.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,10 +49,12 @@ SECTION_GAP = "gap"
 
 PLAN_SCHEMA_VERSION = 1
 
-#: A section's provenance object as the stdlib encoder writes it three levels deep.
-_PROVENANCE_TEXT = (
-    '{\n        "factor_index": %s,\n        "su2_index": %s,\n        "trotter_step": %s\n      }'
-)
+#: A section's provenance fields, in file order.
+_PROVENANCE = ("factor_index", "su2_index", "trotter_step")
+#: The exact types of the usual provenance values (a bool's type is not int).
+_PROVENANCE_TYPES = {int, type(None)}
+#: Where a section's step goes in its stdlib encoding, written with a null step.
+_NULL_STEP = '"trotter_step": null'
 
 
 class PlanError(RuntimeError):
@@ -246,10 +255,7 @@ class PlanSection:
             raise ValueError(f"bad section kind {self.kind!r}")
         if self.reduced_phases is not None and not self.hamiltonian.is_uniform():
             raise ValueError("reduced phases only apply to uniform sections")
-        for name in ("factor_index", "su2_index", "trotter_step"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-                raise ValueError(f"provenance {name} must be an integer or null, got {value!r}")
+        _require_provenance((self.factor_index, self.su2_index, self.trotter_step), _PROVENANCE)
 
     def unitary(self) -> np.ndarray:
         if self.reduced_phases is None:
@@ -257,49 +263,94 @@ class PlanSection:
         basis = toeplitz_eigenvectors(self.hamiltonian.dimension)
         return assemble_unitary(basis, self.reduced_phases)
 
+    @cached_property
+    def _unitary(self) -> np.ndarray:
+        # The fields are immutable, so ``unitary()`` is formed once per object;
+        # plan blocks share recurrence bodies, and realize only reads it.
+        return self.unitary()
+
+
+@dataclass(frozen=True)
+class PlanBlock:
+    """A run of Trotter steps that repeat the same section bodies.
+
+    ``bodies`` are the sections of one step in physical order, without
+    provenance; the block's sections are every body, in order, once for each
+    entry of ``trotter_steps``, all carrying ``factor_index`` and
+    ``su2_index``. Provenance values are each an int or None.
+    """
+
+    bodies: tuple[PlanSection, ...]
+    factor_index: int | None
+    su2_index: int | None
+    trotter_steps: tuple[int | None, ...]
+
+    def __post_init__(self):
+        if not self.bodies:
+            raise ValueError("a plan block needs at least one section body")
+        _require_provenance((self.factor_index, self.su2_index), _PROVENANCE)
+        _require_provenance(self.trotter_steps, itertools.repeat("trotter_step"))
+
 
 @dataclass
 class ChipPlan:
     """Ordered physical sections realizing a target unitary, plus metadata.
 
-    ``section_budget`` is the architectural count K: 4 K~ N alternating pairs
-    for d > 2, the at-most-four exact sections for d = 2. The actual emitted
-    count is len(sections) and never exceeds the budget's A-section share.
+    The sections are held as run-length ``blocks``; ``sections`` is the flat
+    list they expand to. ``section_budget`` is the architectural count K:
+    4 K~ N alternating pairs for d > 2, the at-most-four exact sections for
+    d = 2. The actual emitted count is len(sections) and never exceeds the
+    budget's A-section share.
     """
 
     dimension: int
     trotter_steps: int
     section_budget: int
     section_length: float
-    sections: list[PlanSection]
+    blocks: list[PlanBlock]
     measured_error: float | None = None
     epsilon_certificate: float | None = None
     global_phase: float = 0.0
     config: TrotterConfig | None = None
     target_name: str | None = None
 
+    @property
+    def sections(self) -> list[PlanSection]:
+        """The physical sections in order: a new list of new PlanSections,
+        each sharing its body's Hamiltonian and phases objects."""
+        return [
+            PlanSection(
+                body.kind, body.hamiltonian, block.factor_index, block.su2_index, step,
+                body.reduced_phases,
+            )
+            for block in self.blocks
+            for step in block.trotter_steps
+            for body in block.bodies
+        ]
+
     def realize(self) -> np.ndarray:
-        """Cascade product, first section applied first."""
+        """Cascade product, first section applied first.
+
+        Each body's unitary is formed once and applied once per Trotter step
+        of every block that holds the body, in the order of the flat section
+        list.
+        """
         u = np.eye(self.dimension, dtype=complex)
-        # compile_unitary and from_json give the copies of a section one
-        # Hamiltonian and one phases object, which the plan keeps alive, so
-        # their identities key one evolution per body.
-        cache: dict = {}
-        for section in self.sections:
-            key = (id(section.hamiltonian), id(section.reduced_phases))
-            mat = cache.get(key)
-            if mat is None:
-                mat = cache[key] = section.unitary()
-            u = mat @ u
+        spare = np.empty_like(u)
+        for block in self.blocks:
+            mats = [body._unitary for body in block.bodies]
+            for _ in block.trotter_steps:
+                for mat in mats:
+                    np.matmul(mat, u, out=spare)
+                    u, spare = spare, u
         return u
 
     def to_json(self) -> str:
         """Schema v1 text: ``json.dumps(payload, indent=2)`` of the whole plan.
 
-        Each distinct section body (kind, Hamiltonian object, reduced phases
-        object) is encoded once; its copies differ only in provenance, which
-        is spliced in per section. Provenance entries are ints or None, so
-        formatting them directly matches the stdlib encoder.
+        Each block's bodies are encoded once, with a null step; every step of
+        the block reuses that text around its own step value. Steps are ints
+        or None, so formatting them directly matches the stdlib encoder.
         """
         payload = {
             "schema_version": PLAN_SCHEMA_VERSION,
@@ -328,25 +379,31 @@ class ChipPlan:
             "sections": [],
         }
         text = json.dumps(payload, indent=2)
-        if not self.sections:
-            return text
         pieces = [text[: -len("[]\n}")], "[\n    "]
-        bodies: dict = {}
-        for s in self.sections:
-            key = (s.kind, id(s.hamiltonian), id(s.reduced_phases))
-            body = bodies.get(key)
-            if body is None:
-                body = bodies[key] = _encode_body(s)
-            provenance = (
-                _int_text(s.factor_index), _int_text(s.su2_index), _int_text(s.trotter_step)
-            )
-            pieces += (body[0], _PROVENANCE_TEXT % provenance, body[1], ",\n    ")
+        for block in self.blocks:
+            step_text = ",\n    ".join(_encode_body(body, block) for body in block.bodies)
+            head, *tails = step_text.split(_NULL_STEP)
+            for step in block.trotter_steps:
+                key = '"trotter_step": %s' % _int_text(step)
+                pieces.append(head)
+                for tail in tails:
+                    pieces += (key, tail)
+                pieces.append(",\n    ")
+        if len(pieces) == 2:
+            return text
         pieces[-1] = "\n  ]\n}"
         return "".join(pieces)
 
     @classmethod
     def from_json(cls, text: str) -> "ChipPlan":
-        payload = _require_json(json.loads(text), dict, "plan JSON")
+        """Load schema v1 text. Consecutive sections with equal provenance form
+        one step; a step that repeats the previous step's bodies bit for bit,
+        with the same factor and su2 index, joins its block. Each body is
+        checked when it is read, and a copy joins a block only when it equals
+        a checked body, so every section meets the checks."""
+        payload = _require_json(
+            json.loads(text, parse_float=_FloatMemo().__getitem__), dict, "plan JSON"
+        )
         if payload.get("schema_version") != PLAN_SCHEMA_VERSION:
             raise ValueError(f"unsupported plan schema {payload.get('schema_version')!r}")
         meta = _require_json(payload["metadata"], dict, "plan metadata")
@@ -375,58 +432,70 @@ class ChipPlan:
                 epsilon=float(raw_cfg["epsilon"]),
                 recurrence=recurrence,
             )
-        # Copies of a section share one validated Hamiltonian and one phases
-        # tuple. Hamiltonian entries are strictly positive, so equal JSON
-        # values give equal float arrays; phases are keyed by their exact bits,
-        # because 0.0 == -0.0. Every PlanSection check still runs on every copy.
-        hamiltonians: dict = {}
-        phase_tuples: dict = {}
-        sections = []
+        steps: list[tuple[tuple, list[dict]]] = []
         for item in _require_json(payload["sections"], list, "plan sections"):
-            _require_json(item, dict, "plan section")
-            key = (tuple(item["betas"]), tuple(item["couplings"]), item["length_m"])
-            hamiltonian = hamiltonians.get(key)
-            if hamiltonian is None:
-                hamiltonian = hamiltonians[key] = TridiagonalHamiltonian(
-                    betas=np.array(item["betas"]),
-                    couplings=np.array(item["couplings"]),
-                    length=float(item["length_m"]),
-                )
-                if hamiltonian.dimension != d:
-                    raise ValueError(
-                        f"plan section has {hamiltonian.dimension} modes, metadata d is {d}"
-                    )
-            phases = item.get("reduced_phases")
-            if phases is not None:
-                bits = array("d", map(float, phases))
-                phases = phase_tuples.get(bits.tobytes())
-                if phases is None:
-                    if len(bits) != d or not all(map(math.isfinite, bits)):
-                        raise ValueError(f"plan reduced_phases must be {d} finite numbers")
-                    phases = phase_tuples[bits.tobytes()] = tuple(bits)
-            provenance = _require_json(item["provenance"], dict, "section provenance")
-            sections.append(
-                PlanSection(
-                    kind=item["kind"],
-                    hamiltonian=hamiltonian,
-                    factor_index=provenance.get("factor_index"),
-                    su2_index=provenance.get("su2_index"),
-                    trotter_step=provenance.get("trotter_step"),
-                    reduced_phases=phases,
-                )
+            provenance = _require_json(
+                _require_json(item, dict, "plan section")["provenance"], dict, "section provenance"
             )
+            key = tuple(map(provenance.get, _PROVENANCE))
+            _require_provenance(key, _PROVENANCE)
+            if steps and steps[-1][0] == key:
+                steps[-1][1].append(item)
+            else:
+                steps.append((key, [item]))
+        runs: list[tuple] = []  # (bodies, factor_index, su2_index, step values)
+        bodies: tuple = ()
+        checked: list[dict] = []  # the items that the last run's bodies stand for
+        for (factor, su2, step), items in steps:
+            if (
+                runs
+                and runs[-1][1:3] == (factor, su2)
+                and len(items) == len(checked)
+                and all(map(_same_body, items, checked))
+            ):
+                runs[-1][3].append(step)
+                continue
+            # A body equal to the previous block's at the same place is that
+            # body, as in compiled plans, whose blocks share the recurrence.
+            bodies = tuple(
+                bodies[i] if i < len(checked) and _same_body(item, checked[i])
+                else _read_body(item, d)
+                for i, item in enumerate(items)
+            )
+            checked = items
+            runs.append((bodies, factor, su2, [step]))
         return cls(
             dimension=d,
             trotter_steps=trotter_steps,
             section_budget=budget,
             section_length=section_length,
-            sections=sections,
+            blocks=[PlanBlock(b, f, s, tuple(values)) for b, f, s, values in runs],
             measured_error=meta.get("measured_error"),
             epsilon_certificate=meta.get("epsilon_certificate"),
             global_phase=float(meta.get("global_phase", 0.0)),
             config=config,
             target_name=meta.get("target_name"),
         )
+
+
+def _require_provenance(values, names) -> None:
+    """Check that each of ``values`` is an int (not a bool) or None; the
+    error names the provenance field from the matching entry of ``names``."""
+    if set(map(type, values)) <= _PROVENANCE_TYPES:
+        return
+    for value, name in zip(values, names):
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ValueError(f"provenance {name} must be an integer or null, got {value!r}")
+
+
+class _FloatMemo(dict):
+    """``parse_float`` for one ``json.loads`` call: each distinct literal is
+    converted once, by ``float`` as the default parser does, and equal
+    literals share one float object."""
+
+    def __missing__(self, literal: str) -> float:
+        value = self[literal] = float(literal)
+        return value
 
 
 def _require_json(value, kind: type, what: str):
@@ -437,28 +506,83 @@ def _require_json(value, kind: type, what: str):
     return value
 
 
+def _read_body(item: dict, d: int) -> PlanSection:
+    """The checked section body of a plan file's section ``item``."""
+    hamiltonian = TridiagonalHamiltonian(
+        betas=np.array(item["betas"]),
+        couplings=np.array(item["couplings"]),
+        length=float(item["length_m"]),
+    )
+    if hamiltonian.dimension != d:
+        raise ValueError(f"plan section has {hamiltonian.dimension} modes, metadata d is {d}")
+    phases = item.get("reduced_phases")
+    if phases is not None:
+        phases = tuple(map(float, _require_json(phases, list, "plan reduced_phases")))
+        if len(phases) != d or not all(map(math.isfinite, phases)):
+            raise ValueError(f"plan reduced_phases must be {d} finite numbers")
+    return PlanSection(kind=item["kind"], hamiltonian=hamiltonian, reduced_phases=phases)
+
+
+def _same_body(item: dict, checked: dict) -> bool:
+    """Whether section ``item`` has the body of the already checked section
+    ``checked`` bit for bit. Hamiltonian entries are strictly positive, so
+    equal JSON values are equal floats; reduced phases may hold zeros, and
+    0.0 == -0.0, so phases with a zero are compared by their bits."""
+    phases, checked_phases = item.get("reduced_phases"), checked.get("reduced_phases")
+    return (
+        item["kind"] == checked["kind"]
+        and item["betas"] == checked["betas"]
+        and item["couplings"] == checked["couplings"]
+        and item["length_m"] == checked["length_m"]
+        and phases == checked_phases
+        and (phases is None or 0 not in phases or _bits(phases) == _bits(checked_phases))
+    )
+
+
+def _bits(values: list) -> bytes:
+    return array("d", map(float, values)).tobytes()
+
+
 def _int_text(value: int | None) -> str:
     return "null" if value is None else "%d" % value
 
 
-def _encode_body(section: PlanSection) -> tuple[str, str]:
-    """The stdlib encoding of a section two levels deep, split where its
-    provenance object goes."""
-    text = json.dumps(
-        {
-            "kind": section.kind,
-            "betas": [float(x) for x in section.hamiltonian.betas],
-            "couplings": [float(x) for x in section.hamiltonian.couplings],
-            "length_m": section.hamiltonian.length,
-            "provenance": None,
-            "reduced_phases": None
-            if section.reduced_phases is None
-            else list(section.reduced_phases),
-        },
-        indent=2,
-    ).replace("\n", "\n    ")
-    head, _, tail = text.partition('"provenance": null')
-    return head + '"provenance": ', tail
+def _encode_body(body: PlanSection, block: PlanBlock) -> str:
+    """The stdlib encoding, two levels deep, of ``body`` with the block's
+    provenance and a null step. Values go through the compact stdlib
+    encoder, which formats them as the indenting one does."""
+    return _BODY_TEXT % (
+        json.dumps(body.kind),
+        _list_text(body.hamiltonian.betas.tolist()),
+        _list_text(body.hamiltonian.couplings.tolist()),
+        json.dumps(body.hamiltonian.length),
+        _int_text(block.factor_index),
+        _int_text(block.su2_index),
+        "null" if body.reduced_phases is None else _list_text(body.reduced_phases),
+    )
+
+
+#: A plan section as ``json.dumps(payload, indent=2)`` lays it out.
+_BODY_TEXT = """{
+      "kind": %s,
+      "betas": %s,
+      "couplings": %s,
+      "length_m": %s,
+      "provenance": {
+        "factor_index": %s,
+        "su2_index": %s,
+        "trotter_step": null
+      },
+      "reduced_phases": %s
+    }"""
+
+
+def _list_text(values) -> str:
+    """A list of numbers as the stdlib encoder lays it out three levels deep."""
+    text = json.dumps(values)
+    if text == "[]":
+        return text
+    return "[\n        " + text[1:-1].replace(", ", ",\n        ") + "\n      ]"
 
 
 def _gap_windings_for_feasibility(
@@ -520,7 +644,7 @@ def compile_unitary(
     For d = 2 the four-section synthesis is already physical: each section is
     emitted once, bare, and the plan is exact. For d > 2 each synthesized
     section becomes N (B, A) pairs in physical order B-first, matching the
-    product (e^{-iA L/N} e^{-iB L~})^N. ``gap``, when given, is the uniform
+    product (e^{-iA L/N} e^{-iB L~})^N, held as one block. ``gap``, when given, is the uniform
     zero-voltage section that brackets every recurrence electrode; its length
     is the gap length.
     """
@@ -540,28 +664,22 @@ def compile_unitary(
             need_j1, need_j2 = _gap_windings_for_feasibility(config, gap)
             if (need_j1, need_j2) != (config.j1, config.j2):
                 config = TrotterConfig.plan(d, section_length, trotter_steps, need_j1, need_j2)
-        steps = range(config.trotter_steps)
+        steps = tuple(range(config.trotter_steps))
         recurrence = _recurrence_sections(config, gap)
 
-    sections: list[PlanSection] = []
+    blocks = []
     for op_index, op in enumerate(ops):
         for su2_index, sec in enumerate(synthesize_su2(op.matrix, section_length)):
             drive = sec if config is None else plan_trotter_pair(sec, op.mode, config)
-            a_section = PlanSection(kind=SECTION_A, hamiltonian=drive)
-            for step in steps:
-                sections.extend(
-                    PlanSection(
-                        part.kind, part.hamiltonian, op_index, su2_index, step, part.reduced_phases
-                    )
-                    for part in (*recurrence, a_section)
-                )
+            bodies = (*recurrence, PlanSection(kind=SECTION_A, hamiltonian=drive))
+            blocks.append(PlanBlock(bodies, op_index, su2_index, steps))
 
     plan = ChipPlan(
         dimension=d,
         trotter_steps=len(steps),
         section_budget=4 * count_sections(d) * len(steps),
         section_length=section_length,
-        sections=sections,
+        blocks=blocks,
         epsilon_certificate=None if config is None else config.recurrence.epsilon,
         global_phase=float(np.angle(np.linalg.det(u))),
         config=config,

@@ -10,7 +10,7 @@ import pytest
 
 import pwa_synth
 from pwa_synth import ChipPlan, DeviceModel, dft, operator_norm
-from pwa_synth.cli import load_unitary_file, main
+from pwa_synth.cli import build_parser, load_unitary_file, main
 
 
 def run_cli(capsys, *argv):
@@ -37,10 +37,15 @@ class TestCompileCommand:
         error = float(next(l for l in out.splitlines() if l.startswith("measured_error")).split("=")[1])
         assert error <= 1e-9
 
-    def test_clock_d3_reports_section_budget(self, capsys):
-        code, out = run_cli(capsys, "compile", "--gate", "clock", "--d", "3", "--N", "8")
+    def test_clock_d3_reports_section_budget(self, capsys, tmp_path):
+        out_path = tmp_path / "plan.json"
+        code, out = run_cli(
+            capsys, "compile", "--gate", "clock", "--d", "3", "--N", "8", "--out", str(out_path)
+        )
         assert code == 0
         assert "K = 160" in out
+        sections = json.loads(out_path.read_text())["sections"]
+        assert f"sections = {len(sections)}" in out.splitlines()
 
     def test_non_unitary_matrix_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -528,6 +533,13 @@ def test_scipy_loads_only_when_optimizing(tmp_path):
     }))
     done = _run_python(tmp_path, "-c", _COLD_START, str(chip))
     assert done.returncode == 0, done.stderr
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    code, _ = run_cli(capsys, "compile", "--gate", "dft", "--d", "2", "--out", str(tmp_path / "p"))
+    assert code == 0
+    assert build_parser().parse_args(["compile", "--gate", "dft", "--d", "2"]).out is None
 
 
 def test_help_still_exits_0(capsys):

@@ -20,10 +20,12 @@ from pwa_synth import (
     gap_compensate,
     haar_random_unitary,
     operator_norm,
+    PlanBlock,
     PlanError,
     PlanSection,
     plan_trotter_pair,
     synthesize_su2,
+    toeplitz_eigenvalues,
     two_level_decompose,
 )
 
@@ -449,16 +451,28 @@ def hand_built_plan() -> ChipPlan:
         PlanSection("B", ham([1e7, 1e7, 1e7], [2 * np.pi] * 2, 4.0e9), 1, 2, 0),
     ]
     return ChipPlan(
-        dimension=3, trotter_steps=1, section_budget=7, section_length=1e-3, sections=sections
+        dimension=3, trotter_steps=1, section_budget=7, section_length=1e-3,
+        blocks=flat_blocks(sections),
     )
 
 
 def single_mode_plan() -> ChipPlan:
     section = PlanSection("A", TridiagonalHamiltonian(betas=[4.0], couplings=[], length=0.5))
     return ChipPlan(
-        dimension=1, trotter_steps=1, section_budget=1, section_length=0.5, sections=[section],
-        measured_error=0.0, target_name="identity",
+        dimension=1, trotter_steps=1, section_budget=1, section_length=0.5,
+        blocks=flat_blocks([section]), measured_error=0.0, target_name="identity",
     )
+
+
+def flat_blocks(sections) -> list[PlanBlock]:
+    """One single-step, single-body block per section: a plan's flat form."""
+    return [
+        PlanBlock(
+            (dataclasses.replace(s, factor_index=None, su2_index=None, trotter_step=None),),
+            s.factor_index, s.su2_index, (s.trotter_step,),
+        )
+        for s in sections
+    ]
 
 
 class TestPlanJson:
@@ -494,8 +508,14 @@ class TestPlanJson:
             ("B", lambda s: s["couplings"].append(1.0), "couplings"),
             ("A", lambda s: s.__setitem__("reduced_phases", [0.0, 0.0, 0.0]), "uniform"),
             ("B", lambda s: s.__setitem__("kind", "C"), "kind"),
+            ("A", lambda s: s["couplings"].__setitem__(1, float("nan")), "non-finite"),
+            ("A", lambda s: s.__setitem__("length_m", -s["length_m"]), "positive"),
+            ("B", lambda s: s["reduced_phases"].__setitem__(0, float("inf")), "finite numbers"),
+            ("B", lambda s: s["reduced_phases"].pop(), "finite numbers"),
+            ("B", lambda s: s.__setitem__("reduced_phases", "0.1"), "must be a list"),
         ],
-        ids=["zero-beta", "negative-beta", "coupling-count", "phases-on-drive", "kind"],
+        ids=["zero-beta", "negative-beta", "coupling-count", "phases-on-drive", "kind",
+             "nan-coupling", "negative-length", "inf-phase", "short-phases", "phases-string"],
     )
     def test_tampering_with_one_copy_is_rejected(self, kind, tamper, match):
         payload = json.loads(compile_unitary(dft(3), trotter_steps=4).to_json())
@@ -527,10 +547,20 @@ class TestPlanJson:
         section = compile_unitary(dft(2)).sections[0]
         with pytest.raises(ValueError, match="provenance"):
             dataclasses.replace(section, **provenance)
-        payload = json.loads(compile_unitary(dft(3), trotter_steps=2).to_json())
-        payload["sections"][-1]["provenance"].update(provenance)
-        with pytest.raises(ValueError, match="provenance"):
-            ChipPlan.from_json(json.dumps(payload))
+        text = compile_unitary(dft(3), trotter_steps=4).to_json()
+        for position in ("last", "copy 2 of 4"):
+            payload = json.loads(text)
+            if position == "last":
+                target = payload["sections"][-1]
+            else:
+                copies = [s for s in payload["sections"] if s["kind"] == "A"
+                          and s["provenance"]["factor_index"] == 0
+                          and s["provenance"]["su2_index"] == 0]
+                assert len(copies) == 4
+                target = copies[2]
+            target["provenance"].update(provenance)
+            with pytest.raises(ValueError, match="provenance"):
+                ChipPlan.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize(
         "build",
@@ -545,10 +575,168 @@ class TestPlanJson:
         plan = build()
         loaded = ChipPlan.from_json(plan.to_json())
         unshared = dataclasses.replace(
-            loaded, sections=[copy.deepcopy(s) for s in loaded.sections]
+            loaded, blocks=flat_blocks(copy.deepcopy(s) for s in loaded.sections)
         )
-        assert len({id(s.hamiltonian) for s in loaded.sections}) < len(loaded.sections)
+        assert len({id(s.hamiltonian) for s in plan.sections}) < len(plan.sections)
         assert len({id(s.hamiltonian) for s in unshared.sections}) == len(unshared.sections)
         realized = loaded.realize()
         assert np.array_equal(realized, unshared.realize())
         assert np.array_equal(realized, plan.realize())
+
+
+def flat_reference(target, steps: int, gap, config) -> list[tuple]:
+    """The flat section list of the paper's construction, built one section
+    at a time: for every synthesized section of every adjacent op, N copies
+    of (recurrence sections, drive), or each synthesized section once at
+    d = 2. Each entry is (kind, provenance, betas, couplings, length, phases
+    bits). ``config`` is the plan's resolved design."""
+    d = target.shape[0]
+    recurrence, step_values = [], [None]
+    if d > 2:
+        background, phases = config.background_hamiltonian(), config.recurrence_phases()
+        recurrence = [("B", background, phases)]
+        if gap is not None:
+            gap_phases = (gap.betas[0] + gap.couplings[0] * toeplitz_eigenvalues(d)) * gap.length
+            electrode = gap_compensate(background, gap)
+            recurrence = [("gap", gap, gap_phases), ("B", electrode, phases - 2.0 * gap_phases),
+                          ("gap", gap, gap_phases)]
+        step_values = range(steps)
+    sections = []
+    for op_index, op in enumerate(adjacent_expand(two_level_decompose(target), d)):
+        for su2_index, sec in enumerate(synthesize_su2(op.matrix, L)):
+            drive = sec if d == 2 else plan_trotter_pair(sec, op.mode, config)
+            for step in step_values:
+                for kind, h, phases in (*recurrence, ("A", drive, None)):
+                    sections.append((
+                        kind, (op_index, su2_index, step), h.betas.tobytes(),
+                        h.couplings.tobytes(), h.length,
+                        None if phases is None else np.asarray(phases, dtype=float).tobytes(),
+                    ))
+    return sections
+
+
+def section_entries(sections) -> list[tuple]:
+    return [
+        (s.kind, (s.factor_index, s.su2_index, s.trotter_step), s.hamiltonian.betas.tobytes(),
+         s.hamiltonian.couplings.tobytes(), s.hamiltonian.length,
+         None if s.reduced_phases is None else np.asarray(s.reduced_phases).tobytes())
+        for s in sections
+    ]
+
+
+def flat_product(sections, d: int) -> np.ndarray:
+    u = np.eye(d, dtype=complex)
+    for s in sections:
+        u = s.unitary() @ u
+    return u
+
+
+EQUIVALENCE_CASES = [(2, 2, False), (2, 8, False)] + [
+    (d, n, gap) for d in range(3, 7) for n in (2, 8) for gap in (False, True)
+]
+
+
+class TestBlocksMatchFlatReference:
+    @pytest.mark.parametrize(
+        "d, steps, with_gap", EQUIVALENCE_CASES,
+        ids=[f"d{d}-N{n}{'-gap' if g else ''}" for d, n, g in EQUIVALENCE_CASES],
+    )
+    def test_sections_realize_and_reload_match_the_flat_list(self, d, steps, with_gap):
+        target = haar_random_unitary(d, 10 + d)
+        gap = device_gap(d) if with_gap else None
+        plan = compile_unitary(target, section_length=L, trotter_steps=steps, gap=gap)
+        sections = plan.sections
+        assert section_entries(sections) == flat_reference(target, steps, gap, plan.config)
+        realized = plan.realize()
+        assert np.array_equal(realized, flat_product(sections, d))
+        assert plan.measured_error == operator_norm(target - realized)
+
+        text = plan.to_json()
+        payload = json.loads(text)
+        reordered = {
+            "sections": [dict(reversed(list(s.items()))) for s in payload["sections"]],
+            "metadata": dict(reversed(list(payload["metadata"].items()))),
+            "schema_version": 1,
+        }
+        for variant in (text, json.dumps(payload), json.dumps(reordered)):
+            loaded = ChipPlan.from_json(variant)
+            assert [len(b.trotter_steps) for b in loaded.blocks] == [
+                len(b.trotter_steps) for b in plan.blocks
+            ]
+            assert section_entries(loaded.sections) == section_entries(sections)
+            assert np.array_equal(loaded.realize(), realized)
+            assert loaded.to_json() == text
+
+
+def block_copies(payload, factor=0, su2=0) -> list[dict]:
+    return [s for s in payload["sections"]
+            if (s["provenance"]["factor_index"], s["provenance"]["su2_index"]) == (factor, su2)]
+
+
+def _new_su2_index(copies):
+    copies[5]["provenance"]["su2_index"] = 7
+
+
+def _scaled_beta(copies):
+    copies[5]["betas"][0] *= 1.5
+
+
+def _dropped_recurrence(copies, payload):
+    payload["sections"].remove(copies[4])
+
+
+def _zero_signs(copies):
+    for c in copies:
+        if c["kind"] == "B":
+            c["reduced_phases"][0] = -0.0 if c is copies[4] else 0.0
+
+
+class TestRunGrouping:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda copies, payload: _new_su2_index(copies),
+            lambda copies, payload: _scaled_beta(copies),
+            _dropped_recurrence,
+            lambda copies, payload: _zero_signs(copies),
+        ],
+        ids=["provenance", "drive-body", "missing-body", "zero-sign"],
+    )
+    def test_changed_middle_copy_splits_the_run(self, edit):
+        plan = compile_unitary(dft(3), trotter_steps=4)
+        payload = json.loads(plan.to_json())
+        copies = block_copies(payload)
+        assert [c["kind"] for c in copies] == ["B", "A"] * 4
+        edit(copies, payload)  # copies[4] and copies[5] are step 2 of 4
+        text = json.dumps(payload, indent=2)
+        loaded = ChipPlan.from_json(text)
+        assert len(loaded.blocks) > len(plan.blocks)
+        assert loaded.to_json() == text
+        assert [(s.kind, s.factor_index, s.su2_index, s.trotter_step) for s in loaded.sections] == [
+            (s["kind"], *s["provenance"].values()) for s in payload["sections"]
+        ]
+        assert np.array_equal(loaded.realize(), flat_product(loaded.sections, 3))
+
+    def test_float_literals_load_to_the_default_parsers_bits(self):
+        rows = [
+            ["0.0", "-0.0", "5e-324"],
+            ["-0.0", "0.0", "5e-324"],
+            ["0.1", "1e-1", "2.2250738585072009e-308"],
+            ["1e-1", "0.1", "2.2250738585072009e-308"],
+        ]
+        payload = json.loads(hand_built_plan().to_json())
+        payload["sections"] = [
+            {"kind": "B", "betas": [2.0] * 3, "couplings": [1.0] * 2, "length_m": 7.5,
+             "provenance": {"factor_index": 0, "su2_index": 0, "trotter_step": step},
+             "reduced_phases": f"@{step}"}
+            for step in range(len(rows))
+        ]
+        text = json.dumps(payload, indent=2)
+        for step, row in enumerate(rows):
+            text = text.replace(f'"@{step}"', "[" + ", ".join(row) + "]")
+        loaded = ChipPlan.from_json(text)
+        expected = [np.array(s["reduced_phases"]).tobytes() for s in json.loads(text)["sections"]]
+        assert [np.array(s.reduced_phases).tobytes() for s in loaded.sections] == expected
+        # the signs of zero keep rows 0 and 1 apart; rows 2 and 3 hold the same bits
+        assert [b.trotter_steps for b in loaded.blocks] == [(0,), (1,), (2, 3)]
+        assert loaded.to_json() == json.dumps(json.loads(text), indent=2)
