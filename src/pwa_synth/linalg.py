@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from numbers import Real
 
 import numpy as np
@@ -157,11 +157,16 @@ def toeplitz_eigenvalues(d: int) -> np.ndarray:
     return np.concatenate([lower, middle, -lower[::-1]])
 
 
+@cache
 def toeplitz_eigenvectors(d: int) -> np.ndarray:
-    """Orthonormal sine-basis eigenvectors, column j paired with toeplitz_eigenvalues(d)[j]."""
+    """Orthonormal sine-basis eigenvectors, column j paired with toeplitz_eigenvalues(d)[j].
+
+    Built once per d; every caller shares the one read-only array."""
     m = np.arange(1, d + 1)
     k = d + 1 - np.arange(1, d + 1)
-    return np.sqrt(2.0 / (d + 1)) * np.sin(np.outer(m, k) * np.pi / (d + 1))
+    basis = np.sqrt(2.0 / (d + 1)) * np.sin(np.outer(m, k) * np.pi / (d + 1))
+    basis.flags.writeable = False
+    return basis
 
 
 def haar_random_unitary(d: int, seed: int) -> np.ndarray:

@@ -15,7 +15,13 @@ uniform commutes. At d = 2 the synthesized sections are the plan.
 A plan is held in memory as run-length blocks: each block stores the bodies
 of one Trotter step once, with the provenance they share and the step values
 they repeat over. ``ChipPlan.sections`` expands the blocks into the flat
-section list, and the plan file (schema v1) stays that flat list.
+section list, and the plan file (schema v1) stays that flat list. Equal
+drive bodies are one object, and so are the recurrence bodies of all blocks.
+
+``ChipPlan.from_json`` reads text laid out as ``to_json`` writes it in place:
+each distinct section body is parsed and checked once, and equal bodies share
+one object. Any other layout goes to a general reader that parses the whole
+text; both accept the same files and return the same plans.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +63,25 @@ _PROVENANCE = ("factor_index", "su2_index", "trotter_step")
 _PROVENANCE_TYPES = {int, type(None)}
 #: Where a section's step goes in its stdlib encoding, written with a null step.
 _NULL_STEP = '"trotter_step": null'
+#: The writer's layout around the sections: the key that opens the list, the
+#: text between two sections, the text that closes a section and the text
+#: that closes the list and the file.
+_SECTIONS_KEY = '"sections": '
+_SECTION_SEP = ",\n    "
+_SECTION_CLOSE = "\n    }"
+_SECTIONS_END = "\n  ]\n}"
+_NOT_LAYOUT = "plan text is not laid out as to_json writes it"
+#: An int as ``"%d"`` formats it, the only way the writer writes one.
+_INT_TEXT = r"0|-?[1-9][0-9]*"
+_STEP = re.compile(_INT_TEXT)
+#: A section's provenance as the writer lays it out (see ``_BODY_TEXT``).
+_PROVENANCE_TEXT = re.compile(
+    r'"provenance": \{\n'
+    r'        "factor_index": (null|%s),\n'
+    r'        "su2_index": (null|%s),\n'
+    r'        "trotter_step": (null|%s)\n'
+    r"      \}" % ((_INT_TEXT,) * 3)
+)
 
 
 class PlanError(RuntimeError):
@@ -352,46 +379,23 @@ class ChipPlan:
         the block reuses that text around its own step value. Steps are ints
         or None, so formatting them directly matches the stdlib encoder.
         """
-        payload = {
-            "schema_version": PLAN_SCHEMA_VERSION,
-            "metadata": {
-                "d": self.dimension,
-                "N": self.trotter_steps,
-                "K": self.section_budget,
-                "measured_error": self.measured_error,
-                "epsilon_certificate": self.epsilon_certificate,
-                "section_length_m": self.section_length,
-                "global_phase": self.global_phase,
-                "target_name": self.target_name,
-                "config": None
-                if self.config is None
-                else {
-                    "j1": self.config.j1,
-                    "j2": self.config.j2,
-                    "epsilon": self.config.epsilon,
-                    "recurrence_unit": 1.0,
-                    "q": self.config.recurrence.denominator,
-                    "numerators": list(self.config.recurrence.numerators),
-                    "residuals": list(self.config.recurrence.residuals),
-                    "achieved_epsilon": self.config.recurrence.epsilon,
-                },
-            },
-            "sections": [],
-        }
-        text = json.dumps(payload, indent=2)
-        pieces = [text[: -len("[]\n}")], "[\n    "]
+        head = _head_text(self)
+        pieces = [head, "[\n    "]
         for block in self.blocks:
-            step_text = ",\n    ".join(_encode_body(body, block) for body in block.bodies)
-            head, *tails = step_text.split(_NULL_STEP)
+            step_text = _SECTION_SEP.join(
+                _encode_body(body, (block.factor_index, block.su2_index, None))
+                for body in block.bodies
+            )
+            first, *tails = step_text.split(_NULL_STEP)
             for step in block.trotter_steps:
                 key = '"trotter_step": %s' % _int_text(step)
-                pieces.append(head)
+                pieces.append(first)
                 for tail in tails:
                     pieces += (key, tail)
-                pieces.append(",\n    ")
+                pieces.append(_SECTION_SEP)
         if len(pieces) == 2:
-            return text
-        pieces[-1] = "\n  ]\n}"
+            return head + "[]\n}"
+        pieces[-1] = _SECTIONS_END
         return "".join(pieces)
 
     @classmethod
@@ -400,82 +404,221 @@ class ChipPlan:
         one step; a step that repeats the previous step's bodies bit for bit,
         with the same factor and su2 index, joins its block. Each body is
         checked when it is read, and a copy joins a block only when it equals
-        a checked body, so every section meets the checks."""
-        payload = _require_json(
-            json.loads(text, parse_float=_FloatMemo().__getitem__), dict, "plan JSON"
-        )
-        if payload.get("schema_version") != PLAN_SCHEMA_VERSION:
-            raise ValueError(f"unsupported plan schema {payload.get('schema_version')!r}")
-        meta = _require_json(payload["metadata"], dict, "plan metadata")
-        d, trotter_steps, budget = (
-            require_count(meta[key], f"plan metadata {key}") for key in ("d", "N", "K")
-        )
-        section_length = require_positive(meta["section_length_m"], "plan section_length_m")
-        config = None
-        raw_cfg = meta.get("config")
-        if raw_cfg is not None:
-            if float(raw_cfg["recurrence_unit"]) != 1.0:
-                raise ValueError("plan recurrence_unit must be 1.0: lengths are in meters")
-            recurrence = DiophantineResult(
-                denominator=raw_cfg["q"],
-                numerators=tuple(raw_cfg["numerators"]),
-                residuals=tuple(float(r) for r in raw_cfg["residuals"]),
-                epsilon=float(raw_cfg["achieved_epsilon"]),
-                requested=float(raw_cfg["epsilon"]),
-            )
-            config = TrotterConfig(
-                dimension=d,
-                section_length=section_length,
-                trotter_steps=trotter_steps,
-                j1=raw_cfg["j1"],
-                j2=raw_cfg["j2"],
-                epsilon=float(raw_cfg["epsilon"]),
-                recurrence=recurrence,
-            )
-        steps: list[tuple[tuple, list[dict]]] = []
+        a checked body, so every section meets the checks.
+
+        Text laid out as ``to_json`` writes it is read in place, each distinct
+        section body once, and equal bodies share one object; any other text
+        goes to the general reader, which reads any JSON layout and raises
+        the errors of the checks.
+        """
+        try:
+            return _read_layout(cls, text)
+        except Exception:
+            # Any layout mismatch or failed check, whatever its type: the
+            # general reader below decides, and loads the text or raises.
+            pass
+        payload = json.loads(text, parse_float=_FloatMemo().__getitem__)
+        plan = cls(**_read_metadata(payload), blocks=[])
+        sections = []
         for item in _require_json(payload["sections"], list, "plan sections"):
             provenance = _require_json(
                 _require_json(item, dict, "plan section")["provenance"], dict, "section provenance"
             )
             key = tuple(map(provenance.get, _PROVENANCE))
             _require_provenance(key, _PROVENANCE)
-            if steps and steps[-1][0] == key:
-                steps[-1][1].append(item)
-            else:
-                steps.append((key, [item]))
-        runs: list[tuple] = []  # (bodies, factor_index, su2_index, step values)
-        bodies: tuple = ()
-        checked: list[dict] = []  # the items that the last run's bodies stand for
-        for (factor, su2, step), items in steps:
-            if (
-                runs
-                and runs[-1][1:3] == (factor, su2)
-                and len(items) == len(checked)
-                and all(map(_same_body, items, checked))
-            ):
-                runs[-1][3].append(step)
-                continue
-            # A body equal to the previous block's at the same place is that
-            # body, as in compiled plans, whose blocks share the recurrence.
-            bodies = tuple(
-                bodies[i] if i < len(checked) and _same_body(item, checked[i])
-                else _read_body(item, d)
-                for i, item in enumerate(items)
-            )
-            checked = items
-            runs.append((bodies, factor, su2, [step]))
-        return cls(
-            dimension=d,
-            trotter_steps=trotter_steps,
-            section_budget=budget,
-            section_length=section_length,
-            blocks=[PlanBlock(b, f, s, tuple(values)) for b, f, s, values in runs],
-            measured_error=meta.get("measured_error"),
-            epsilon_certificate=meta.get("epsilon_certificate"),
-            global_phase=float(meta.get("global_phase", 0.0)),
-            config=config,
-            target_name=meta.get("target_name"),
+            sections.append((key, item))
+        d = plan.dimension
+        plan.blocks = _group_blocks(sections, lambda item: _read_body(item, d), _same_body)
+        return plan
+
+
+def _read_metadata(payload) -> dict:
+    """The checked ``ChipPlan`` fields, all but the blocks, of a parsed plan file."""
+    payload = _require_json(payload, dict, "plan JSON")
+    if payload.get("schema_version") != PLAN_SCHEMA_VERSION:
+        raise ValueError(f"unsupported plan schema {payload.get('schema_version')!r}")
+    meta = _require_json(payload["metadata"], dict, "plan metadata")
+    d, trotter_steps, budget = (
+        require_count(meta[key], f"plan metadata {key}") for key in ("d", "N", "K")
+    )
+    section_length = require_positive(meta["section_length_m"], "plan section_length_m")
+    config = None
+    raw_cfg = meta.get("config")
+    if raw_cfg is not None:
+        if float(raw_cfg["recurrence_unit"]) != 1.0:
+            raise ValueError("plan recurrence_unit must be 1.0: lengths are in meters")
+        recurrence = DiophantineResult(
+            denominator=raw_cfg["q"],
+            numerators=tuple(raw_cfg["numerators"]),
+            residuals=tuple(float(r) for r in raw_cfg["residuals"]),
+            epsilon=float(raw_cfg["achieved_epsilon"]),
+            requested=float(raw_cfg["epsilon"]),
         )
+        config = TrotterConfig(
+            dimension=d,
+            section_length=section_length,
+            trotter_steps=trotter_steps,
+            j1=raw_cfg["j1"],
+            j2=raw_cfg["j2"],
+            epsilon=float(raw_cfg["epsilon"]),
+            recurrence=recurrence,
+        )
+    return dict(
+        dimension=d,
+        trotter_steps=trotter_steps,
+        section_budget=budget,
+        section_length=section_length,
+        measured_error=meta.get("measured_error"),
+        epsilon_certificate=meta.get("epsilon_certificate"),
+        global_phase=float(meta.get("global_phase", 0.0)),
+        config=config,
+        target_name=meta.get("target_name"),
+    )
+
+
+def _head_text(plan: ChipPlan) -> str:
+    """The schema v1 text of ``plan`` up to its sections list, which starts
+    right after the returned text."""
+    config = plan.config
+    payload = {
+        "schema_version": PLAN_SCHEMA_VERSION,
+        "metadata": {
+            "d": plan.dimension,
+            "N": plan.trotter_steps,
+            "K": plan.section_budget,
+            "measured_error": plan.measured_error,
+            "epsilon_certificate": plan.epsilon_certificate,
+            "section_length_m": plan.section_length,
+            "global_phase": plan.global_phase,
+            "target_name": plan.target_name,
+            "config": None
+            if config is None
+            else {
+                "j1": config.j1,
+                "j2": config.j2,
+                "epsilon": config.epsilon,
+                "recurrence_unit": 1.0,
+                "q": config.recurrence.denominator,
+                "numerators": list(config.recurrence.numerators),
+                "residuals": list(config.recurrence.residuals),
+                "achieved_epsilon": config.recurrence.epsilon,
+            },
+        },
+        "sections": [],
+    }
+    return json.dumps(payload, indent=2)[: -len("[]\n}")]
+
+
+def _read_layout(cls, text: str) -> ChipPlan:
+    """The plan of ``text`` laid out exactly as ``to_json`` writes it; any
+    other text raises.
+
+    The metadata is accepted when its re-encoding gives back its text. The
+    sections are walked in place. A section that equals the previous step's
+    section at the same place (or the current step's first section), apart
+    from its integer ``trotter_step``, is that section's body with a new
+    step. Any other section is keyed by its text with the provenance masked
+    out; a new key is parsed, checked as the general reader checks it, and
+    accepted only when its encoding gives back the section's text. So the
+    text equals ``to_json()`` of the returned plan, and equal bodies anywhere
+    in the file share one object. The text is never sliced or split whole.
+    """
+    start = text.index(_SECTIONS_KEY) + len(_SECTIONS_KEY)
+    plan = cls(**_read_metadata(json.loads(text[:start] + "[]\n}")), blocks=[])
+    if _head_text(plan) != text[:start]:
+        raise ValueError(_NOT_LAYOUT)
+    if text.startswith("[]\n}", start) and len(text) == start + len("[]\n}"):
+        return plan
+    if not text.startswith("[\n    ", start):
+        raise ValueError(_NOT_LAYOUT)
+    sections = _walk_sections(text, start + len("[\n    "), plan.dimension)
+    plan.blocks = _group_blocks(sections, lambda body: body, operator.is_)
+    return plan
+
+
+def _walk_sections(text: str, pos: int, d: int):
+    """Yield ``(provenance, body)`` for each section of the writer's layout
+    from ``pos`` on (see ``_read_layout``); raise at any other text.
+
+    A template is (text before the step value, text after it, body, factor
+    index, su2 index) of a section that passed the checks.
+    """
+    bodies: dict[tuple[str, str], PlanSection] = {}
+    previous, current, current_key = [], [], None
+    while True:
+        if len(current) < len(previous):
+            template = previous[len(current)]
+        else:
+            template = current[0] if current else None
+        match = None
+        if template is not None and text.startswith(template[0], pos):
+            match = _STEP.match(text, pos + len(template[0]))
+            if match is not None and not text.startswith(template[1], match.end()):
+                match = None
+        if match is not None:
+            end = match.end() + len(template[1])
+            key = (template[3], template[4], int(match.group()))
+            body = template[2]
+        else:
+            end = text.index(_SECTION_CLOSE, pos) + len(_SECTION_CLOSE)
+            found = _PROVENANCE_TEXT.search(text, pos, end)
+            if found is None:
+                raise ValueError(_NOT_LAYOUT)
+            key = tuple(None if value == "null" else int(value) for value in found.groups())
+            masked = (text[pos : found.start()], text[found.end() : end])
+            body = bodies.get(masked)
+            if body is None:
+                section = text[pos:end]
+                body = _read_body(json.loads(section), d)
+                if _encode_body(body, key) != section:
+                    raise ValueError(_NOT_LAYOUT)
+                bodies[masked] = body
+            step = found.start(3)
+            template = (text[pos:step], text[found.end(3) : end], body, key[0], key[1])
+        yield key, body
+        if key == current_key:
+            current.append(template)
+        else:
+            previous, current, current_key = current, [template], key
+        if text.startswith(_SECTION_SEP, end):
+            pos = end + len(_SECTION_SEP)
+        elif text.startswith(_SECTIONS_END, end) and len(text) == end + len(_SECTIONS_END):
+            return
+        else:
+            raise ValueError(_NOT_LAYOUT)
+
+
+def _group_blocks(sections, read, same) -> list[PlanBlock]:
+    """Run-length blocks of ``(provenance, item)`` pairs in file order.
+
+    Consecutive pairs with equal provenance form one step. A step joins the
+    previous block when it has the block's factor and su2 index and each of
+    its items is ``same`` as the block's first step's item at that place.
+    Otherwise it starts a block whose bodies are ``read`` from its items,
+    except that an item ``same`` as the previous block's at the same place
+    takes that block's body, as in compiled plans, whose blocks share the
+    recurrence.
+    """
+    runs: list[tuple] = []  # (bodies, factor_index, su2_index, step values)
+    bodies: tuple = ()
+    checked: list = []  # the items that the last run's bodies stand for
+    for (factor, su2, step), pairs in itertools.groupby(sections, key=operator.itemgetter(0)):
+        items = [item for _, item in pairs]
+        if (
+            runs
+            and runs[-1][1:3] == (factor, su2)
+            and len(items) == len(checked)
+            and all(map(same, items, checked))
+        ):
+            runs[-1][3].append(step)
+            continue
+        bodies = tuple(
+            bodies[i] if i < len(checked) and same(item, checked[i]) else read(item)
+            for i, item in enumerate(items)
+        )
+        checked = items
+        runs.append((bodies, factor, su2, [step]))
+    return [PlanBlock(b, f, s, tuple(values)) for b, f, s, values in runs]
 
 
 def _require_provenance(values, names) -> None:
@@ -547,17 +690,16 @@ def _int_text(value: int | None) -> str:
     return "null" if value is None else "%d" % value
 
 
-def _encode_body(body: PlanSection, block: PlanBlock) -> str:
-    """The stdlib encoding, two levels deep, of ``body`` with the block's
-    provenance and a null step. Values go through the compact stdlib
-    encoder, which formats them as the indenting one does."""
+def _encode_body(body: PlanSection, provenance: tuple) -> str:
+    """The stdlib encoding, two levels deep, of ``body`` with ``provenance``
+    (factor_index, su2_index, trotter_step). Values go through the compact
+    stdlib encoder, which formats them as the indenting one does."""
     return _BODY_TEXT % (
         json.dumps(body.kind),
         _list_text(body.hamiltonian.betas.tolist()),
         _list_text(body.hamiltonian.couplings.tolist()),
         json.dumps(body.hamiltonian.length),
-        _int_text(block.factor_index),
-        _int_text(block.su2_index),
+        *map(_int_text, provenance),
         "null" if body.reduced_phases is None else _list_text(body.reduced_phases),
     )
 
@@ -571,7 +713,7 @@ _BODY_TEXT = """{
       "provenance": {
         "factor_index": %s,
         "su2_index": %s,
-        "trotter_step": null
+        "trotter_step": %s
       },
       "reduced_phases": %s
     }"""
@@ -668,11 +810,14 @@ def compile_unitary(
         recurrence = _recurrence_sections(config, gap)
 
     blocks = []
+    drives: dict[tuple, PlanSection] = {}  # one body per distinct drive section
     for op_index, op in enumerate(ops):
         for su2_index, sec in enumerate(synthesize_su2(op.matrix, section_length)):
             drive = sec if config is None else plan_trotter_pair(sec, op.mode, config)
-            bodies = (*recurrence, PlanSection(kind=SECTION_A, hamiltonian=drive))
-            blocks.append(PlanBlock(bodies, op_index, su2_index, steps))
+            key = (drive.betas.tobytes(), drive.couplings.tobytes(), drive.length)
+            if key not in drives:
+                drives[key] = PlanSection(kind=SECTION_A, hamiltonian=drive)
+            blocks.append(PlanBlock((*recurrence, drives[key]), op_index, su2_index, steps))
 
     plan = ChipPlan(
         dimension=d,

@@ -12,6 +12,7 @@ from pwa_synth import (
     toeplitz_eigenvalues,
     unitarity_defect,
 )
+from pwa_synth.linalg import toeplitz_eigenvectors
 
 from conftest import power_iteration_norm, taylor_expm
 
@@ -140,6 +141,20 @@ class TestToeplitzEigenvalues:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             toeplitz_eigenvalues(0)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_eigenvectors_are_one_read_only_array_per_d(self, d):
+        basis = toeplitz_eigenvectors(d)
+        assert toeplitz_eigenvectors(d) is basis
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 1.0
+        fresh = toeplitz_eigenvectors.__wrapped__(d)
+        assert fresh is not basis and fresh.tobytes() == basis.tobytes()
+        matrix = np.eye(d, k=1) + np.eye(d, k=-1)
+        np.testing.assert_allclose(
+            matrix @ basis, basis * toeplitz_eigenvalues(d), atol=1e-12
+        )
 
 
 class TestHaarRandomUnitary:

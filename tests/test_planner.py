@@ -2,6 +2,8 @@ import collections
 import copy
 import dataclasses
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -631,6 +633,26 @@ def flat_product(sections, d: int) -> np.ndarray:
     return u
 
 
+def general_load(text: str) -> ChipPlan:
+    """``ChipPlan.from_json`` with the layout reader switched off, so the
+    general reader loads ``text`` or raises."""
+    with mock.patch("pwa_synth.planner._read_layout", side_effect=ValueError):
+        return ChipPlan.from_json(text)
+
+
+def plan_summary(plan: ChipPlan) -> tuple:
+    """What a loaded plan holds: its metadata, its blocks' shape, its
+    sections with floats by their bits, the bits of its realized product
+    and its text."""
+    return (
+        dataclasses.replace(plan, blocks=[]),
+        [(len(b.bodies), b.factor_index, b.su2_index, b.trotter_steps) for b in plan.blocks],
+        section_entries(plan.sections),
+        plan.realize().tobytes(),
+        plan.to_json(),
+    )
+
+
 EQUIVALENCE_CASES = [(2, 2, False), (2, 8, False)] + [
     (d, n, gap) for d in range(3, 7) for n in (2, 8) for gap in (False, True)
 ]
@@ -658,14 +680,14 @@ class TestBlocksMatchFlatReference:
             "metadata": dict(reversed(list(payload["metadata"].items()))),
             "schema_version": 1,
         }
+        # the canonical text takes the layout reader, the other texts and
+        # general_load the general reader; all give the compiled plan
+        expected = plan_summary(plan)
+        assert expected[2:4] == (section_entries(sections), realized.tobytes())
+        assert expected[4] == text
         for variant in (text, json.dumps(payload), json.dumps(reordered)):
-            loaded = ChipPlan.from_json(variant)
-            assert [len(b.trotter_steps) for b in loaded.blocks] == [
-                len(b.trotter_steps) for b in plan.blocks
-            ]
-            assert section_entries(loaded.sections) == section_entries(sections)
-            assert np.array_equal(loaded.realize(), realized)
-            assert loaded.to_json() == text
+            assert plan_summary(ChipPlan.from_json(variant)) == expected
+        assert plan_summary(general_load(text)) == expected
 
 
 def block_copies(payload, factor=0, su2=0) -> list[dict]:
@@ -712,6 +734,7 @@ class TestRunGrouping:
         loaded = ChipPlan.from_json(text)
         assert len(loaded.blocks) > len(plan.blocks)
         assert loaded.to_json() == text
+        assert plan_summary(loaded) == plan_summary(general_load(text))
         assert [(s.kind, s.factor_index, s.su2_index, s.trotter_step) for s in loaded.sections] == [
             (s["kind"], *s["provenance"].values()) for s in payload["sections"]
         ]
@@ -740,3 +763,108 @@ class TestRunGrouping:
         # the signs of zero keep rows 0 and 1 apart; rows 2 and 3 hold the same bits
         assert [b.trotter_steps for b in loaded.blocks] == [(0,), (1,), (2, 3)]
         assert loaded.to_json() == json.dumps(json.loads(text), indent=2)
+
+
+def edit_step_two(edit) -> str:
+    """The text of the d=3 dft plan (N=4) with step 2 of its first block
+    edited: ``edit(recurrence, drive)`` changes the payload of that step's
+    two sections, and may put the string "@" where a literal goes; it
+    returns that literal."""
+    payload = json.loads(compile_unitary(dft(3), trotter_steps=4).to_json())
+    copies = block_copies(payload)
+    assert [c["kind"] for c in copies] == ["B", "A"] * 4
+    literal = edit(copies[4], copies[5])
+    text = json.dumps(payload, indent=2)
+    return text if literal is None else text.replace('"@"', literal)
+
+
+def _drive_literal(literal, *path):
+    """An edit that writes ``literal`` at ``path`` in the drive copy."""
+    def edit(recurrence, drive):
+        target = drive
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "@"
+        return literal
+    return edit
+
+
+def _reversed_keys(recurrence, drive):
+    items = list(drive.items())
+    drive.clear()
+    drive.update(reversed(items))
+
+
+NEAR_LAYOUT_EDITS = {
+    "nan-beta": (_drive_literal("NaN", "betas", 0), "non-finite"),
+    "negative-beta": (_drive_literal("-3.0", "betas", 1), "strictly positive"),
+    "nan-phase": (lambda b, a: b["reduced_phases"].__setitem__(0, float("nan")), "finite numbers"),
+    "step-float": (_drive_literal("1.0", "provenance", "trotter_step"), "provenance trotter_step"),
+    "step-true": (_drive_literal("true", "provenance", "trotter_step"), "provenance trotter_step"),
+    "step-leading-zero": (_drive_literal("01", "provenance", "trotter_step"), "Expecting"),
+    "duplicate-step-key": (
+        _drive_literal('2,\n        "trotter_step": 2', "provenance", "trotter_step"), None
+    ),
+    "duplicate-provenance-key": (
+        _drive_literal('null,\n      "provenance": {"factor_index": 9, "su2_index": 9, '
+                       '"trotter_step": 9}', "reduced_phases"),
+        None,
+    ),
+    "extra-key": (lambda b, a: a.__setitem__("note", 1), None),
+    "reordered-keys": (_reversed_keys, None),
+    "int-beta": (_drive_literal("1000", "betas", 0), None),
+    "true-beta": (_drive_literal("true", "betas", 0), None),
+}
+
+
+class TestLayoutReader:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: compile_unitary(dft(2)),
+            lambda: compile_unitary(haar_random_unitary(4, 3), trotter_steps=8),
+            lambda: compile_unitary(clock(3), trotter_steps=4, gap=device_gap(3)),
+            lambda: compile_unitary(dft(6), trotter_steps=2),
+            lambda: compile_unitary(np.eye(3), prune_identity=True),
+            hand_built_plan,
+            single_mode_plan,
+        ],
+        ids=["d2", "d4", "d3-gap", "d6", "empty", "hand-built", "d1"],
+    )
+    def test_canonical_text_parses_each_distinct_body_once(self, build, monkeypatch):
+        plan = build()
+        text = plan.to_json()
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+        loaded = ChipPlan.from_json(text)
+        monkeypatch.undo()
+        distinct = {entry[:1] + entry[2:] for entry in section_entries(plan.sections)}
+        assert len(calls) <= len(distinct) + 1
+        # equal bodies anywhere in the file share one object
+        assert len({id(b) for block in loaded.blocks for b in block.bodies}) == len(distinct)
+        assert plan_summary(loaded) == plan_summary(general_load(text))
+
+    @pytest.mark.parametrize("edit, error", NEAR_LAYOUT_EDITS.values(), ids=NEAR_LAYOUT_EDITS)
+    def test_near_layout_text_loads_as_the_general_reader_loads_it(self, edit, error):
+        text = edit_step_two(edit)
+        if error is None:
+            loaded = plan_summary(ChipPlan.from_json(text))
+            assert loaded == plan_summary(general_load(text))
+            assert loaded[4] != text
+            return
+        with pytest.raises(ValueError, match=error) as expected:
+            general_load(text)
+        with pytest.raises(type(expected.value)) as caught:
+            ChipPlan.from_json(text)
+        assert str(caught.value) == str(expected.value)
+
+    def test_loading_peak_memory_is_a_fraction_of_the_text(self):
+        text = compile_unitary(haar_random_unitary(4, 3), trotter_steps=32, measure=False).to_json()
+        tracemalloc.start()
+        try:
+            ChipPlan.from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * len(text)
