@@ -35,9 +35,7 @@ _TWO_PI_LD = np.longdouble(2.0) * np.longdouble(np.pi)
 def require_positive(value, what: str) -> float:
     """``value`` as a float; it must be a real number (not a bool), positive
     and finite."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not (
-        math.isfinite(value) and value > 0.0
-    ):
+    if not (_is_number(value) and math.isfinite(value) and value > 0.0):
         raise ValueError(f"{what} must be positive and finite, got {value!r}")
     return float(value)
 
@@ -48,6 +46,29 @@ def require_count(value, what: str, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def require_number(value, what: str) -> float:
+    """``value`` as a float; it must be a real number, not a bool or a
+    string, as JSON numbers load."""
+    if not _is_number(value):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def require_numbers(values, what: str) -> list:
+    """``values``, which must be a list of numbers as ``require_number``
+    reads them."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of numbers, got {type(values).__name__}")
+    for value in values:
+        if not _is_number(value):
+            raise ValueError(f"{what} must be a list of numbers, got item {value!r}")
+    return values
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def as_square_matrix(matrix, what: str = "matrix") -> np.ndarray:

@@ -6,8 +6,15 @@ exponential is evaluated in its eigenbasis with the divided-difference kernel
 (e^{-i a L} - e^{-i b L})/(a - b). The kernel and its similarity transforms run
 as stacked (K, d, d) products over all K sections at once, in the association a
 per-section loop would use, so a full gradient costs about as much as the
-objective itself. Voltages respect the box |dV| <= V_max through a tanh
-reparameterization; each restart is seeded independently from the task seed.
+objective itself. The association of every product is frozen: rounding steers
+L-BFGS, so regrouping a product would move the optimizer's results. Voltages
+respect the box |dV| <= V_max through a tanh reparameterization; each restart
+is seeded independently from the task seed.
+
+The objective owns a per-task workspace (the Hamiltonian stack, the prefix
+and suffix products and the gradient buffer) that every call rewrites, so one
+objective must not be called from two threads at once. Its returned gradient
+is a new array.
 
 ``minimize`` is a module-level wrapper around ``scipy.optimize.minimize`` that
 imports scipy on its first call, so compiling and simulating never load it.
@@ -25,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .device import DeviceModel, VoltageSettings
-from .linalg import assemble_unitary, require_count, require_unitary
+from .linalg import assemble_unitary, require_count, require_numbers, require_unitary
 
 
 @dataclass(frozen=True)
@@ -68,52 +75,73 @@ class _ChipObjective:
 
     def __init__(self, task: OptimizationTask):
         self.task = task
-        self.d = task.dimension
-        self.k = task.sections
+        d = self.d = task.dimension
+        k = self.k = task.sections
         model = task.model
         self.length = model.section_length
+        self.phase_rate = -1j * self.length
         self.beta_sens = model.beta_shift_per_volt
         self.coupling_sens = model.coupling_shift_per_volt
-        self.gap_unitary = model.zero_voltage_hamiltonian(self.d).unitary()
-        self.levels = np.arange(self.d)
-        self.bonds = np.arange(self.d - 1)
-        self.identity = np.eye(self.d, dtype=complex)
+        self.gap_unitary = model.zero_voltage_hamiltonian(d).unitary()
+        # per-task workspace, rewritten by every call: the Hamiltonian stack,
+        # written through strided views of its diagonals, the prefix and
+        # suffix products of the factors (section, gap, section, ...), and
+        # the gradient of the overlap
+        n = 2 * k - 1
+        self.hams = np.zeros((k, d, d))
+        flat = self.hams.reshape(k, d * d)
+        self.diagonal = flat[:, :: d + 1]
+        self.upper = flat[:, 1 :: d + 1]
+        self.lower = flat[:, d :: d + 1]
+        self.below = np.empty((n + 1, d, d), dtype=complex)
+        self.above = np.empty((n + 1, d, d), dtype=complex)
+        self.below[0] = self.above[n] = np.eye(d)
+        self.d_overlap = np.empty((k, 2 * d - 1), dtype=complex)
 
     def value_and_gradient(self, volts_flat: np.ndarray) -> tuple[float, np.ndarray]:
-        d, k, length = self.d, self.k, self.length
-        target, idx, off = self.task.target, self.levels, self.bonds
+        d, k, length, gap = self.d, self.k, self.length, self.gap_unitary
+        target, below, above = self.task.target, self.below, self.above
         v = volts_flat.reshape(k, 2 * d - 1)
-        hams = np.zeros((k, d, d))
-        hams[:, idx, idx] = self.beta_sens * v[:, :d]
-        hams[:, off, off + 1] = self.task.model.base_coupling + self.coupling_sens * v[:, d:]
-        hams[:, off + 1, off] = hams[:, off, off + 1]
-        eigvals, eigvecs = np.linalg.eigh(hams)
+        np.multiply(self.beta_sens, v[:, :d], out=self.diagonal)
+        np.multiply(self.coupling_sens, v[:, d:], out=self.upper)
+        np.add(self.task.model.base_coupling, self.upper, out=self.upper)
+        self.lower[...] = self.upper
+        eigvals, eigvecs = np.linalg.eigh(self.hams)
         units = assemble_unitary(eigvecs, eigvals * length)
-        # factors: section, gap, section, ...; below[j] holds factors < j, above[j] >= j
+        # factor j is section j // 2 when j is even and the gap when it is
+        # odd; below[j] holds the product of factors < j, above[j] of factors
+        # >= j. Products by the identity are skipped, and above[0] is never read.
         n = 2 * k - 1
-        mats = [self.gap_unitary] * n
-        mats[::2] = units
-        below = np.empty((n + 1, d, d), dtype=complex)
-        above = np.empty((n + 1, d, d), dtype=complex)
-        below[0] = above[n] = self.identity
-        for j in range(n):
-            np.matmul(mats[j], below[j], out=below[j + 1])
-        for j in range(n - 1, -1, -1):
-            np.matmul(above[j + 1], mats[j], out=above[j])
-        overlap = np.vdot(below[-1], target)
+        below[1] = units[0]
+        for j in range(1, n):
+            np.matmul(gap if j & 1 else units[j >> 1], below[j], out=below[j + 1])
+        above[n - 1] = units[k - 1]
+        for j in range(n - 2, 0, -1):
+            np.matmul(above[j + 1], gap if j & 1 else units[j >> 1], out=above[j])
+        overlap = np.vdot(below[n], target)
         value = 1.0 - (abs(overlap) / d) ** 2
         # section i is factor 2i; every product keeps the per-section order
-        # (A^H T) B^H, (V^H M) V, (V C) V^H, since rounding steers L-BFGS
+        # (A^H T) B^H, (V^H M) V, (V C) V^H, since rounding steers L-BFGS.
+        # The eigenvectors of the real stack are real, so V^H is a view.
+        vecs_h = eigvecs.transpose(0, 2, 1)
         middle = _dagger(above[1::2]) @ target @ _dagger(below[::2])
         mean = 0.5 * (eigvals[:, :, None] + eigvals[:, None, :])
-        cycles = (eigvals[:, :, None] - eigvals[:, None, :]) * length / (2.0 * np.pi)
-        kernel = -1j * length * np.exp(-1j * length * mean) * np.sinc(cycles)
-        core = np.conj(kernel) * (_dagger(eigvecs) @ middle @ eigvecs)
-        t_mat = eigvecs @ core @ _dagger(eigvecs)
-        d_beta = self.beta_sens * t_mat.diagonal(0, 1, 2)
-        d_coupling = self.coupling_sens * (t_mat.diagonal(1, 1, 2) + t_mat.diagonal(-1, 1, 2))
-        grad = -(2.0 / d**2) * np.real(np.conj(overlap) * np.concatenate([d_beta, d_coupling], 1))
+        # np.sinc(cycles) written out: sin(pi x) / (pi x), with eps at x == 0
+        y = np.pi * ((eigvals[:, :, None] - eigvals[:, None, :]) * length / (2.0 * np.pi))
+        y[y == 0] = _EPS
+        kernel = self.phase_rate * np.exp(self.phase_rate * mean) * (np.sin(y) / y)
+        core = np.conj(kernel) * (vecs_h @ middle @ eigvecs)
+        t_mat = eigvecs @ core @ vecs_h
+        d_overlap = self.d_overlap
+        np.multiply(self.beta_sens, t_mat.diagonal(0, 1, 2), out=d_overlap[:, :d])
+        np.add(t_mat.diagonal(1, 1, 2), t_mat.diagonal(-1, 1, 2), out=d_overlap[:, d:])
+        np.multiply(self.coupling_sens, d_overlap[:, d:], out=d_overlap[:, d:])
+        np.multiply(np.conj(overlap), d_overlap, out=d_overlap)
+        grad = -(2.0 / d**2) * d_overlap.real
         return float(value), grad.ravel()
+
+
+_EPS = np.finfo(float).eps
 
 
 def _dagger(stack: np.ndarray) -> np.ndarray:
@@ -187,10 +215,12 @@ class OptimizationResult:
         payload = json.loads(text)
         voltages = [
             VoltageSettings(
-                level_volts=np.array(item["level_volts"]),
-                coupling_volts=np.array(item["coupling_volts"]),
+                level_volts=require_numbers(item["level_volts"], f"voltages[{i}] level_volts"),
+                coupling_volts=require_numbers(
+                    item["coupling_volts"], f"voltages[{i}] coupling_volts"
+                ),
             )
-            for item in payload["voltages"]
+            for i, item in enumerate(payload["voltages"])
         ]
         if not voltages:
             raise ValueError("no voltage sections")

@@ -43,6 +43,8 @@ from .linalg import (
     assemble_unitary,
     operator_norm,
     require_count,
+    require_number,
+    require_numbers,
     require_positive,
     require_unitary,
     toeplitz_eigenvalues,
@@ -445,14 +447,15 @@ def _read_metadata(payload) -> dict:
     config = None
     raw_cfg = meta.get("config")
     if raw_cfg is not None:
-        if float(raw_cfg["recurrence_unit"]) != 1.0:
+        if require_number(raw_cfg["recurrence_unit"], "plan recurrence_unit") != 1.0:
             raise ValueError("plan recurrence_unit must be 1.0: lengths are in meters")
+        epsilon = require_number(raw_cfg["epsilon"], "plan epsilon")
         recurrence = DiophantineResult(
             denominator=raw_cfg["q"],
             numerators=tuple(raw_cfg["numerators"]),
-            residuals=tuple(float(r) for r in raw_cfg["residuals"]),
-            epsilon=float(raw_cfg["achieved_epsilon"]),
-            requested=float(raw_cfg["epsilon"]),
+            residuals=tuple(map(float, require_numbers(raw_cfg["residuals"], "plan residuals"))),
+            epsilon=require_number(raw_cfg["achieved_epsilon"], "plan achieved_epsilon"),
+            requested=epsilon,
         )
         config = TrotterConfig(
             dimension=d,
@@ -460,7 +463,7 @@ def _read_metadata(payload) -> dict:
             trotter_steps=trotter_steps,
             j1=raw_cfg["j1"],
             j2=raw_cfg["j2"],
-            epsilon=float(raw_cfg["epsilon"]),
+            epsilon=epsilon,
             recurrence=recurrence,
         )
     return dict(
@@ -468,9 +471,11 @@ def _read_metadata(payload) -> dict:
         trotter_steps=trotter_steps,
         section_budget=budget,
         section_length=section_length,
-        measured_error=meta.get("measured_error"),
-        epsilon_certificate=meta.get("epsilon_certificate"),
-        global_phase=float(meta.get("global_phase", 0.0)),
+        measured_error=_number_or_none(meta.get("measured_error"), "plan measured_error"),
+        epsilon_certificate=_number_or_none(
+            meta.get("epsilon_certificate"), "plan epsilon_certificate"
+        ),
+        global_phase=require_number(meta.get("global_phase", 0.0), "plan global_phase"),
         config=config,
         target_name=meta.get("target_name"),
     )
@@ -649,18 +654,25 @@ def _require_json(value, kind: type, what: str):
     return value
 
 
+def _number_or_none(value, what: str):
+    """``value`` unchanged; it must be null or a number."""
+    if value is not None:
+        require_number(value, what)
+    return value
+
+
 def _read_body(item: dict, d: int) -> PlanSection:
     """The checked section body of a plan file's section ``item``."""
     hamiltonian = TridiagonalHamiltonian(
-        betas=np.array(item["betas"]),
-        couplings=np.array(item["couplings"]),
-        length=float(item["length_m"]),
+        betas=require_numbers(item["betas"], "plan betas"),
+        couplings=require_numbers(item["couplings"], "plan couplings"),
+        length=require_number(item["length_m"], "plan length_m"),
     )
     if hamiltonian.dimension != d:
         raise ValueError(f"plan section has {hamiltonian.dimension} modes, metadata d is {d}")
     phases = item.get("reduced_phases")
     if phases is not None:
-        phases = tuple(map(float, _require_json(phases, list, "plan reduced_phases")))
+        phases = tuple(map(float, require_numbers(phases, "plan reduced_phases")))
         if len(phases) != d or not all(map(math.isfinite, phases)):
             raise ValueError(f"plan reduced_phases must be {d} finite numbers")
     return PlanSection(kind=item["kind"], hamiltonian=hamiltonian, reduced_phases=phases)
@@ -670,7 +682,8 @@ def _same_body(item: dict, checked: dict) -> bool:
     """Whether section ``item`` has the body of the already checked section
     ``checked`` bit for bit. Hamiltonian entries are strictly positive, so
     equal JSON values are equal floats; reduced phases may hold zeros, and
-    0.0 == -0.0, so phases with a zero are compared by their bits."""
+    0.0 == -0.0, so phases with a zero are compared by their bits. A bool
+    equals 0 or 1 but is no number, so an item holding one is never the same."""
     phases, checked_phases = item.get("reduced_phases"), checked.get("reduced_phases")
     return (
         item["kind"] == checked["kind"]
@@ -679,6 +692,8 @@ def _same_body(item: dict, checked: dict) -> bool:
         and item["length_m"] == checked["length_m"]
         and phases == checked_phases
         and (phases is None or 0 not in phases or _bits(phases) == _bits(checked_phases))
+        and bool not in set(map(type, (item["length_m"], *item["betas"], *item["couplings"],
+                                       *(phases or ()))))
     )
 
 

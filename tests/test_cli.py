@@ -241,6 +241,15 @@ def _plan_with_null_length(path: Path) -> list[str]:
     return ["simulate", "--plan", str(path)]
 
 
+def _plan_with_string_length(path: Path) -> list[str]:
+    from pwa_synth import compile_unitary
+
+    payload = json.loads(compile_unitary(dft(2)).to_json())
+    payload["sections"][0]["length_m"] = str(payload["sections"][0]["length_m"])
+    path.write_text(json.dumps(payload))
+    return ["simulate", "--plan", str(path)]
+
+
 def _plan_with_nan_section_length(path: Path) -> list[str]:
     from pwa_synth import compile_unitary
 
@@ -341,6 +350,10 @@ def _voltages_out_of_range(path: Path) -> list[str]:
     return _write_voltages(path, [([0.0, 0.0], [0.0]), ([99.0, 0.0], [0.0])])
 
 
+def _voltages_with_string_volts(path: Path) -> list[str]:
+    return _write_voltages(path, [(["1.5", "2", "0"], [True, 1])])
+
+
 def _matrix_of_numbers(path: Path) -> list[str]:
     path.write_text(json.dumps({"matrix": [[1, 2], [3, 4]]}))
     return ["compile", "--matrix", str(path)]
@@ -357,6 +370,7 @@ def _empty_voltages(path: Path) -> list[str]:
         _matrix_of_numbers,
         _empty_voltages,
         _plan_with_null_length,
+        _plan_with_string_length,
         _plan_with_nan_section_length,
         _plan_with_nonpositive_counts,
         _plan_with_wrong_dimension,
@@ -369,6 +383,7 @@ def _empty_voltages(path: Path) -> list[str]:
         _plan_with_nan_reduced_phases,
         _voltages_with_mixed_mode_counts,
         _voltages_out_of_range,
+        _voltages_with_string_volts,
     ],
 )
 def test_malformed_input_file_exits_2_naming_the_file(capsys, tmp_path, write_input):

@@ -84,6 +84,77 @@ def _reference_value_and_gradient(task, volts_flat):
     return float(value), grad.ravel()
 
 
+class _StackedReference:
+    """The stacked objective as it stood before its per-task workspace, kept
+    verbatim: the new evaluation must reproduce its bits, since rounding
+    steers L-BFGS."""
+
+    def __init__(self, task: OptimizationTask):
+        self.task = task
+        self.d = task.dimension
+        self.k = task.sections
+        model = task.model
+        self.length = model.section_length
+        self.beta_sens = model.beta_shift_per_volt
+        self.coupling_sens = model.coupling_shift_per_volt
+        self.gap_unitary = model.zero_voltage_hamiltonian(self.d).unitary()
+        self.levels = np.arange(self.d)
+        self.bonds = np.arange(self.d - 1)
+        self.identity = np.eye(self.d, dtype=complex)
+
+    def value_and_gradient(self, volts_flat: np.ndarray) -> tuple[float, np.ndarray]:
+        d, k, length = self.d, self.k, self.length
+        target, idx, off = self.task.target, self.levels, self.bonds
+        v = volts_flat.reshape(k, 2 * d - 1)
+        hams = np.zeros((k, d, d))
+        hams[:, idx, idx] = self.beta_sens * v[:, :d]
+        hams[:, off, off + 1] = self.task.model.base_coupling + self.coupling_sens * v[:, d:]
+        hams[:, off + 1, off] = hams[:, off, off + 1]
+        eigvals, eigvecs = np.linalg.eigh(hams)
+        units = assemble_unitary(eigvecs, eigvals * length)
+        # factors: section, gap, section, ...; below[j] holds factors < j, above[j] >= j
+        n = 2 * k - 1
+        mats = [self.gap_unitary] * n
+        mats[::2] = units
+        below = np.empty((n + 1, d, d), dtype=complex)
+        above = np.empty((n + 1, d, d), dtype=complex)
+        below[0] = above[n] = self.identity
+        for j in range(n):
+            np.matmul(mats[j], below[j], out=below[j + 1])
+        for j in range(n - 1, -1, -1):
+            np.matmul(above[j + 1], mats[j], out=above[j])
+        overlap = np.vdot(below[-1], target)
+        value = 1.0 - (abs(overlap) / d) ** 2
+        # section i is factor 2i; every product keeps the per-section order
+        # (A^H T) B^H, (V^H M) V, (V C) V^H, since rounding steers L-BFGS
+        middle = _dagger(above[1::2]) @ target @ _dagger(below[::2])
+        mean = 0.5 * (eigvals[:, :, None] + eigvals[:, None, :])
+        cycles = (eigvals[:, :, None] - eigvals[:, None, :]) * length / (2.0 * np.pi)
+        kernel = -1j * length * np.exp(-1j * length * mean) * np.sinc(cycles)
+        core = np.conj(kernel) * (_dagger(eigvecs) @ middle @ eigvecs)
+        t_mat = eigvecs @ core @ _dagger(eigvecs)
+        d_beta = self.beta_sens * t_mat.diagonal(0, 1, 2)
+        d_coupling = self.coupling_sens * (t_mat.diagonal(1, 1, 2) + t_mat.diagonal(-1, 1, 2))
+        grad = -(2.0 / d**2) * np.real(np.conj(overlap) * np.concatenate([d_beta, d_coupling], 1))
+        return float(value), grad.ravel()
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
+
+
+def _pinned_points(rng, task):
+    """Random voltages, all zero, all at +-max_voltage and random corners."""
+    vmax, size = task.model.max_voltage, task.parameters
+    return [
+        *(rng.uniform(-vmax, vmax, size) for _ in range(3)),
+        np.zeros(size),
+        np.full(size, vmax),
+        np.full(size, -vmax),
+        rng.choice([-vmax, vmax], size),
+    ]
+
+
 def _assert_gradient_matches_finite_differences(d, k, seed):
     rng = np.random.default_rng(seed)
     task = OptimizationTask(target=dft(d), sections=k)
@@ -185,6 +256,54 @@ class TestInfidelityAndGradient:
             assert abs(value - ref_value) <= 1e-13
             np.testing.assert_allclose(grad, ref_grad, rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_bits_match_stacked_reference(self, d, k):
+        rng = np.random.default_rng([d, k, 18])
+        task = OptimizationTask(target=haar_random_unitary(d, 10 * d + k), sections=k)
+        objective, reference = _ChipObjective(task), _StackedReference(task)
+        for flat in _pinned_points(rng, task):
+            value, grad = objective.value_and_gradient(flat)
+            ref_value, ref_grad = reference.value_and_gradient(flat)
+            assert value == ref_value
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_bits_match_stacked_reference_on_degenerate_sections(self, d, k):
+        # the default device's couplings stay above 79 /m, so its sections
+        # have distinct eigenvalues and the sinc's zero branch is met only on
+        # the diagonal; here -max_voltage zeroes every coupling, and equal
+        # level voltages make every eigenvalue equal
+        model = DeviceModel(base_coupling=15.0, coupling_shift_per_volt=1.0)
+        task = OptimizationTask(target=dft(d), sections=k, model=model)
+        flat = np.zeros((k, 2 * d - 1))
+        flat[:, d:] = -model.max_voltage
+        flat[1:, :d] = 3.0
+        objective, reference = _ChipObjective(task), _StackedReference(task)
+        value, grad = objective.value_and_gradient(flat.ravel())
+        eigvals = np.linalg.eigh(objective.hams)[0]
+        assert np.all(eigvals == eigvals[:, :1])
+        ref_value, ref_grad = reference.value_and_gradient(flat.ravel())
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_workspace_reuse_keeps_the_bits_of_fresh_objectives(self):
+        rng = np.random.default_rng(18)
+        for d, k in ((2, 1), (5, 5), (4, 2)):
+            task = OptimizationTask(target=haar_random_unitary(d, k), sections=k)
+            x1, x2 = (rng.uniform(-15.0, 15.0, task.parameters) for _ in range(2))
+            fresh = [_ChipObjective(task).value_and_gradient(x) for x in (x1, x2, x1)]
+            objective = _ChipObjective(task)
+            for x, (value, grad) in zip((x1, x2, x1), fresh):
+                got_value, got_grad = objective.value_and_gradient(x)
+                assert got_value == value
+                np.testing.assert_array_equal(got_grad, grad)
+                got_grad[:] = np.nan  # a returned gradient is the caller's own
+            value, grad = objective.value_and_gradient(x2)
+            assert value == fresh[1][0]
+            np.testing.assert_array_equal(grad, fresh[1][1])
+
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("d", range(3, 9))
     def test_objective_value_is_realized_infidelity(self, d, k):
@@ -226,17 +345,19 @@ class TestOptimize:
         assert result.fidelity >= 1.0 - 1e-6
 
     def test_determinism_and_aggregation(self):
-        task = OptimizationTask(
-            target=dft(3), sections=2, restarts=3, seed=5, max_iterations=60
-        )
-        a = optimize(task)
-        b = optimize(task)
-        assert a.restart_infidelities == b.restart_infidelities
-        assert a.iteration_counts == b.iteration_counts
-        assert a.infidelity == min(a.restart_infidelities)
-        for va, vb in zip(a.voltages, b.voltages):
-            np.testing.assert_array_equal(va.level_volts, vb.level_volts)
-            np.testing.assert_array_equal(va.coupling_volts, vb.coupling_volts)
+        # each call builds its own objective and workspace; K = 1 has no gap
+        for sections in (1, 2, 4):
+            task = OptimizationTask(
+                target=dft(3), sections=sections, restarts=3, seed=5, max_iterations=60
+            )
+            a = optimize(task)
+            b = optimize(task)
+            assert a.restart_infidelities == b.restart_infidelities
+            assert a.iteration_counts == b.iteration_counts
+            assert a.infidelity == min(a.restart_infidelities)
+            for va, vb in zip(a.voltages, b.voltages):
+                np.testing.assert_array_equal(va.level_volts, vb.level_volts)
+                np.testing.assert_array_equal(va.coupling_volts, vb.coupling_volts)
 
     def test_jobs_starts_no_thread(self, monkeypatch):
         task = OptimizationTask(
@@ -342,6 +463,23 @@ class TestOptimize:
         )
         result = optimize(task)
         assert result.fidelity >= 0.9
+
+    @pytest.mark.parametrize(
+        "levels, couplings, message",
+        [
+            (["1.5", "2", "0"], [True, 1], "level_volts must be a list of numbers, got item '1.5'"),
+            ([1.5, 2, 0], [True, 1], "coupling_volts must be a list of numbers, got item True"),
+            ([1.5, 2, 0], "0.5", "coupling_volts must be a list of numbers, got str"),
+        ],
+    )
+    def test_voltages_must_be_json_numbers(self, levels, couplings, message):
+        text = json.dumps({"voltages": [{"level_volts": [0.0] * 3, "coupling_volts": [0.0] * 2},
+                                        {"level_volts": levels, "coupling_volts": couplings}]})
+        with pytest.raises(ValueError, match=f"^{re.escape('voltages[1] ' + message)}$"):
+            OptimizationResult.voltages_from_json(text)
+        numbers = json.dumps({"voltages": [{"level_volts": [1.5, 2, 0], "coupling_volts": [1, 1]}]})
+        volts, _ = OptimizationResult.voltages_from_json(numbers)
+        np.testing.assert_array_equal(volts[0].level_volts, [1.5, 2.0, 0.0])
 
     def test_json_and_csv_round_trip(self):
         model = DeviceModel()

@@ -2,6 +2,7 @@ import collections
 import copy
 import dataclasses
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -530,6 +531,71 @@ class TestPlanJson:
             ChipPlan.from_json(json.dumps(payload, indent=2))
 
     @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("B", "reduced_phases", 0), "0.5",
+             "plan reduced_phases must be a list of numbers, got item '0.5'"),
+            (("A", "length_m"), "0.006", "plan length_m must be a number, got '0.006'"),
+            (("A", "betas", 0), True, "plan betas must be a list of numbers, got item True"),
+            (("B", "couplings", 1), True,
+             "plan couplings must be a list of numbers, got item True"),
+            (("config", "residuals", 0), "0.0",
+             "plan residuals must be a list of numbers, got item '0.0'"),
+            (("config", "achieved_epsilon"), "1e-3",
+             "plan achieved_epsilon must be a number, got '1e-3'"),
+            (("config", "epsilon"), True, "plan epsilon must be a number, got True"),
+            (("config", "recurrence_unit"), True,
+             "plan recurrence_unit must be a number, got True"),
+            (("meta", "global_phase"), "0.1", "plan global_phase must be a number, got '0.1'"),
+            (("meta", "measured_error"), "0", "plan measured_error must be a number, got '0'"),
+        ],
+        ids=["phases", "length", "beta", "coupling", "residual", "achieved", "epsilon", "unit",
+             "global-phase", "measured-error"],
+    )
+    def test_values_must_be_json_numbers(self, path, value, message):
+        payload = json.loads(compile_unitary(dft(3), trotter_steps=2).to_json())
+        where, *keys = path
+        if where == "meta":
+            target = payload["metadata"]
+        elif where == "config":
+            target = payload["metadata"]["config"]
+        else:
+            target = next(s for s in payload["sections"] if s["kind"] == where)
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        # the compact text takes the general reader; the indented one starts
+        # in the layout reader, which hands the text over on the failed check
+        for text in (json.dumps(payload), json.dumps(payload, indent=2)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ChipPlan.from_json(text)
+
+    @pytest.mark.parametrize(
+        "kind, key, index, number, flag",
+        [("A", "length_m", None, 1.0, True), ("A", "betas", 0, 1.0, True),
+         ("B", "reduced_phases", 0, 0.0, False), ("B", "reduced_phases", 1, 1.0, True)],
+        ids=["length-true", "beta-true", "phase-false", "phase-true"],
+    )
+    def test_bool_copy_of_an_equal_number_is_rejected(self, kind, key, index, number, flag):
+        # true == 1.0 and false == 0.0 in Python, so a copy holding a bool
+        # compares equal to a checked body holding that number
+        def text_with(third):
+            payload = json.loads(compile_unitary(dft(3), trotter_steps=4).to_json())
+            copies = [s for s in payload["sections"] if s["kind"] == kind
+                      and s["provenance"]["factor_index"] == 0
+                      and s["provenance"]["su2_index"] == 0]
+            assert len(copies) == 4
+            for i, section in enumerate(copies):
+                holder, name = (section, key) if index is None else (section[key], index)
+                holder[name] = third if i == 2 else number
+            return json.dumps(payload)
+
+        ChipPlan.from_json(text_with(number))
+        what = "plan length_m must be a number" if index is None else f"plan {key} must be a list"
+        with pytest.raises(ValueError, match=what):
+            ChipPlan.from_json(text_with(flag))
+
+    @pytest.mark.parametrize(
         "phases", [[float("nan"), 1.0], [float("inf"), 0.0], [1.0], [0.0, 1.0, 2.0]],
         ids=["nan", "inf", "short", "long"],
     )
@@ -813,7 +879,8 @@ NEAR_LAYOUT_EDITS = {
     "extra-key": (lambda b, a: a.__setitem__("note", 1), None),
     "reordered-keys": (_reversed_keys, None),
     "int-beta": (_drive_literal("1000", "betas", 0), None),
-    "true-beta": (_drive_literal("true", "betas", 0), None),
+    "true-beta": (_drive_literal("true", "betas", 0), "plan betas must be a list of numbers"),
+    "string-length": (_drive_literal('"0.006"', "length_m"), "plan length_m must be a number"),
 }
 
 
