@@ -113,8 +113,12 @@ def hamiltonian_from_voltages(model: DeviceModel, volts: VoltageSettings) -> Tri
 def chip_sections(chip, model: DeviceModel | None = None) -> list[TridiagonalHamiltonian]:
     """Normalize a plan / Hamiltonian list / voltage list into physical sections.
 
-    Voltage lists become K sections of length L separated by K-1 zero-voltage
-    gaps of length 0.1 L, the layout of the numerical experiments.
+    Plan sections come back as their Hamiltonians alone, without their
+    ``reduced_phases``, so ``propagate`` evolves a plan's recurrence and gap
+    sections from their float ``length`` rather than from their exact
+    phases (ROADMAP item 5). Voltage lists become K sections of length L
+    separated by K-1 zero-voltage gaps of length 0.1 L, the layout of the
+    numerical experiments.
     """
     if isinstance(chip, ChipPlan):
         return [

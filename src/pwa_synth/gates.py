@@ -10,9 +10,6 @@ import numpy as np
 
 from .linalg import haar_random_unitary, require_count
 
-#: Emitted gates are unitary to well below this tolerance.
-GATE_ATOL = 1e-12
-
 
 def dft(d: int) -> np.ndarray:
     """DFT matrix with entries omega^{(d-j)k} / sqrt(d), 0-based j, k, omega = e^{2 pi i/d}."""

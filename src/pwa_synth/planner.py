@@ -15,23 +15,29 @@ uniform commutes. At d = 2 the synthesized sections are the plan.
 A plan is held in memory as run-length blocks: each block stores the bodies
 of one Trotter step once, with the provenance they share and the step values
 they repeat over. ``ChipPlan.sections`` expands the blocks into the flat
-section list, and the plan file (schema v1) stays that flat list. Equal
-drive bodies are one object, and so are the recurrence bodies of all blocks.
+section list, and the plan file (schema v1) stays that flat list.
+
+A section body (a section without its provenance) is identified by its text
+in the plan file, ``PlanSection._text``, which is formed once per body.
+Compiling, writing and both readers use it: equal drive bodies are one
+object, and so are the recurrence bodies of all blocks; ``to_json`` writes
+each body's cached text around its provenance.
 
 ``ChipPlan.from_json`` reads text laid out as ``to_json`` writes it in place:
-each distinct section body is parsed and checked once, and equal bodies share
-one object. Any other layout goes to a general reader that parses the whole
-text; both accept the same files and return the same plans.
+each distinct section body is parsed and checked once. Any other layout goes
+to a general reader that parses the whole text and reads each distinct
+section once. Both accept the same files, share bodies with equal text and
+return the same plans.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import marshal
 import math
 import operator
 import re
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,8 +69,6 @@ PLAN_SCHEMA_VERSION = 1
 _PROVENANCE = ("factor_index", "su2_index", "trotter_step")
 #: The exact types of the usual provenance values (a bool's type is not int).
 _PROVENANCE_TYPES = {int, type(None)}
-#: Where a section's step goes in its stdlib encoding, written with a null step.
-_NULL_STEP = '"trotter_step": null'
 #: The writer's layout around the sections: the key that opens the list, the
 #: text between two sections, the text that closes a section and the text
 #: that closes the list and the file.
@@ -73,17 +77,28 @@ _SECTION_SEP = ",\n    "
 _SECTION_CLOSE = "\n    }"
 _SECTIONS_END = "\n  ]\n}"
 _NOT_LAYOUT = "plan text is not laid out as to_json writes it"
+#: A section as ``json.dumps(payload, indent=2)`` lays it out: the text before
+#: its provenance, its provenance from (factor_index, su2_index, trotter_step)
+#: and the text after its provenance.
+_BODY_HEAD = """{
+      "kind": %s,
+      "betas": %s,
+      "couplings": %s,
+      "length_m": %s,
+      """
+_PROVENANCE_LAYOUT = """"provenance": {
+        "factor_index": %s,
+        "su2_index": %s,
+        "trotter_step": %s
+      }"""
+_BODY_TAIL = """,
+      "reduced_phases": %s
+    }"""
 #: An int as ``"%d"`` formats it, the only way the writer writes one.
 _INT_TEXT = r"0|-?[1-9][0-9]*"
 _STEP = re.compile(_INT_TEXT)
-#: A section's provenance as the writer lays it out (see ``_BODY_TEXT``).
-_PROVENANCE_TEXT = re.compile(
-    r'"provenance": \{\n'
-    r'        "factor_index": (null|%s),\n'
-    r'        "su2_index": (null|%s),\n'
-    r'        "trotter_step": (null|%s)\n'
-    r"      \}" % ((_INT_TEXT,) * 3)
-)
+#: A section's provenance as the writer lays it out, each value null or an int.
+_PROVENANCE_TEXT = re.compile(re.escape(_PROVENANCE_LAYOUT) % ((f"(null|{_INT_TEXT})",) * 3))
 
 
 class PlanError(RuntimeError):
@@ -270,6 +285,10 @@ class PlanSection:
     eigenvalue-length products cannot be trusted in double precision.
     The provenance fields (factor_index, su2_index, trotter_step) are each an
     int or None.
+
+    A section's body is everything but its provenance, and ``_text`` is the
+    body's identity: equal texts are equal bodies, bit for bit, since floats
+    are written as round-trip reprs (so -0.0 and 0.0 stay apart).
     """
 
     kind: str
@@ -297,6 +316,18 @@ class PlanSection:
         # The fields are immutable, so ``unitary()`` is formed once per object;
         # plan blocks share recurrence bodies, and realize only reads it.
         return self.unitary()
+
+    @cached_property
+    def _text(self) -> tuple[str, str]:
+        """The section's text in a plan file before its provenance and after
+        it, laid out as ``json.dumps(payload, indent=2)`` writes them."""
+        h = self.hamiltonian
+        phases = "null" if self.reduced_phases is None else _list_text(self.reduced_phases)
+        return (
+            _BODY_HEAD % (json.dumps(self.kind), _list_text(h.betas.tolist()),
+                          _list_text(h.couplings.tolist()), json.dumps(h.length)),
+            _BODY_TAIL % phases,
+        )
 
 
 @dataclass(frozen=True)
@@ -377,24 +408,21 @@ class ChipPlan:
     def to_json(self) -> str:
         """Schema v1 text: ``json.dumps(payload, indent=2)`` of the whole plan.
 
-        Each block's bodies are encoded once, with a null step; every step of
-        the block reuses that text around its own step value. Steps are ints
-        or None, so formatting them directly matches the stdlib encoder.
+        Each section is its body's cached ``_text`` around its provenance. A
+        body's text is formed once per object, and compiled and loaded plans
+        hold one object per distinct body, so each is encoded once.
+        Provenance values are ints or None, so formatting them directly
+        matches the stdlib encoder.
         """
         head = _head_text(self)
         pieces = [head, "[\n    "]
         for block in self.blocks:
-            step_text = _SECTION_SEP.join(
-                _encode_body(body, (block.factor_index, block.su2_index, None))
-                for body in block.bodies
-            )
-            first, *tails = step_text.split(_NULL_STEP)
+            texts = [body._text for body in block.bodies]
+            factor, su2 = _int_text(block.factor_index), _int_text(block.su2_index)
             for step in block.trotter_steps:
-                key = '"trotter_step": %s' % _int_text(step)
-                pieces.append(first)
-                for tail in tails:
-                    pieces += (key, tail)
-                pieces.append(_SECTION_SEP)
+                provenance = _PROVENANCE_LAYOUT % (factor, su2, _int_text(step))
+                for before, after in texts:
+                    pieces += (before, provenance, after, _SECTION_SEP)
         if len(pieces) == 2:
             return head + "[]\n}"
         pieces[-1] = _SECTIONS_END
@@ -402,15 +430,15 @@ class ChipPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "ChipPlan":
-        """Load schema v1 text. Consecutive sections with equal provenance form
-        one step; a step that repeats the previous step's bodies bit for bit,
-        with the same factor and su2 index, joins its block. Each body is
-        checked when it is read, and a copy joins a block only when it equals
-        a checked body, so every section meets the checks.
+        """Load schema v1 text. Every section body is checked, and bodies with
+        equal text (``PlanSection._text``) share one object, wherever they
+        are in the file. Consecutive sections with equal provenance form one
+        step; a step that repeats the previous step's body objects, with the
+        same factor and su2 index, joins its block.
 
         Text laid out as ``to_json`` writes it is read in place, each distinct
-        section body once, and equal bodies share one object; any other text
-        goes to the general reader, which reads any JSON layout and raises
+        section body once; any other text goes to the general reader, which
+        reads any JSON layout, reads each distinct section once and raises
         the errors of the checks.
         """
         try:
@@ -421,16 +449,29 @@ class ChipPlan:
             pass
         payload = json.loads(text, parse_float=_FloatMemo().__getitem__)
         plan = cls(**_read_metadata(payload), blocks=[])
-        sections = []
-        for item in _require_json(payload["sections"], list, "plan sections"):
+        items = _require_json(payload["sections"], list, "plan sections")
+        keys = []
+        for item in items:
             provenance = _require_json(
-                _require_json(item, dict, "plan section")["provenance"], dict, "section provenance"
+                _require_json(item, dict, "plan section").pop("provenance"), dict,
+                "section provenance",
             )
             key = tuple(map(provenance.get, _PROVENANCE))
             _require_provenance(key, _PROVENANCE)
-            sections.append((key, item))
-        d = plan.dimension
-        plan.blocks = _group_blocks(sections, lambda item: _read_body(item, d), _same_body)
+            keys.append(key)
+        # marshal (version 2, which writes no back-references) gives equal
+        # bytes only for equal values of equal types: 1 and 1.0, true and 1,
+        # 0.0 and -0.0 all differ. Each distinct item is read once.
+        read: dict[bytes, PlanSection] = {}
+        bodies: dict[tuple[str, str], PlanSection] = {}
+        for i, item in enumerate(items):
+            raw = marshal.dumps(item, 2)
+            body = read.get(raw)
+            if body is None:
+                body = _read_body(item, plan.dimension)
+                body = read[raw] = bodies.setdefault(body._text, body)
+            items[i] = body
+        plan.blocks = _group_blocks(zip(keys, items))
         return plan
 
 
@@ -524,9 +565,9 @@ def _read_layout(cls, text: str) -> ChipPlan:
     from its integer ``trotter_step``, is that section's body with a new
     step. Any other section is keyed by its text with the provenance masked
     out; a new key is parsed, checked as the general reader checks it, and
-    accepted only when its encoding gives back the section's text. So the
-    text equals ``to_json()`` of the returned plan, and equal bodies anywhere
-    in the file share one object. The text is never sliced or split whole.
+    accepted only when it is the body's ``_text``. So the text equals
+    ``to_json()`` of the returned plan, and equal bodies anywhere in the file
+    share one object. The text is never sliced or split whole.
     """
     start = text.index(_SECTIONS_KEY) + len(_SECTIONS_KEY)
     plan = cls(**_read_metadata(json.loads(text[:start] + "[]\n}")), blocks=[])
@@ -537,7 +578,7 @@ def _read_layout(cls, text: str) -> ChipPlan:
     if not text.startswith("[\n    ", start):
         raise ValueError(_NOT_LAYOUT)
     sections = _walk_sections(text, start + len("[\n    "), plan.dimension)
-    plan.blocks = _group_blocks(sections, lambda body: body, operator.is_)
+    plan.blocks = _group_blocks(sections)
     return plan
 
 
@@ -573,9 +614,8 @@ def _walk_sections(text: str, pos: int, d: int):
             masked = (text[pos : found.start()], text[found.end() : end])
             body = bodies.get(masked)
             if body is None:
-                section = text[pos:end]
-                body = _read_body(json.loads(section), d)
-                if _encode_body(body, key) != section:
+                body = _read_body(json.loads(text[pos:end]), d)
+                if body._text != masked:
                     raise ValueError(_NOT_LAYOUT)
                 bodies[masked] = body
             step = found.start(3)
@@ -593,36 +633,25 @@ def _walk_sections(text: str, pos: int, d: int):
             raise ValueError(_NOT_LAYOUT)
 
 
-def _group_blocks(sections, read, same) -> list[PlanBlock]:
-    """Run-length blocks of ``(provenance, item)`` pairs in file order.
+def _group_blocks(sections) -> list[PlanBlock]:
+    """Run-length blocks of ``(provenance, body)`` pairs in file order.
 
     Consecutive pairs with equal provenance form one step. A step joins the
-    previous block when it has the block's factor and su2 index and each of
-    its items is ``same`` as the block's first step's item at that place.
-    Otherwise it starts a block whose bodies are ``read`` from its items,
-    except that an item ``same`` as the previous block's at the same place
-    takes that block's body, as in compiled plans, whose blocks share the
-    recurrence.
+    previous block when it has the block's factor and su2 index and the
+    block's body objects, in order; otherwise it starts a block.
     """
     runs: list[tuple] = []  # (bodies, factor_index, su2_index, step values)
-    bodies: tuple = ()
-    checked: list = []  # the items that the last run's bodies stand for
     for (factor, su2, step), pairs in itertools.groupby(sections, key=operator.itemgetter(0)):
-        items = [item for _, item in pairs]
+        bodies = tuple(body for _, body in pairs)
         if (
             runs
             and runs[-1][1:3] == (factor, su2)
-            and len(items) == len(checked)
-            and all(map(same, items, checked))
+            and len(bodies) == len(runs[-1][0])
+            and all(map(operator.is_, bodies, runs[-1][0]))
         ):
             runs[-1][3].append(step)
-            continue
-        bodies = tuple(
-            bodies[i] if i < len(checked) and same(item, checked[i]) else read(item)
-            for i, item in enumerate(items)
-        )
-        checked = items
-        runs.append((bodies, factor, su2, [step]))
+        else:
+            runs.append((bodies, factor, su2, [step]))
     return [PlanBlock(b, f, s, tuple(values)) for b, f, s, values in runs]
 
 
@@ -678,60 +707,8 @@ def _read_body(item: dict, d: int) -> PlanSection:
     return PlanSection(kind=item["kind"], hamiltonian=hamiltonian, reduced_phases=phases)
 
 
-def _same_body(item: dict, checked: dict) -> bool:
-    """Whether section ``item`` has the body of the already checked section
-    ``checked`` bit for bit. Hamiltonian entries are strictly positive, so
-    equal JSON values are equal floats; reduced phases may hold zeros, and
-    0.0 == -0.0, so phases with a zero are compared by their bits. A bool
-    equals 0 or 1 but is no number, so an item holding one is never the same."""
-    phases, checked_phases = item.get("reduced_phases"), checked.get("reduced_phases")
-    return (
-        item["kind"] == checked["kind"]
-        and item["betas"] == checked["betas"]
-        and item["couplings"] == checked["couplings"]
-        and item["length_m"] == checked["length_m"]
-        and phases == checked_phases
-        and (phases is None or 0 not in phases or _bits(phases) == _bits(checked_phases))
-        and bool not in set(map(type, (item["length_m"], *item["betas"], *item["couplings"],
-                                       *(phases or ()))))
-    )
-
-
-def _bits(values: list) -> bytes:
-    return array("d", map(float, values)).tobytes()
-
-
 def _int_text(value: int | None) -> str:
     return "null" if value is None else "%d" % value
-
-
-def _encode_body(body: PlanSection, provenance: tuple) -> str:
-    """The stdlib encoding, two levels deep, of ``body`` with ``provenance``
-    (factor_index, su2_index, trotter_step). Values go through the compact
-    stdlib encoder, which formats them as the indenting one does."""
-    return _BODY_TEXT % (
-        json.dumps(body.kind),
-        _list_text(body.hamiltonian.betas.tolist()),
-        _list_text(body.hamiltonian.couplings.tolist()),
-        json.dumps(body.hamiltonian.length),
-        *map(_int_text, provenance),
-        "null" if body.reduced_phases is None else _list_text(body.reduced_phases),
-    )
-
-
-#: A plan section as ``json.dumps(payload, indent=2)`` lays it out.
-_BODY_TEXT = """{
-      "kind": %s,
-      "betas": %s,
-      "couplings": %s,
-      "length_m": %s,
-      "provenance": {
-        "factor_index": %s,
-        "su2_index": %s,
-        "trotter_step": %s
-      },
-      "reduced_phases": %s
-    }"""
 
 
 def _list_text(values) -> str:
@@ -825,14 +802,15 @@ def compile_unitary(
         recurrence = _recurrence_sections(config, gap)
 
     blocks = []
-    drives: dict[tuple, PlanSection] = {}  # one body per distinct drive section
+    drives: dict[tuple[str, str], PlanSection] = {}  # one body per distinct drive text
     for op_index, op in enumerate(ops):
         for su2_index, sec in enumerate(synthesize_su2(op.matrix, section_length)):
-            drive = sec if config is None else plan_trotter_pair(sec, op.mode, config)
-            key = (drive.betas.tobytes(), drive.couplings.tobytes(), drive.length)
-            if key not in drives:
-                drives[key] = PlanSection(kind=SECTION_A, hamiltonian=drive)
-            blocks.append(PlanBlock((*recurrence, drives[key]), op_index, su2_index, steps))
+            drive = PlanSection(
+                kind=SECTION_A,
+                hamiltonian=sec if config is None else plan_trotter_pair(sec, op.mode, config),
+            )
+            drive = drives.setdefault(drive._text, drive)
+            blocks.append(PlanBlock((*recurrence, drive), op_index, su2_index, steps))
 
     plan = ChipPlan(
         dimension=d,

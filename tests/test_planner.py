@@ -27,6 +27,7 @@ from pwa_synth import (
     PlanError,
     PlanSection,
     plan_trotter_pair,
+    planner,
     synthesize_su2,
     toeplitz_eigenvalues,
     two_level_decompose,
@@ -503,6 +504,20 @@ class TestPlanJson:
         assert text == reference_json(plan)
         assert ChipPlan.from_json(text).to_json() == text
 
+    def test_each_body_text_is_formed_once(self, monkeypatch):
+        plan = compile_unitary(haar_random_unitary(4, 3), trotter_steps=8)
+        text = plan.to_json()
+        loaded = ChipPlan.from_json(text)
+        calls = []
+        list_text = planner._list_text
+        monkeypatch.setattr(planner, "_list_text", lambda v: calls.append(v) or list_text(v))
+        # the compiled drives and the first write formed every body's text,
+        # and the reader formed the loaded bodies' texts when it checked them
+        assert plan.to_json() == text
+        assert len(calls) == 0
+        assert loaded.to_json() == text
+        assert len(calls) == 0
+
     @pytest.mark.parametrize(
         "kind, tamper, match",
         [
@@ -706,6 +721,23 @@ def general_load(text: str) -> ChipPlan:
         return ChipPlan.from_json(text)
 
 
+def reencodings(text: str) -> dict[str, str]:
+    """``text`` re-encoded compactly, and with the keys of its metadata and
+    of each section in reverse order; both take the general reader."""
+    payload = json.loads(text)
+    reordered = {
+        "sections": [dict(reversed(list(s.items()))) for s in payload["sections"]],
+        "metadata": dict(reversed(list(payload["metadata"].items()))),
+        "schema_version": payload["schema_version"],
+    }
+    return {"compact": json.dumps(payload), "reordered": json.dumps(reordered)}
+
+
+def body_objects(plan: ChipPlan) -> int:
+    """How many distinct body objects the plan's blocks hold."""
+    return len({id(body) for block in plan.blocks for body in block.bodies})
+
+
 def plan_summary(plan: ChipPlan) -> tuple:
     """What a loaded plan holds: its metadata, its blocks' shape, its
     sections with floats by their bits, the bits of its realized product
@@ -740,18 +772,12 @@ class TestBlocksMatchFlatReference:
         assert plan.measured_error == operator_norm(target - realized)
 
         text = plan.to_json()
-        payload = json.loads(text)
-        reordered = {
-            "sections": [dict(reversed(list(s.items()))) for s in payload["sections"]],
-            "metadata": dict(reversed(list(payload["metadata"].items()))),
-            "schema_version": 1,
-        }
         # the canonical text takes the layout reader, the other texts and
         # general_load the general reader; all give the compiled plan
         expected = plan_summary(plan)
         assert expected[2:4] == (section_entries(sections), realized.tobytes())
         assert expected[4] == text
-        for variant in (text, json.dumps(payload), json.dumps(reordered)):
+        for variant in (text, *reencodings(text).values()):
             assert plan_summary(ChipPlan.from_json(variant)) == expected
         assert plan_summary(general_load(text)) == expected
 
@@ -805,6 +831,21 @@ class TestRunGrouping:
             (s["kind"], *s["provenance"].values()) for s in payload["sections"]
         ]
         assert np.array_equal(loaded.realize(), flat_product(loaded.sections, 3))
+
+    def test_equal_int_literal_joins_its_block(self):
+        # every drive copy of block (0, 0) holds the beta 1000.0, the step-2
+        # copy as the int literal 1000: an equal value, so the same body
+        payload = json.loads(compile_unitary(dft(3), trotter_steps=4).to_json())
+        drives = [c for c in block_copies(payload) if c["kind"] == "A"]
+        assert [c["provenance"]["trotter_step"] for c in drives] == [0, 1, 2, 3]
+        for c in drives:
+            c["betas"][0] = "@" if c is drives[2] else 1000.0
+        text = json.dumps(payload, indent=2).replace('"@"', "1000")
+        loaded = ChipPlan.from_json(text)
+        assert loaded.blocks[0].trotter_steps == (0, 1, 2, 3)
+        assert len(loaded.blocks) == 20
+        drives[2]["betas"][0] = 1000.0
+        assert plan_summary(loaded) == plan_summary(ChipPlan.from_json(json.dumps(payload)))
 
     def test_float_literals_load_to_the_default_parsers_bits(self):
         rows = [
@@ -908,9 +949,15 @@ class TestLayoutReader:
         monkeypatch.undo()
         distinct = {entry[:1] + entry[2:] for entry in section_entries(plan.sections)}
         assert len(calls) <= len(distinct) + 1
-        # equal bodies anywhere in the file share one object
-        assert len({id(b) for block in loaded.blocks for b in block.bodies}) == len(distinct)
-        assert plan_summary(loaded) == plan_summary(general_load(text))
+        # equal bodies anywhere in the file share one object, and the general
+        # reader shares them alike, whatever the layout of the text
+        assert body_objects(loaded) == len(distinct)
+        expected = plan_summary(loaded)
+        assert plan_summary(general_load(text)) == expected
+        for name, variant in reencodings(text).items():
+            other = ChipPlan.from_json(variant)
+            assert (name, body_objects(other)) == (name, len(distinct))
+            assert plan_summary(other) == expected
 
     @pytest.mark.parametrize("edit, error", NEAR_LAYOUT_EDITS.values(), ids=NEAR_LAYOUT_EDITS)
     def test_near_layout_text_loads_as_the_general_reader_loads_it(self, edit, error):
