@@ -45,7 +45,8 @@ class OptimizationTask:
     max_iterations: int = 2000
 
     def __post_init__(self):
-        target = require_unitary(self.target, atol=1e-8, what="target")
+        # A copy: the task freezes its target, never its caller's array.
+        target = require_unitary(self.target, atol=1e-8, what="target").copy()
         target.flags.writeable = False
         object.__setattr__(self, "target", target)
         for name in ("sections", "restarts", "max_iterations"):

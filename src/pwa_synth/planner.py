@@ -23,11 +23,14 @@ Compiling, writing and both readers use it: equal drive bodies are one
 object, and so are the recurrence bodies of all blocks; ``to_json`` writes
 each body's cached text around its provenance.
 
-``ChipPlan.from_json`` reads text laid out as ``to_json`` writes it in place:
-each distinct section body is parsed and checked once. Any other layout goes
+``ChipPlan.from_json`` reads exactly what ``to_json`` writes for compiled
+plans, and for compiled plans written back after loading, in place: each
+block's first Trotter step section by section, each distinct body parsed and
+checked once, and each later step as that step's text with its step value
+filled in. Every other text, hand edits in the writer's layout included, goes
 to a general reader that parses the whole text and reads each distinct
-section once. Both accept the same files, share bodies with equal text and
-return the same plans.
+section once. Both share bodies with equal text, and where both load a text
+they return the same plan.
 """
 
 from __future__ import annotations
@@ -96,7 +99,6 @@ _BODY_TAIL = """,
     }"""
 #: An int as ``"%d"`` formats it, the only way the writer writes one.
 _INT_TEXT = r"0|-?[1-9][0-9]*"
-_STEP = re.compile(_INT_TEXT)
 #: A section's provenance as the writer lays it out, each value null or an int.
 _PROVENANCE_TEXT = re.compile(re.escape(_PROVENANCE_LAYOUT) % ((f"(null|{_INT_TEXT})",) * 3))
 
@@ -436,10 +438,11 @@ class ChipPlan:
         step; a step that repeats the previous step's body objects, with the
         same factor and su2 index, joins its block.
 
-        Text laid out as ``to_json`` writes it is read in place, each distinct
-        section body once; any other text goes to the general reader, which
-        reads any JSON layout, reads each distinct section once and raises
-        the errors of the checks.
+        What ``to_json`` writes for a compiled plan, or for a compiled plan
+        written back after loading, is read in place (``_read_layout``);
+        any other text goes to the general reader, which reads any JSON
+        layout, reads each distinct section once and raises the errors of
+        the checks.
         """
         try:
             return _read_layout(cls, text)
@@ -556,18 +559,17 @@ def _head_text(plan: ChipPlan) -> str:
 
 
 def _read_layout(cls, text: str) -> ChipPlan:
-    """The plan of ``text`` laid out exactly as ``to_json`` writes it; any
-    other text raises.
+    """The plan of ``text`` if it is exactly ``to_json()`` of a plan whose
+    blocks each repeat their bodies over all of the plan's steps (``range(N)``
+    with a config, the single step None without); any other text raises.
 
-    The metadata is accepted when its re-encoding gives back its text. The
-    sections are walked in place. A section that equals the previous step's
-    section at the same place (or the current step's first section), apart
-    from its integer ``trotter_step``, is that section's body with a new
-    step. Any other section is keyed by its text with the provenance masked
-    out; a new key is parsed, checked as the general reader checks it, and
-    accepted only when it is the body's ``_text``. So the text equals
-    ``to_json()`` of the returned plan, and equal bodies anywhere in the file
-    share one object. The text is never sliced or split whole.
+    The metadata must re-encode to its text. A block's first step is read
+    section by section, each new body (its text with the provenance masked
+    out) parsed, checked and accepted only when it is the body's ``_text``;
+    each later step must be that step's text with its step value filled in.
+    A block that starts at another step, or has the factor and su2 index of
+    the block before it, raises, since ``_group_blocks`` may group it
+    otherwise. Nothing is sized by the file's N before the text shows N steps.
     """
     start = text.index(_SECTIONS_KEY) + len(_SECTIONS_KEY)
     plan = cls(**_read_metadata(json.loads(text[:start] + "[]\n}")), blocks=[])
@@ -577,68 +579,64 @@ def _read_layout(cls, text: str) -> ChipPlan:
         return plan
     if not text.startswith("[\n    ", start):
         raise ValueError(_NOT_LAYOUT)
-    sections = _walk_sections(text, start + len("[\n    "), plan.dimension)
-    plan.blocks = _group_blocks(sections)
-    return plan
-
-
-def _walk_sections(text: str, pos: int, d: int):
-    """Yield ``(provenance, body)`` for each section of the writer's layout
-    from ``pos`` on (see ``_read_layout``); raise at any other text.
-
-    A template is (text before the step value, text after it, body, factor
-    index, su2 index) of a section that passed the checks.
-    """
+    walk = range(plan.trotter_steps) if plan.config is not None else (None,)
     bodies: dict[tuple[str, str], PlanSection] = {}
-    previous, current, current_key = [], [], None
+    steps, previous, pos = None, None, start + len("[\n    ")
     while True:
-        if len(current) < len(previous):
-            template = previous[len(current)]
-        else:
-            template = current[0] if current else None
-        match = None
-        if template is not None and text.startswith(template[0], pos):
-            match = _STEP.match(text, pos + len(template[0]))
-            if match is not None and not text.startswith(template[1], match.end()):
-                match = None
-        if match is not None:
-            end = match.end() + len(template[1])
-            key = (template[3], template[4], int(match.group()))
-            body = template[2]
-        else:
+        # The first step: the sections from ``pos`` that share one provenance.
+        first, key, template, mark = [], None, [_SECTION_SEP], pos
+        while True:
             end = text.index(_SECTION_CLOSE, pos) + len(_SECTION_CLOSE)
             found = _PROVENANCE_TEXT.search(text, pos, end)
             if found is None:
                 raise ValueError(_NOT_LAYOUT)
-            key = tuple(None if value == "null" else int(value) for value in found.groups())
+            values = tuple(None if value == "null" else int(value) for value in found.groups())
+            if key is None:
+                key = values
+                if key[2] != walk[0] or key[:2] == previous:
+                    raise ValueError(_NOT_LAYOUT)
+            elif values != key:
+                break
             masked = (text[pos : found.start()], text[found.end() : end])
             body = bodies.get(masked)
             if body is None:
-                body = _read_body(json.loads(text[pos:end]), d)
+                body = _read_body(json.loads(text[pos:end]), plan.dimension)
                 if body._text != masked:
                     raise ValueError(_NOT_LAYOUT)
                 bodies[masked] = body
-            step = found.start(3)
-            template = (text[pos:step], text[found.end(3) : end], body, key[0], key[1])
-        yield key, body
-        if key == current_key:
-            current.append(template)
-        else:
-            previous, current, current_key = current, [template], key
-        if text.startswith(_SECTION_SEP, end):
+            first.append(body)
+            # The step's text holds no "%" but the step values put in here.
+            template += (text[mark : found.start(3)], "%d")
+            mark, step_end = found.end(3), end
+            if not text.startswith(_SECTION_SEP, end):
+                break
             pos = end + len(_SECTION_SEP)
-        elif text.startswith(_SECTIONS_END, end) and len(text) == end + len(_SECTIONS_END):
-            return
-        else:
+        template.append(text[mark:step_end])
+        template, pos = "".join(template), step_end
+        for value in walk[1:]:
+            later = template % ((value,) * len(first))
+            if not text.startswith(later, pos):
+                raise ValueError(_NOT_LAYOUT)
+            pos += len(later)
+        steps = steps or tuple(walk)
+        plan.blocks.append(PlanBlock(tuple(first), key[0], key[1], steps))
+        previous = key[:2]
+        if text.startswith(_SECTIONS_END, pos) and len(text) == pos + len(_SECTIONS_END):
+            return plan
+        if not text.startswith(_SECTION_SEP, pos):
             raise ValueError(_NOT_LAYOUT)
+        pos += len(_SECTION_SEP)
 
 
 def _group_blocks(sections) -> list[PlanBlock]:
-    """Run-length blocks of ``(provenance, body)`` pairs in file order.
+    """The general reader's run-length blocks of ``(provenance, body)``
+    pairs in file order.
 
     Consecutive pairs with equal provenance form one step. A step joins the
     previous block when it has the block's factor and su2 index and the
-    block's body objects, in order; otherwise it starts a block.
+    block's body objects, in order; otherwise it starts a block. The layout
+    reader builds its blocks itself and falls back wherever this grouping
+    could differ from its own.
     """
     runs: list[tuple] = []  # (bodies, factor_index, su2_index, step values)
     for (factor, su2, step), pairs in itertools.groupby(sections, key=operator.itemgetter(0)):

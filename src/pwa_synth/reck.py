@@ -87,15 +87,6 @@ def embed_two_level(block, low: int, high: int, d: int) -> np.ndarray:
     return full
 
 
-def embed_adjacent(matrix, mode: int, d: int) -> np.ndarray:
-    """Identity with a 2x2 block on adjacent modes (mode, mode+1), 1-based."""
-    if not 1 <= mode <= d - 1:
-        raise ValueError(f"mode {mode} out of range for d={d}")
-    full = np.eye(d, dtype=complex)
-    full[mode - 1 : mode + 1, mode - 1 : mode + 1] = np.asarray(matrix, dtype=complex)
-    return full
-
-
 def two_level_decompose(u) -> list[TwoLevelFactor]:
     """Null the lower triangle of a unitary with d(d-1)/2 two-mode factors.
 
@@ -176,5 +167,5 @@ def reconstruct_adjacent(ops: list[AdjacentOp], d: int) -> np.ndarray:
     """Multiply the embedded ops in physical order (first applied first)."""
     u = np.eye(d, dtype=complex)
     for op in ops:
-        u = embed_adjacent(op.matrix, op.mode, d) @ u
+        u = embed_two_level(op.matrix, op.mode, op.mode + 1, d) @ u
     return u

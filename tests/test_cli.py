@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pwa_synth
-from pwa_synth import ChipPlan, DeviceModel, dft, operator_norm
+from pwa_synth import ChipPlan, DeviceModel, clock, compile_unitary, dft, operator_norm
 from pwa_synth.cli import build_parser, load_unitary_file, main
 
 
@@ -131,6 +131,20 @@ class TestCompileCommand:
         assert "q - L/N" in error["message"]
         assert not out_path.exists()
 
+    def test_gap_compiles_the_device_gap(self, capsys, tmp_path):
+        out_path = tmp_path / "p.json"
+        code, _ = run_cli(
+            capsys, "compile", "--gate", "clock", "--d", "3", "--N", "8", "--gap", "6e-4",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        gap = dataclasses.replace(DeviceModel().zero_voltage_hamiltonian(3), length=6e-4)
+        expected = compile_unitary(clock(3), trotter_steps=8, gap=gap, target_name="clock")
+        text = out_path.read_text()
+        assert text == expected.to_json()
+        gaps = [s for s in json.loads(text)["sections"] if s["kind"] == "gap"]
+        assert gaps and all(s["length_m"] == 6e-4 for s in gaps)
+
     def test_gate_requires_dimension(self, capsys):
         code, out = run_cli(capsys, "compile", "--gate", "dft")
         assert code == 2
@@ -230,6 +244,27 @@ class TestSimulateCommand:
     def test_needs_exactly_one_source(self, capsys):
         code, out = run_cli(capsys, "simulate", "--input", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "compile_argv, simulate_argv, message",
+        [
+            (["--d", "3", "--N", "8"], [],
+             "dz too small for this chip: more than 5e6 sample points"),
+            (["--d", "2"], ["--input", "2"], "--input must be a basis index in [0, 1]"),
+        ],
+        ids=["compiled-d3", "input-out-of-range"],
+    )
+    def test_documented_failure_exits_2(
+        self, capsys, tmp_path, compile_argv, simulate_argv, message
+    ):
+        plan_path = tmp_path / "plan.json"
+        code, _ = run_cli(capsys, "compile", "--gate", "dft", *compile_argv, "--out", str(plan_path))
+        assert code == 0
+        code, out = run_cli(capsys, "simulate", "--plan", str(plan_path), *simulate_argv)
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["message"] == message
 
 
 def _plan_with_null_length(path: Path) -> list[str]:

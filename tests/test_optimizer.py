@@ -336,6 +336,14 @@ class TestOptimize:
         with pytest.raises(ValueError, match="not unitary"):
             OptimizationTask(target=np.ones((3, 3)), sections=1)
 
+    def test_task_freezes_a_copy_of_its_target(self):
+        u = dft(3)
+        task = OptimizationTask(target=u, sections=1)
+        assert u.flags.writeable
+        assert not np.shares_memory(u, task.target)
+        assert not task.target.flags.writeable
+        np.testing.assert_array_equal(task.target, dft(3))
+
     def test_d2_hadamard_exactly_realizable(self, hadamard_matrix):
         task = OptimizationTask(
             target=hadamard_matrix, sections=4, restarts=8, seed=0, max_iterations=600

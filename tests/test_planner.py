@@ -925,6 +925,55 @@ NEAR_LAYOUT_EDITS = {
 }
 
 
+LAYOUT_STEPS = (1, 2, 8)
+STRUCTURED_EDITS = 75
+
+
+def assert_layout_load(plan: ChipPlan) -> None:
+    """The layout reader loads ``plan.to_json()`` to ``plan``, and loads the
+    text it writes back, without the general reader."""
+    text = plan.to_json()
+    expected = plan_summary(plan)
+    with mock.patch("pwa_synth.planner._group_blocks", side_effect=AssertionError("general")):
+        loaded = ChipPlan.from_json(text)
+        assert plan_summary(loaded) == expected
+        assert plan_summary(ChipPlan.from_json(loaded.to_json())) == expected
+
+
+def structured_edit(plan: ChipPlan, rng) -> str:
+    """The text of ``plan`` after one or two seeded edits: a section
+    inserted, deleted or swapped with another, one provenance value changed,
+    a provenance value relabelled in every section or the metadata's N
+    changed. Each section is written as a block of its own, so the text is
+    in the writer's layout."""
+    sections = [
+        [body, block.factor_index, block.su2_index, step]
+        for block in plan.blocks for step in block.trotter_steps for body in block.bodies
+    ]
+    steps = plan.trotter_steps
+    for _ in range(rng.integers(1, 3)):
+        edit = rng.integers(6)
+        i, j = rng.integers(len(sections), size=2)
+        field = 1 + rng.integers(3)
+        old, new = (None, 0, 1, 2, 3)[rng.integers(5)], (None, 0, 1, 2, 3)[rng.integers(5)]
+        if edit == 0:
+            sections.insert(j, list(sections[i]))
+        elif edit == 1 and len(sections) > 1:
+            del sections[i]
+        elif edit == 2:
+            sections[i], sections[j] = sections[j], sections[i]
+        elif edit == 3:
+            sections[i][field] = new
+        elif edit == 4:
+            for section in sections:
+                if section[field] == old:
+                    section[field] = new
+        elif edit == 5:
+            steps = int(rng.integers(1, 5))
+    blocks = [PlanBlock((body,), factor, su2, (step,)) for body, factor, su2, step in sections]
+    return dataclasses.replace(plan, trotter_steps=steps, blocks=blocks).to_json()
+
+
 class TestLayoutReader:
     @pytest.mark.parametrize(
         "build",
@@ -972,6 +1021,89 @@ class TestLayoutReader:
         with pytest.raises(type(expected.value)) as caught:
             ChipPlan.from_json(text)
         assert str(caught.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "d, steps, with_gap",
+        [(2, n, False) for n in LAYOUT_STEPS]
+        + [(d, n, gap) for d in range(3, 7) for n in LAYOUT_STEPS for gap in (False, True)],
+        ids=lambda value: str(value),
+    )
+    def test_compiled_plans_take_the_layout_reader(self, d, steps, with_gap):
+        gap = device_gap(d) if with_gap else None
+        plan = compile_unitary(haar_random_unitary(d, d), trotter_steps=steps, gap=gap)
+        assert_layout_load(plan)
+
+    def test_empty_pruned_plan_takes_the_layout_reader(self):
+        plan = compile_unitary(np.eye(3), prune_identity=True)
+        assert plan.blocks == []
+        assert_layout_load(plan)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: compile_unitary(dft(2)),
+            lambda: compile_unitary(clock(3), trotter_steps=2, gap=device_gap(3)),
+            lambda: compile_unitary(dft(3), trotter_steps=3),
+            lambda: compile_unitary(haar_random_unitary(4, 7), trotter_steps=1),
+        ],
+        ids=["d2", "d3-gap", "d3", "d4"],
+    )
+    def test_structured_edits_load_as_the_general_reader_loads_them(self, build):
+        plan = build()
+        rng = np.random.default_rng(20)
+        accepted = 0
+        for _ in range(STRUCTURED_EDITS):
+            edited = structured_edit(plan, rng)
+            try:
+                expected = plan_summary(general_load(edited))
+            except Exception as error:
+                with pytest.raises(Exception) as caught:
+                    ChipPlan.from_json(edited)
+                assert (type(caught.value), str(caught.value)) == (type(error), str(error))
+                continue
+            assert plan_summary(ChipPlan.from_json(edited)) == expected
+            try:
+                planner._read_layout(ChipPlan, edited)
+                accepted += 1
+            except Exception:
+                pass
+        # some edits give back text the layout reader accepts (a section
+        # swapped with an equal one, a value relabelled that no section
+        # holds), most do not
+        assert 0 < accepted < STRUCTURED_EDITS
+
+    def test_a_repeated_block_goes_to_the_general_reader(self):
+        # the general reader joins the second copy's steps to the first's
+        plan = compile_unitary(dft(3), trotter_steps=2)
+        text = dataclasses.replace(plan, blocks=[plan.blocks[0], *plan.blocks]).to_json()
+        with pytest.raises(ValueError, match="not laid out"):
+            planner._read_layout(ChipPlan, text)
+        loaded = ChipPlan.from_json(text)
+        assert loaded.blocks[0].trotter_steps == (0, 1, 0, 1)
+        assert plan_summary(loaded) == plan_summary(general_load(text))
+
+    def test_a_huge_claimed_step_count_is_never_allocated(self):
+        # N = 10^8 in the metadata, one step in the text: the budget scales
+        # as 1/N^2, so both epsilons shrink by 10^16
+        plan = compile_unitary(dft(3), trotter_steps=1)
+        config = plan.config
+        recurrence = dataclasses.replace(config.recurrence, epsilon=config.recurrence.epsilon * 1e-16)
+        plan = dataclasses.replace(
+            plan, trotter_steps=10**8,
+            config=dataclasses.replace(
+                config, trotter_steps=10**8, epsilon=config.epsilon * 1e-16, recurrence=recurrence
+            ),
+        )
+        text = plan.to_json()
+        tracemalloc.start()
+        try:
+            loaded = ChipPlan.from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.trotter_steps == 10**8
+        assert plan_summary(loaded) == plan_summary(general_load(text))
+        assert peak < 1e6
 
     def test_loading_peak_memory_is_a_fraction_of_the_text(self):
         text = compile_unitary(haar_random_unitary(4, 3), trotter_steps=32, measure=False).to_json()
