@@ -21,7 +21,7 @@ import numpy as np
 from .device import DeviceModel, propagate
 from .gates import named_gate
 from .lattice import PrecisionUnreachable
-from .linalg import haar_random_unitary, require_positive, require_unitary
+from .linalg import haar_random_unitary, require_number, require_positive, require_unitary
 from .optimizer import OptimizationResult, OptimizationTask, optimize
 from .planner import ChipPlan, PlanError, compile_unitary
 
@@ -43,7 +43,11 @@ def _load_file(path: str, what: str, parse):
 def _parse_matrix(text: str) -> np.ndarray:
     payload = json.loads(text)
     rows = payload["matrix"] if isinstance(payload, dict) else payload
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    return np.array([
+        [complex(require_number(re, "matrix entry re"), require_number(im, "matrix entry im"))
+         for re, im in row]
+        for row in rows
+    ])
 
 
 def load_unitary_file(path: str) -> np.ndarray:

@@ -242,6 +242,12 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
         raise ValueError(f"dz={dz:g} m exceeds the shortest section ({shortest:g} m)")
     steps = [int(np.ceil(s.length / dz - 1e-9)) for s in sections]
     if sum(steps) > 5_000_000:
+        fewest = sum(int(np.ceil(s.length / shortest - 1e-9)) for s in sections)
+        if fewest > 5_000_000:
+            raise ValueError(
+                f"no allowed dz fits this chip: even dz = its shortest section ({shortest:g} m) "
+                f"needs {fewest:.3g} samples, more than 5e6 sample points"
+            )
         raise ValueError("dz too small for this chip: more than 5e6 sample points")
 
     zs = np.empty(1 + sum(steps))

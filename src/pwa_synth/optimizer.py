@@ -214,6 +214,8 @@ class OptimizationResult:
     @staticmethod
     def voltages_from_json(text: str) -> tuple[list[VoltageSettings], DeviceModel]:
         payload = json.loads(text)
+        if isinstance(payload, dict) and payload.get("schema_version", 1) != 1:
+            raise ValueError(f"unsupported voltages schema {payload['schema_version']!r}")
         voltages = [
             VoltageSettings(
                 level_volts=require_numbers(item["level_volts"], f"voltages[{i}] level_volts"),

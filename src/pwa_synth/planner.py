@@ -20,15 +20,13 @@ section list, and the plan file (schema v1) stays that flat list.
 A section body (a section without its provenance) is identified by its text
 in the plan file, ``PlanSection._text``, which is formed once per body.
 Compiling, writing and both readers use it: equal drive bodies are one
-object, and so are the recurrence bodies of all blocks; ``to_json`` writes
-each body's cached text around its provenance.
-
-``ChipPlan.from_json`` reads exactly what ``to_json`` writes for compiled
-plans, and for compiled plans written back after loading, in place: each
-block's first Trotter step section by section, each distinct body parsed and
-checked once, and each later step as that step's text with its step value
-filled in. Every other text, hand edits in the writer's layout included, goes
-to a general reader that parses the whole text and reads each distinct
+object, and so are the recurrence bodies of all blocks. ``_block_pieces``
+lays out a block's text, each body's cached text around its provenance, for
+``to_json`` and for ``ChipPlan.from_json``, which reads compiled plans (and
+compiled plans written back after loading) in place: it parses each block's
+first Trotter step, each distinct body once, and compares the block's text
+with the file. Every other text, hand edits in the writer's layout included,
+goes to a general reader that parses the whole text and reads each distinct
 section once. Both share bodies with equal text, and where both load a text
 they return the same plan.
 """
@@ -408,26 +406,15 @@ class ChipPlan:
         return u
 
     def to_json(self) -> str:
-        """Schema v1 text: ``json.dumps(payload, indent=2)`` of the whole plan.
-
-        Each section is its body's cached ``_text`` around its provenance. A
-        body's text is formed once per object, and compiled and loaded plans
-        hold one object per distinct body, so each is encoded once.
-        Provenance values are ints or None, so formatting them directly
-        matches the stdlib encoder.
+        """Schema v1 text: ``json.dumps(payload, indent=2)`` of the whole plan,
+        each block laid out by ``_block_pieces``. A body's text is formed once
+        per object, and compiled and loaded plans hold one object per distinct
+        body, so each is encoded once.
         """
-        head = _head_text(self)
-        pieces = [head, "[\n    "]
+        pieces = [_head_text(self), "[\n    "]
         for block in self.blocks:
-            texts = [body._text for body in block.bodies]
-            factor, su2 = _int_text(block.factor_index), _int_text(block.su2_index)
-            for step in block.trotter_steps:
-                provenance = _PROVENANCE_LAYOUT % (factor, su2, _int_text(step))
-                for before, after in texts:
-                    pieces += (before, provenance, after, _SECTION_SEP)
-        if len(pieces) == 2:
-            return head + "[]\n}"
-        pieces[-1] = _SECTIONS_END
+            _block_pieces(block, pieces)
+        pieces[-1] = _SECTIONS_END if len(pieces) > 2 else "[]\n}"
         return "".join(pieces)
 
     @classmethod
@@ -438,8 +425,7 @@ class ChipPlan:
         step; a step that repeats the previous step's body objects, with the
         same factor and su2 index, joins its block.
 
-        What ``to_json`` writes for a compiled plan, or for a compiled plan
-        written back after loading, is read in place (``_read_layout``);
+        ``_read_layout`` reads what ``to_json`` writes for compiled plans;
         any other text goes to the general reader, which reads any JSON
         layout, reads each distinct section once and raises the errors of
         the checks.
@@ -558,69 +544,72 @@ def _head_text(plan: ChipPlan) -> str:
     return json.dumps(payload, indent=2)[: -len("[]\n}")]
 
 
+def _block_pieces(block: PlanBlock, pieces: list[str]) -> list[str]:
+    """``pieces`` with ``block``'s file text appended: for each step, each
+    body's cached ``_text`` around the step's provenance (ints or None, which
+    ``%d`` writes as the stdlib encoder does), then ``_SECTION_SEP``."""
+    texts = [body._text for body in block.bodies]
+    factor, su2 = _int_text(block.factor_index), _int_text(block.su2_index)
+    for step in block.trotter_steps:
+        provenance = _PROVENANCE_LAYOUT % (factor, su2, _int_text(step))
+        for before, after in texts:
+            pieces += (before, provenance, after, _SECTION_SEP)
+    return pieces
+
+
 def _read_layout(cls, text: str) -> ChipPlan:
     """The plan of ``text`` if it is exactly ``to_json()`` of a plan whose
     blocks each repeat their bodies over all of the plan's steps (``range(N)``
     with a config, the single step None without); any other text raises.
 
     The metadata must re-encode to its text. A block's first step is read
-    section by section, each new body (its text with the provenance masked
-    out) parsed, checked and accepted only when it is the body's ``_text``;
-    each later step must be that step's text with its step value filled in.
-    A block that starts at another step, or has the factor and su2 index of
-    the block before it, raises, since ``_group_blocks`` may group it
-    otherwise. Nothing is sized by the file's N before the text shows N steps.
+    section by section, each distinct body parsed and checked once; then the
+    block's text as ``_block_pieces`` lays it out must stand in the file. A
+    block with the factor and su2 index of the block before it raises, since
+    ``_group_blocks`` may group it otherwise. Nothing is sized by the file's
+    N before the text left could hold N first steps.
     """
     start = text.index(_SECTIONS_KEY) + len(_SECTIONS_KEY)
     plan = cls(**_read_metadata(json.loads(text[:start] + "[]\n}")), blocks=[])
-    if _head_text(plan) != text[:start]:
-        raise ValueError(_NOT_LAYOUT)
-    if text.startswith("[]\n}", start) and len(text) == start + len("[]\n}"):
+    head = _head_text(plan)
+    if text == head + "[]\n}":
         return plan
-    if not text.startswith("[\n    ", start):
+    if not text.startswith(head + "[\n    "):
         raise ValueError(_NOT_LAYOUT)
     walk = range(plan.trotter_steps) if plan.config is not None else (None,)
     bodies: dict[tuple[str, str], PlanSection] = {}
-    steps, previous, pos = None, None, start + len("[\n    ")
+    steps, previous, pos = None, None, len(head) + len("[\n    ")
     while True:
-        # The first step: the sections from ``pos`` that share one provenance.
-        first, key, template, mark = [], None, [_SECTION_SEP], pos
+        # The first step: the sections from ``block_start`` with one provenance.
+        first, key, block_start = [], None, pos
         while True:
             end = text.index(_SECTION_CLOSE, pos) + len(_SECTION_CLOSE)
             found = _PROVENANCE_TEXT.search(text, pos, end)
             if found is None:
                 raise ValueError(_NOT_LAYOUT)
             values = tuple(None if value == "null" else int(value) for value in found.groups())
-            if key is None:
-                key = values
-                if key[2] != walk[0] or key[:2] == previous:
-                    raise ValueError(_NOT_LAYOUT)
-            elif values != key:
+            if key is not None and values != key:
                 break
+            key, step_end = values, end
             masked = (text[pos : found.start()], text[found.end() : end])
             body = bodies.get(masked)
             if body is None:
-                body = _read_body(json.loads(text[pos:end]), plan.dimension)
-                if body._text != masked:
-                    raise ValueError(_NOT_LAYOUT)
-                bodies[masked] = body
+                body = bodies[masked] = _read_body(json.loads(text[pos:end]), plan.dimension)
             first.append(body)
-            # The step's text holds no "%" but the step values put in here.
-            template += (text[mark : found.start(3)], "%d")
-            mark, step_end = found.end(3), end
             if not text.startswith(_SECTION_SEP, end):
                 break
             pos = end + len(_SECTION_SEP)
-        template.append(text[mark:step_end])
-        template, pos = "".join(template), step_end
-        for value in walk[1:]:
-            later = template % ((value,) * len(first))
-            if not text.startswith(later, pos):
-                raise ValueError(_NOT_LAYOUT)
-            pos += len(later)
+        # No later step is shorter than the first.
+        if key[:2] == previous or (step_end - block_start) * len(walk) > len(text) - block_start:
+            raise ValueError(_NOT_LAYOUT)
         steps = steps or tuple(walk)
-        plan.blocks.append(PlanBlock(tuple(first), key[0], key[1], steps))
-        previous = key[:2]
+        block = PlanBlock(tuple(first), key[0], key[1], steps)
+        # All but the last separator: the list's end may stand there instead.
+        block_text = "".join(_block_pieces(block, [])[:-1])
+        if not text.startswith(block_text, block_start):
+            raise ValueError(_NOT_LAYOUT)
+        plan.blocks.append(block)
+        previous, pos = key[:2], block_start + len(block_text)
         if text.startswith(_SECTIONS_END, pos) and len(text) == pos + len(_SECTIONS_END):
             return plan
         if not text.startswith(_SECTION_SEP, pos):

@@ -248,8 +248,11 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "compile_argv, simulate_argv, message",
         [
+            # the recurrence sections need 3.4e12 samples even at the
+            # largest allowed dz, the 0.75 mm drive sections
             (["--d", "3", "--N", "8"], [],
-             "dz too small for this chip: more than 5e6 sample points"),
+             "no allowed dz fits this chip: even dz = its shortest section (0.00075 m) "
+             "needs 3.41e+12 samples, more than 5e6 sample points"),
             (["--d", "2"], ["--input", "2"], "--input must be a basis index in [0, 1]"),
         ],
         ids=["compiled-d3", "input-out-of-range"],
@@ -265,6 +268,35 @@ class TestSimulateCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["message"] == message
+
+    def test_dz_too_small_for_a_voltage_chip_exits_2(self, capsys, tmp_path):
+        # one 6 mm section: 6e6 samples at dz = 1 nm, one at dz = 6 mm
+        argv = _write_voltages(tmp_path / "volts.json", [([0.0, 0.0], [0.0])])
+        code, out = run_cli(capsys, *argv, "--dz", "1e-9")
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["message"] == (
+            "dz too small for this chip: more than 5e6 sample points"
+        )
+
+    @pytest.mark.parametrize("version", [None, 1, 2, 99])
+    def test_voltages_schema_version(self, capsys, tmp_path, version):
+        # a file without the key reads as schema 1, as a plan file does
+        path = tmp_path / "volts.json"
+        argv = _write_voltages(path, [([0.0, 0.0], [0.0])])
+        if version is not None:
+            path.write_text(json.dumps({"schema_version": version, **json.loads(path.read_text())}))
+        code, out = run_cli(capsys, *argv, "--out", str(tmp_path / "trace.csv"))
+        if version in (None, 1):
+            assert code == 0
+            return
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        assert str(path) in message
+        assert f"unsupported voltages schema {version}" in message
 
 
 def _plan_with_null_length(path: Path) -> list[str]:
@@ -394,6 +426,12 @@ def _matrix_of_numbers(path: Path) -> list[str]:
     return ["compile", "--matrix", str(path)]
 
 
+def _matrix_with_bools(path: Path) -> list[str]:
+    # the identity, if true and false were read as 1 and 0
+    path.write_text(json.dumps({"matrix": [[[True, 0], [0, 0]], [[0, 0], [1, False]]]}))
+    return ["compile", "--matrix", str(path)]
+
+
 def _empty_voltages(path: Path) -> list[str]:
     path.write_text(json.dumps({"voltages": []}))
     return ["simulate", "--voltages", str(path)]
@@ -403,6 +441,7 @@ def _empty_voltages(path: Path) -> list[str]:
     "write_input",
     [
         _matrix_of_numbers,
+        _matrix_with_bools,
         _empty_voltages,
         _plan_with_null_length,
         _plan_with_string_length,

@@ -799,10 +799,10 @@ def _dropped_recurrence(copies, payload):
     payload["sections"].remove(copies[4])
 
 
-def _zero_signs(copies):
+def _zero_signs(copies, flipped=4):
     for c in copies:
         if c["kind"] == "B":
-            c["reduced_phases"][0] = -0.0 if c is copies[4] else 0.0
+            c["reduced_phases"][0] = -0.0 if c is copies[flipped] else 0.0
 
 
 class TestRunGrouping:
@@ -872,17 +872,23 @@ class TestRunGrouping:
         assert loaded.to_json() == json.dumps(json.loads(text), indent=2)
 
 
-def edit_step_two(edit) -> str:
-    """The text of the d=3 dft plan (N=4) with step 2 of its first block
-    edited: ``edit(recurrence, drive)`` changes the payload of that step's
-    two sections, and may put the string "@" where a literal goes; it
-    returns that literal."""
+def edit_first_block(edit) -> str:
+    """The text of the d=3 dft plan (N=4) with its first block edited:
+    ``edit(copies)`` changes the payload of the block's sections, a
+    recurrence and a drive for each of the 4 steps, and may put the string
+    "@" where a literal goes; it returns that literal."""
     payload = json.loads(compile_unitary(dft(3), trotter_steps=4).to_json())
     copies = block_copies(payload)
     assert [c["kind"] for c in copies] == ["B", "A"] * 4
-    literal = edit(copies[4], copies[5])
+    literal = edit(copies)
     text = json.dumps(payload, indent=2)
     return text if literal is None else text.replace('"@"', literal)
+
+
+def edit_step_two(edit) -> str:
+    """``edit_first_block`` with ``edit(recurrence, drive)`` changing the
+    two sections of step 2."""
+    return edit_first_block(lambda copies: edit(copies[4], copies[5]))
 
 
 def _drive_literal(literal, *path):
@@ -922,6 +928,16 @@ NEAR_LAYOUT_EDITS = {
     "int-beta": (_drive_literal("1000", "betas", 0), None),
     "true-beta": (_drive_literal("true", "betas", 0), "plan betas must be a list of numbers"),
     "string-length": (_drive_literal('"0.006"', "length_m"), "plan length_m must be a number"),
+}
+
+
+#: Edits of step 0 of the first block. The layout reader raises on each,
+#: since step 0's text is not the text the writer gives its bodies.
+FIRST_STEP_EDITS = {
+    # the drive length L/N = 0.0015 m, as the writer never writes it
+    "equal-length-literal": lambda copies: _drive_literal("1.5e-3", "length_m")(*copies[:2]),
+    "reordered-keys": lambda copies: _reversed_keys(*copies[:2]),
+    "zero-sign": lambda copies: _zero_signs(copies, flipped=0),
 }
 
 
@@ -1021,6 +1037,13 @@ class TestLayoutReader:
         with pytest.raises(type(expected.value)) as caught:
             ChipPlan.from_json(text)
         assert str(caught.value) == str(expected.value)
+
+    @pytest.mark.parametrize("edit", FIRST_STEP_EDITS.values(), ids=FIRST_STEP_EDITS)
+    def test_first_step_edits_load_as_the_general_reader_loads_them(self, edit):
+        text = edit_first_block(edit)
+        with pytest.raises(ValueError, match="not laid out"):
+            planner._read_layout(ChipPlan, text)
+        assert plan_summary(ChipPlan.from_json(text)) == plan_summary(general_load(text))
 
     @pytest.mark.parametrize(
         "d, steps, with_gap",
