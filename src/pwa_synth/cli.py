@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxiter", type=int, default=2000)
     p.add_argument("--jobs", type=int, default=1,
                    help="an integer >= 1, accepted for the benchmark's command lines; "
-                   "restarts always run serially")
+                   "restarts always run in lockstep in one thread")
     p.add_argument("--out", help="voltages JSON output path")
     p.add_argument("--csv", help="per-restart CSV output path")
     p.set_defaults(func=_cmd_optimize)

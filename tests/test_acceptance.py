@@ -213,7 +213,8 @@ def test_criterion_8_gradient_correctness():
         step = 1e-4
         for _ in range(20):
             flat = rng.uniform(-15.0, 15.0, task.parameters)
-            _, grad = objective.value_and_gradient(flat)
+            _, grads = objective.value_and_gradient(flat[None])
+            grad = grads[0]
             for i in range(flat.size):
                 if abs(grad[i]) <= 1e-8:
                     continue
@@ -221,10 +222,9 @@ def test_criterion_8_gradient_correctness():
                 plus[i] += step
                 minus = flat.copy()
                 minus[i] -= step
-                fd = (
-                    objective.value_and_gradient(plus)[0]
-                    - objective.value_and_gradient(minus)[0]
-                ) / (2.0 * step)
+                # one stacked call evaluates both sides as rows
+                values, _ = objective.value_and_gradient(np.stack([plus, minus]))
+                fd = (values[0] - values[1]) / (2.0 * step)
                 rel = abs(grad[i] - fd) / abs(grad[i])
                 assert rel <= 1e-4, f"component {i}: relative error {rel:.2e}"
 

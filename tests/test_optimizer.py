@@ -143,6 +143,65 @@ def _dagger(stack: np.ndarray) -> np.ndarray:
     return stack.conj().transpose(0, 2, 1)
 
 
+def _one_row(objective, flat):
+    """The objective's value and gradient at one point, as a one-row stack."""
+    values, grads = objective.value_and_gradient(flat[None])
+    assert len(values) == 1 and grads.shape == (1, flat.size)
+    return values[0], grads[0]
+
+
+def minimize(fun, x0, **options):
+    """``scipy.optimize.minimize(fun, x0, **options)``, importing scipy on first use."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
+
+
+def _run_restart(task: OptimizationTask, objective: _ChipObjective, restart: int):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=task.seed, spawn_key=(restart,)))
+    vmax = task.model.max_voltage
+    v0 = rng.uniform(-vmax, vmax, task.parameters)
+    u0 = np.arctanh(np.clip(v0 / vmax, -1.0 + 1e-12, 1.0 - 1e-12))
+
+    def fun(u):
+        th = np.tanh(u)
+        value, grad = objective.value_and_gradient(vmax * th)
+        return value, grad * vmax * (1.0 - th * th)
+
+    res = minimize(
+        fun,
+        u0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": task.max_iterations, "ftol": 1e-12, "gtol": 1e-12},
+    )
+    volts = vmax * np.tanh(res.x)
+    return float(res.fun), volts, int(res.nit)
+
+
+def _serial_optimize(task):
+    """The restarts run one after another through public
+    ``scipy.optimize.minimize``: ``minimize`` and ``_run_restart`` above are
+    kept verbatim from the serial optimizer, with ``_StackedReference`` as
+    its one-point objective. Returns the restart infidelities, the iteration
+    counts and the best restart's voltages."""
+    objective = _StackedReference(task)
+    outcomes = [_run_restart(task, objective, r) for r in range(task.restarts)]
+    infidelities = [min(max(o[0], 0.0), 1.0) for o in outcomes]
+    best = int(np.argmin(infidelities))
+    return infidelities, [o[2] for o in outcomes], outcomes[best][1]
+
+
+def _assert_matches_serial_optimize(task):
+    result = optimize(task)
+    infidelities, iterations, volts = _serial_optimize(task)
+    assert result.restart_infidelities == infidelities
+    assert result.iteration_counts == iterations
+    flat = np.concatenate([np.concatenate([v.level_volts, v.coupling_volts])
+                           for v in result.voltages])
+    assert flat.tobytes() == volts.tobytes()
+
+
 def _pinned_points(rng, task):
     """Random voltages, all zero, all at +-max_voltage and random corners."""
     vmax, size = task.model.max_voltage, task.parameters
@@ -160,17 +219,14 @@ def _assert_gradient_matches_finite_differences(d, k, seed):
     task = OptimizationTask(target=dft(d), sections=k)
     objective = _ChipObjective(task)
     flat = rng.uniform(-15.0, 15.0, k * (2 * d - 1))
-    _, grad = objective.value_and_gradient(flat)
+    _, grad = _one_row(objective, flat)
     step = 1e-4
     for i in range(flat.size):
         plus = flat.copy()
         plus[i] += step
         minus = flat.copy()
         minus[i] -= step
-        fd = (
-            objective.value_and_gradient(plus)[0]
-            - objective.value_and_gradient(minus)[0]
-        ) / (2.0 * step)
+        fd = (_one_row(objective, plus)[0] - _one_row(objective, minus)[0]) / (2.0 * step)
         if abs(grad[i]) > 1e-8:
             assert abs(grad[i] - fd) / abs(grad[i]) <= 1e-4
 
@@ -207,7 +263,7 @@ class TestInfidelityAndGradient:
         value, grad = infidelity_and_gradient(settings, task)
         assert abs(value - _taylor_infidelity(settings, task)) <= 1e-13
         flat = np.concatenate([np.concatenate([v.level_volts, v.coupling_volts]) for v in settings])
-        ref_value, ref_grad = _ChipObjective(task).value_and_gradient(flat)
+        ref_value, ref_grad = _one_row(_ChipObjective(task), flat)
         assert value == ref_value
         np.testing.assert_array_equal(grad, ref_grad)
 
@@ -251,7 +307,7 @@ class TestInfidelityAndGradient:
         for gate in (dft, shift, clock):
             task = OptimizationTask(target=gate(d), sections=k, model=model)
             flat = rng.uniform(-model.max_voltage, model.max_voltage, k * (2 * d - 1))
-            value, grad = _ChipObjective(task).value_and_gradient(flat)
+            value, grad = _one_row(_ChipObjective(task), flat)
             ref_value, ref_grad = _reference_value_and_gradient(task, flat)
             assert abs(value - ref_value) <= 1e-13
             np.testing.assert_allclose(grad, ref_grad, rtol=0.0, atol=1e-13)
@@ -263,7 +319,7 @@ class TestInfidelityAndGradient:
         task = OptimizationTask(target=haar_random_unitary(d, 10 * d + k), sections=k)
         objective, reference = _ChipObjective(task), _StackedReference(task)
         for flat in _pinned_points(rng, task):
-            value, grad = objective.value_and_gradient(flat)
+            value, grad = _one_row(objective, flat)
             ref_value, ref_grad = reference.value_and_gradient(flat)
             assert value == ref_value
             np.testing.assert_array_equal(grad, ref_grad)
@@ -281,26 +337,53 @@ class TestInfidelityAndGradient:
         flat[:, d:] = -model.max_voltage
         flat[1:, :d] = 3.0
         objective, reference = _ChipObjective(task), _StackedReference(task)
-        value, grad = objective.value_and_gradient(flat.ravel())
-        eigvals = np.linalg.eigh(objective.hams)[0]
+        value, grad = _one_row(objective, flat.ravel())
+        eigvals = np.linalg.eigh(objective.hams[0])[0]
         assert np.all(eigvals == eigvals[:, :1])
         ref_value, ref_grad = reference.value_and_gradient(flat.ravel())
         assert value == ref_value
         np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_rows_match_one_row_calls(self, d, k):
+        # every row of a stacked call has the bits of a one-row call at that
+        # point, for stacks of 1 to 7 rows through one 7-row workspace: on
+        # random points and +-max_voltage corners, and on the degenerate
+        # sections of the test above mixed with random points
+        rng = np.random.default_rng([d, k, 22])
+        task = OptimizationTask(target=haar_random_unitary(d, d + k), sections=k, restarts=7)
+        model = DeviceModel(base_coupling=15.0, coupling_shift_per_volt=1.0)
+        degenerate = OptimizationTask(target=dft(d), sections=k, model=model, restarts=7)
+        flat = np.zeros((k, 2 * d - 1))
+        flat[:, d:] = -model.max_voltage
+        flat[1:, :d] = 3.0
+        sinc_zeros = [flat.ravel(), *(rng.uniform(-15.0, 15.0, task.parameters) for _ in range(2))]
+        for t, points in ((task, _pinned_points(rng, task)), (degenerate, sinc_zeros * 3)):
+            stacked, single = _ChipObjective(t), _ChipObjective(t, rows=1)
+            assert stacked.rows == 7
+            for a in range(1, 8):
+                stack = np.array([points[(a + i) % 7] for i in range(a)])
+                values, grads = stacked.value_and_gradient(stack)
+                assert len(values) == a and grads.shape == stack.shape
+                for flat_row, value, grad in zip(stack, values, grads):
+                    one_value, one_grad = _one_row(single, flat_row)
+                    assert value == one_value
+                    np.testing.assert_array_equal(grad, one_grad)
 
     def test_workspace_reuse_keeps_the_bits_of_fresh_objectives(self):
         rng = np.random.default_rng(18)
         for d, k in ((2, 1), (5, 5), (4, 2)):
             task = OptimizationTask(target=haar_random_unitary(d, k), sections=k)
             x1, x2 = (rng.uniform(-15.0, 15.0, task.parameters) for _ in range(2))
-            fresh = [_ChipObjective(task).value_and_gradient(x) for x in (x1, x2, x1)]
+            fresh = [_one_row(_ChipObjective(task), x) for x in (x1, x2, x1)]
             objective = _ChipObjective(task)
             for x, (value, grad) in zip((x1, x2, x1), fresh):
-                got_value, got_grad = objective.value_and_gradient(x)
+                got_value, got_grad = _one_row(objective, x)
                 assert got_value == value
                 np.testing.assert_array_equal(got_grad, grad)
                 got_grad[:] = np.nan  # a returned gradient is the caller's own
-            value, grad = objective.value_and_gradient(x2)
+            value, grad = _one_row(objective, x2)
             assert value == fresh[1][0]
             np.testing.assert_array_equal(grad, fresh[1][1])
 
@@ -314,7 +397,7 @@ class TestInfidelityAndGradient:
         settings = [random_settings(rng, d) for _ in range(k)]
         task = OptimizationTask(target=dft(d), sections=k, model=model)
         flat = np.concatenate([np.concatenate([v.level_volts, v.coupling_volts]) for v in settings])
-        value, _ = _ChipObjective(task).value_and_gradient(flat)
+        value, _ = _one_row(_ChipObjective(task), flat)
         expected = 1.0 - fidelity(realize(settings, model), dft(d))
         assert abs(value - expected) <= 1e-10
 
@@ -403,25 +486,49 @@ class TestOptimize:
             optimize(task, jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_restarts_call_the_module_minimize(self, monkeypatch, jobs):
-        # a tracer times each restart by swapping optimizer.minimize
+    def test_optimize_calls_the_module_minimize_once(self, monkeypatch, jobs):
+        # a tracer times the lockstep restarts by swapping optimizer.minimize
         task = OptimizationTask(target=dft(3), sections=2, restarts=3, seed=5, max_iterations=60)
         expected = optimize(task)
         calls = []
-        scipy_backed = optimizer.minimize
+        lockstep = optimizer.minimize
 
         def counting(fun, x0, **options):
-            calls.append(x0.size)
-            return scipy_backed(fun, x0, **options)
+            calls.append(x0.shape)
+            return lockstep(fun, x0, **options)
 
         monkeypatch.setattr(optimizer, "minimize", counting)
         result = optimize(task, jobs=jobs)
-        assert calls == [task.parameters] * task.restarts
+        assert calls == [(task.restarts, task.parameters)]
         assert result.restart_infidelities == expected.restart_infidelities
         assert result.iteration_counts == expected.iteration_counts
         for a, b in zip(result.voltages, expected.voltages):
             np.testing.assert_array_equal(a.level_volts, b.level_volts)
             np.testing.assert_array_equal(a.coupling_volts, b.coupling_volts)
+
+    @pytest.mark.parametrize("restarts", [1, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_lockstep_restarts_match_public_scipy(self, d, k, restarts, hadamard_matrix):
+        # the lockstep driver steps scipy's private setulb; each restart must
+        # take public scipy.optimize.minimize's steps. At d = 2 restarts
+        # converge on the Hadamard gate after different iteration counts,
+        # so rows leave the lockstep at different rounds; at d >= 3 most
+        # restarts stop at maxiter.
+        maxiter = 150 if d == 2 else 30
+        task = OptimizationTask(
+            target=hadamard_matrix if d == 2 else shift(d), sections=k,
+            restarts=restarts, seed=d + k, max_iterations=maxiter,
+        )
+        _assert_matches_serial_optimize(task)
+
+    def test_lockstep_restarts_match_public_scipy_on_every_stop(self):
+        # with scipy 1.17.1 these restarts stop on a small projected
+        # gradient, on a small relative reduction of f (twice) and at
+        # maxiter, after 37, 161, 107 and 400 iterations
+        task = OptimizationTask(target=shift(3), sections=2, restarts=4, seed=2,
+                                max_iterations=400)
+        _assert_matches_serial_optimize(task)
 
     def test_voltages_within_box(self):
         task = OptimizationTask(target=dft(3), sections=2, restarts=2, max_iterations=80)
