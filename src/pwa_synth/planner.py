@@ -22,13 +22,15 @@ in the plan file, ``PlanSection._text``, which is formed once per body.
 Compiling, writing and both readers use it: equal drive bodies are one
 object, and so are the recurrence bodies of all blocks. ``_block_pieces``
 lays out a block's text, each body's cached text around its provenance, for
-``to_json`` and for ``ChipPlan.from_json``, which reads compiled plans (and
-compiled plans written back after loading) in place: it parses each block's
-first Trotter step, each distinct body once, and compares the block's text
-with the file. Every other text, hand edits in the writer's layout included,
-goes to a general reader that parses the whole text and reads each distinct
-section once. Both share bodies with equal text, and where both load a text
-they return the same plan.
+``to_json`` and for ``ChipPlan.from_json``. Text that is exactly what
+``to_json`` writes for a compiled plan (or for a compiled plan written back
+after loading) takes the layout reader, which parses each block's first
+Trotter step, each distinct body once, and compares the block's text with
+the file. Every other text, hand edits in the writer's layout included,
+takes the general reader, which parses the whole text and reads each
+distinct section once. Both give ``_group_blocks`` their runs of steps in
+file order, so one rule forms the blocks, and both share bodies with equal
+text: where both load a text they return the same plan.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import itertools
 import json
 import marshal
 import math
-import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -369,10 +370,14 @@ class ChipPlan:
     section_length: float
     blocks: list[PlanBlock]
     measured_error: float | None = None
-    epsilon_certificate: float | None = None
     global_phase: float = 0.0
     config: TrotterConfig | None = None
     target_name: str | None = None
+
+    @property
+    def epsilon_certificate(self) -> float | None:
+        """The recurrence certificate the config carries, None without one."""
+        return None if self.config is None else self.config.recurrence.epsilon
 
     @property
     def sections(self) -> list[PlanSection]:
@@ -412,8 +417,8 @@ class ChipPlan:
         body, so each is encoded once.
         """
         pieces = [_head_text(self), "[\n    "]
-        for block in self.blocks:
-            _block_pieces(block, pieces)
+        for b in self.blocks:
+            _block_pieces(b.factor_index, b.su2_index, b.trotter_steps, b.bodies, pieces)
         pieces[-1] = _SECTIONS_END if len(pieces) > 2 else "[]\n}"
         return "".join(pieces)
 
@@ -422,46 +427,19 @@ class ChipPlan:
         """Load schema v1 text. Every section body is checked, and bodies with
         equal text (``PlanSection._text``) share one object, wherever they
         are in the file. Consecutive sections with equal provenance form one
-        step; a step that repeats the previous step's body objects, with the
-        same factor and su2 index, joins its block.
+        step, and ``_group_blocks`` forms the blocks.
 
         ``_read_layout`` reads what ``to_json`` writes for compiled plans;
-        any other text goes to the general reader, which reads any JSON
-        layout, reads each distinct section once and raises the errors of
-        the checks.
+        any other text goes to ``_read_general``, which reads any JSON
+        layout and raises the errors of the checks.
         """
         try:
             return _read_layout(cls, text)
         except Exception:
             # Any layout mismatch or failed check, whatever its type: the
-            # general reader below decides, and loads the text or raises.
+            # general reader decides, and loads the text or raises.
             pass
-        payload = json.loads(text, parse_float=_FloatMemo().__getitem__)
-        plan = cls(**_read_metadata(payload), blocks=[])
-        items = _require_json(payload["sections"], list, "plan sections")
-        keys = []
-        for item in items:
-            provenance = _require_json(
-                _require_json(item, dict, "plan section").pop("provenance"), dict,
-                "section provenance",
-            )
-            key = tuple(map(provenance.get, _PROVENANCE))
-            _require_provenance(key, _PROVENANCE)
-            keys.append(key)
-        # marshal (version 2, which writes no back-references) gives equal
-        # bytes only for equal values of equal types: 1 and 1.0, true and 1,
-        # 0.0 and -0.0 all differ. Each distinct item is read once.
-        read: dict[bytes, PlanSection] = {}
-        bodies: dict[tuple[str, str], PlanSection] = {}
-        for i, item in enumerate(items):
-            raw = marshal.dumps(item, 2)
-            body = read.get(raw)
-            if body is None:
-                body = _read_body(item, plan.dimension)
-                body = read[raw] = bodies.setdefault(body._text, body)
-            items[i] = body
-        plan.blocks = _group_blocks(zip(keys, items))
-        return plan
+        return _read_general(cls, text)
 
 
 def _read_metadata(payload) -> dict:
@@ -496,15 +474,15 @@ def _read_metadata(payload) -> dict:
             epsilon=epsilon,
             recurrence=recurrence,
         )
+    certificate = _number_or_none(meta.get("epsilon_certificate"), "plan epsilon_certificate")
+    if certificate != (None if config is None else config.recurrence.epsilon):
+        raise ValueError(f"plan epsilon_certificate {certificate!r} is not its achieved_epsilon")
     return dict(
         dimension=d,
         trotter_steps=trotter_steps,
         section_budget=budget,
         section_length=section_length,
         measured_error=_number_or_none(meta.get("measured_error"), "plan measured_error"),
-        epsilon_certificate=_number_or_none(
-            meta.get("epsilon_certificate"), "plan epsilon_certificate"
-        ),
         global_phase=require_number(meta.get("global_phase", 0.0), "plan global_phase"),
         config=config,
         target_name=meta.get("target_name"),
@@ -544,17 +522,50 @@ def _head_text(plan: ChipPlan) -> str:
     return json.dumps(payload, indent=2)[: -len("[]\n}")]
 
 
-def _block_pieces(block: PlanBlock, pieces: list[str]) -> list[str]:
-    """``pieces`` with ``block``'s file text appended: for each step, each
-    body's cached ``_text`` around the step's provenance (ints or None, which
-    ``%d`` writes as the stdlib encoder does), then ``_SECTION_SEP``."""
-    texts = [body._text for body in block.bodies]
-    factor, su2 = _int_text(block.factor_index), _int_text(block.su2_index)
-    for step in block.trotter_steps:
+def _block_pieces(factor_index, su2_index, steps, bodies, pieces: list[str]) -> list[str]:
+    """``pieces`` with a block's file text appended: for each of ``steps``,
+    each body's cached ``_text`` around the step's provenance (ints or None,
+    which ``%d`` writes as the stdlib encoder does), then ``_SECTION_SEP``."""
+    texts = [body._text for body in bodies]
+    factor, su2 = _int_text(factor_index), _int_text(su2_index)
+    for step in steps:
         provenance = _PROVENANCE_LAYOUT % (factor, su2, _int_text(step))
         for before, after in texts:
             pieces += (before, provenance, after, _SECTION_SEP)
     return pieces
+
+
+def _read_general(cls, text: str) -> ChipPlan:
+    """The plan of any JSON ``text``, section by section in file order: each
+    section's provenance is checked, then its body is read (once for each
+    distinct section) and shared with every body of equal text."""
+    payload = json.loads(text)
+    plan = cls(**_read_metadata(payload), blocks=[])
+    # marshal (version 2, which writes no back-references) gives equal
+    # bytes only for equal values of equal types: 1 and 1.0, true and 1,
+    # 0.0 and -0.0 all differ.
+    read: dict[bytes, PlanSection] = {}
+    bodies: dict[tuple[str, str], PlanSection] = {}
+    runs: list[tuple] = []  # one (factor_index, su2_index, (step,), bodies) per step
+    key = None
+    for item in _require_json(payload["sections"], list, "plan sections"):
+        provenance = _require_json(
+            _require_json(item, dict, "plan section").pop("provenance"), dict,
+            "section provenance",
+        )
+        values = tuple(map(provenance.get, _PROVENANCE))
+        _require_provenance(values, _PROVENANCE)
+        raw = marshal.dumps(item, 2)
+        body = read.get(raw)
+        if body is None:
+            body = _read_body(item, plan.dimension)
+            body = read[raw] = bodies.setdefault(body._text, body)
+        if values != key:
+            key = values
+            runs.append((key[0], key[1], key[2:], []))
+        runs[-1][3].append(body)
+    plan.blocks = _group_blocks(runs)
+    return plan
 
 
 def _read_layout(cls, text: str) -> ChipPlan:
@@ -564,10 +575,9 @@ def _read_layout(cls, text: str) -> ChipPlan:
 
     The metadata must re-encode to its text. A block's first step is read
     section by section, each distinct body parsed and checked once; then the
-    block's text as ``_block_pieces`` lays it out must stand in the file. A
-    block with the factor and su2 index of the block before it raises, since
-    ``_group_blocks`` may group it otherwise. Nothing is sized by the file's
-    N before the text left could hold N first steps.
+    block's text as ``_block_pieces`` lays it out must stand in the file.
+    Each such block is one run for ``_group_blocks``. Nothing is sized by the
+    file's N before the text left could hold N first steps.
     """
     start = text.index(_SECTIONS_KEY) + len(_SECTIONS_KEY)
     plan = cls(**_read_metadata(json.loads(text[:start] + "[]\n}")), blocks=[])
@@ -578,7 +588,8 @@ def _read_layout(cls, text: str) -> ChipPlan:
         raise ValueError(_NOT_LAYOUT)
     walk = range(plan.trotter_steps) if plan.config is not None else (None,)
     bodies: dict[tuple[str, str], PlanSection] = {}
-    steps, previous, pos = None, None, len(head) + len("[\n    ")
+    runs: list[tuple] = []  # one (factor_index, su2_index, steps, bodies) per block
+    steps, pos = None, len(head) + len("[\n    ")
     while True:
         # The first step: the sections from ``block_start`` with one provenance.
         first, key, block_start = [], None, pos
@@ -600,46 +611,35 @@ def _read_layout(cls, text: str) -> ChipPlan:
                 break
             pos = end + len(_SECTION_SEP)
         # No later step is shorter than the first.
-        if key[:2] == previous or (step_end - block_start) * len(walk) > len(text) - block_start:
+        if (step_end - block_start) * len(walk) > len(text) - block_start:
             raise ValueError(_NOT_LAYOUT)
         steps = steps or tuple(walk)
-        block = PlanBlock(tuple(first), key[0], key[1], steps)
+        run = (key[0], key[1], steps, first)
         # All but the last separator: the list's end may stand there instead.
-        block_text = "".join(_block_pieces(block, [])[:-1])
+        block_text = "".join(_block_pieces(*run, [])[:-1])
         if not text.startswith(block_text, block_start):
             raise ValueError(_NOT_LAYOUT)
-        plan.blocks.append(block)
-        previous, pos = key[:2], block_start + len(block_text)
+        runs.append(run)
+        pos = block_start + len(block_text)
         if text.startswith(_SECTIONS_END, pos) and len(text) == pos + len(_SECTIONS_END):
+            plan.blocks = _group_blocks(runs)
             return plan
         if not text.startswith(_SECTION_SEP, pos):
             raise ValueError(_NOT_LAYOUT)
         pos += len(_SECTION_SEP)
 
 
-def _group_blocks(sections) -> list[PlanBlock]:
-    """The general reader's run-length blocks of ``(provenance, body)``
-    pairs in file order.
-
-    Consecutive pairs with equal provenance form one step. A step joins the
-    previous block when it has the block's factor and su2 index and the
-    block's body objects, in order; otherwise it starts a block. The layout
-    reader builds its blocks itself and falls back wherever this grouping
-    could differ from its own.
-    """
-    runs: list[tuple] = []  # (bodies, factor_index, su2_index, step values)
-    for (factor, su2, step), pairs in itertools.groupby(sections, key=operator.itemgetter(0)):
-        bodies = tuple(body for _, body in pairs)
-        if (
-            runs
-            and runs[-1][1:3] == (factor, su2)
-            and len(bodies) == len(runs[-1][0])
-            and all(map(operator.is_, bodies, runs[-1][0]))
-        ):
-            runs[-1][3].append(step)
-        else:
-            runs.append((bodies, factor, su2, [step]))
-    return [PlanBlock(b, f, s, tuple(values)) for b, f, s, values in runs]
+def _group_blocks(runs) -> list[PlanBlock]:
+    """The run-length blocks of ``runs``, each ``(factor_index, su2_index,
+    step values, bodies)``, in file order: the one grouping rule of both
+    readers. A run joins the block before it when it has the block's factor
+    and su2 index and the block's body objects, in order."""
+    blocks = []
+    for _, group in itertools.groupby(runs, lambda run: (*run[:2], *map(id, run[3]))):
+        factor, su2, steps, bodies = next(group)
+        steps = (*steps, *(step for run in group for step in run[2]))
+        blocks.append(PlanBlock(tuple(bodies), factor, su2, steps))
+    return blocks
 
 
 def _require_provenance(values, names) -> None:
@@ -650,16 +650,6 @@ def _require_provenance(values, names) -> None:
     for value, name in zip(values, names):
         if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
             raise ValueError(f"provenance {name} must be an integer or null, got {value!r}")
-
-
-class _FloatMemo(dict):
-    """``parse_float`` for one ``json.loads`` call: each distinct literal is
-    converted once, by ``float`` as the default parser does, and equal
-    literals share one float object."""
-
-    def __missing__(self, literal: str) -> float:
-        value = self[literal] = float(literal)
-        return value
 
 
 def _require_json(value, kind: type, what: str):
@@ -805,7 +795,6 @@ def compile_unitary(
         section_budget=4 * count_sections(d) * len(steps),
         section_length=section_length,
         blocks=blocks,
-        epsilon_certificate=None if config is None else config.recurrence.epsilon,
         global_phase=float(np.angle(np.linalg.det(u))),
         config=config,
         target_name=target_name,

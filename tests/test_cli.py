@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -269,6 +270,22 @@ class TestSimulateCommand:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["message"] == message
 
+    def test_plan_with_a_false_certificate_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "plan.json"
+        code, _ = run_cli(capsys, "compile", "--gate", "dft", "--d", "3", "--N", "2",
+                          "--out", str(path))
+        assert code == 0
+        text = path.read_text()
+        claim = re.search(r'"epsilon_certificate": [^,]+,', text).group()
+        path.write_text(text.replace(claim, '"epsilon_certificate": 0.0,'))
+        code, out = run_cli(capsys, "simulate", "--plan", str(path))
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        assert str(path) in message
+        assert "epsilon_certificate 0.0 is not its achieved_epsilon" in message
+
     def test_dz_too_small_for_a_voltage_chip_exits_2(self, capsys, tmp_path):
         # one 6 mm section: 6e6 samples at dz = 1 nm, one at dz = 6 mm
         argv = _write_voltages(tmp_path / "volts.json", [([0.0, 0.0], [0.0])])
@@ -282,7 +299,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("version", [None, 1, 2, 99])
     def test_voltages_schema_version(self, capsys, tmp_path, version):
-        # a file without the key reads as schema 1, as a plan file does
+        # a voltages file without the key reads as schema 1; a plan file
+        # without it is rejected (test_a_plan_without_a_schema_version_is_rejected)
         path = tmp_path / "volts.json"
         argv = _write_voltages(path, [([0.0, 0.0], [0.0])])
         if version is not None:

@@ -715,10 +715,8 @@ def flat_product(sections, d: int) -> np.ndarray:
 
 
 def general_load(text: str) -> ChipPlan:
-    """``ChipPlan.from_json`` with the layout reader switched off, so the
-    general reader loads ``text`` or raises."""
-    with mock.patch("pwa_synth.planner._read_layout", side_effect=ValueError):
-        return ChipPlan.from_json(text)
+    """The general reader's plan of ``text``, or its error."""
+    return planner._read_general(ChipPlan, text)
 
 
 def reencodings(text: str) -> dict[str, str]:
@@ -950,7 +948,7 @@ def assert_layout_load(plan: ChipPlan) -> None:
     text it writes back, without the general reader."""
     text = plan.to_json()
     expected = plan_summary(plan)
-    with mock.patch("pwa_synth.planner._group_blocks", side_effect=AssertionError("general")):
+    with mock.patch("pwa_synth.planner._read_general", side_effect=AssertionError("general")):
         loaded = ChipPlan.from_json(text)
         assert plan_summary(loaded) == expected
         assert plan_summary(ChipPlan.from_json(loaded.to_json())) == expected
@@ -1095,15 +1093,15 @@ class TestLayoutReader:
         # holds), most do not
         assert 0 < accepted < STRUCTURED_EDITS
 
-    def test_a_repeated_block_goes_to_the_general_reader(self):
-        # the general reader joins the second copy's steps to the first's
+    def test_a_repeated_block_loads_through_the_layout_reader(self):
+        # both readers join the second copy's steps to the first's
         plan = compile_unitary(dft(3), trotter_steps=2)
         text = dataclasses.replace(plan, blocks=[plan.blocks[0], *plan.blocks]).to_json()
-        with pytest.raises(ValueError, match="not laid out"):
-            planner._read_layout(ChipPlan, text)
-        loaded = ChipPlan.from_json(text)
+        loaded = planner._read_layout(ChipPlan, text)
         assert loaded.blocks[0].trotter_steps == (0, 1, 0, 1)
+        assert len(loaded.blocks) == len(plan.blocks)
         assert plan_summary(loaded) == plan_summary(general_load(text))
+        assert loaded.to_json() == text
 
     def test_a_huge_claimed_step_count_is_never_allocated(self):
         # N = 10^8 in the metadata, one step in the text: the budget scales
@@ -1137,3 +1135,34 @@ class TestLayoutReader:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * len(text)
+
+
+class TestMetadataChecks:
+    @pytest.mark.parametrize("layout", ["writer", "compact"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_certificate_must_be_the_configs_achieved_epsilon(self, d, layout):
+        # a d=3 plan claiming a zero certificate, a d=2 plan (no config) any
+        plan = compile_unitary(dft(d), trotter_steps=2)
+        assert plan.epsilon_certificate == (None if d == 2 else plan.config.recurrence.epsilon)
+        with pytest.raises(AttributeError):
+            plan.epsilon_certificate = 0.0
+        text = plan.to_json()
+        claim = f'"epsilon_certificate": {json.dumps(plan.epsilon_certificate)}'
+        assert text.count(claim) == 1
+        edited = text.replace(claim, '"epsilon_certificate": 0.0')
+        if layout == "compact":
+            edited = json.dumps(json.loads(edited))
+        readers = [ChipPlan.from_json, general_load]
+        if layout == "writer":
+            readers.append(lambda text: planner._read_layout(ChipPlan, text))
+        for read in readers:
+            with pytest.raises(ValueError, match="epsilon_certificate 0.0 is not its achieved"):
+                read(edited)
+
+    def test_a_plan_without_a_schema_version_is_rejected(self):
+        payload = json.loads(compile_unitary(dft(3), trotter_steps=2).to_json())
+        del payload["schema_version"]
+        for text in (json.dumps(payload, indent=2), json.dumps(payload)):
+            for read in (ChipPlan.from_json, general_load):
+                with pytest.raises(ValueError, match="unsupported plan schema None"):
+                    read(text)
