@@ -23,10 +23,12 @@ from .linalg import TridiagonalHamiltonian, reduce_phases, require_count, requir
 from .planner import ChipPlan
 
 # Samples formatted per block by ``PropagationTrace.to_csv``. The block, not
-# the trace length, bounds the temporary Python objects (about 1.5 MB at
-# d = 8); blocks of a few hundred samples fragmented the malloc heap and
-# raised peak RSS by 1-2 MB on 1000-sample traces.
-_CSV_CHUNK = 1024
+# the trace length, bounds the row buffer (128 bytes a row below 100 modes)
+# and the kernel's temporaries (about 90 bytes a float). In the simulate
+# benchmark (traces of up to 961 samples, d = 3..8), blocks of 512 and 1024
+# samples peaked 0.5-1 MB and 2.5-3 MB higher in RSS than blocks of 256;
+# blocks of 128 saved at most 0.3 MB and made the pass about 15 % slower.
+_CSV_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,174 @@ def _read_only(values, dtype) -> np.ndarray:
     return out
 
 
+# ``PropagationTrace.to_csv`` writes each float into a slot of seven uint32
+# words (28 bytes) of a row buffer; a 0 byte is no byte (a stripped zero, a
+# missing '.' or exponent), and the bytes that remain, in order, are
+# ``'%.17g' % x``:
+#   words 0-1  sign, lead, '.', three leading zeros, first digit, (empty)
+#   words 2-5  the 16 digits after the first, four to a word
+#   word 6     'e', '-', two exponent digits
+# The kernel keeps to a few numpy loops (uint64 products, sums, shifts,
+# comparisons and floor division, take and where): each further loop a
+# process runs maps more of numpy's code into memory.
+_SLOT = 7
+_U64 = np.uint64
+_POW2 = np.array([1 << j for j in range(64)], dtype=np.uint64)
+_POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)  # 5^27 < 2^63
+_POW10 = np.array([float(f"1e{j}") for j in range(-12, 2)])  # 10^(i - 12)
+_E16, _E17 = _U64(10**16), _U64(10**17)  # the range of 17-digit quotients
+_COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", dtype=np.uint32)
+
+
+def _digit_words() -> np.ndarray:
+    """The four ASCII digits of 0..9999 as one word each, then the same
+    words with their trailing '0's emptied (0000 becomes an empty word)."""
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    full = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # by digit, then position
+    full[..., 0] = digits[:, None, None, None]
+    full[..., 1] = digits[:, None, None]
+    full[..., 2] = digits[:, None]
+    full[..., 3] = digits
+    stripped = full.copy()
+    stripped[..., 0, 3] = 0
+    stripped[..., 0, 0, 2] = 0
+    stripped[:, 0, 0, 0, 1] = 0
+    stripped[0, 0, 0, 0, 0] = 0
+    return np.concatenate([full.ravel(), stripped.ravel()]).view(np.uint32)
+
+
+def _head_words() -> np.ndarray:
+    """Words 0-1 of a slot as one uint64, row ((sign * 12 + k + 11) * 10 +
+    lead) * 2 + has_fraction for a decimal exponent k in [-11, 0]. From
+    1e-4 up to 1 the lead digit follows "0." and -k - 1 zeros; elsewhere it
+    leads, and the '.' goes when no fraction follows (so k = 0 with lead 0
+    writes +-0)."""
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    head = np.zeros((2, 12, 10, 2, 8), dtype=np.uint8)  # sign, k + 11, lead, fraction
+    head[1, ..., 0] = ord("-")
+    head[..., 1] = digits[:, None]
+    head[..., 1, 2] = ord(".")
+    fixed = head[:, 7:11]  # k = -4..-1
+    fixed[..., 1:3] = np.frombuffer(b"0.", dtype=np.uint8)
+    for zeros in range(1, 4):  # k = -2, -3, -4
+        fixed[:, 3 - zeros, ..., 3:3 + zeros] = ord("0")
+    fixed[..., 6] = digits[:, None]
+    return head.view(np.uint64).ravel()
+
+
+_DIGITS = _digit_words()
+_HEADS = _head_words()
+_TAILS = np.frombuffer(
+    b"".join(b"e-%02d" % -k if k < -4 else bytes(4) for k in range(-11, 1)), dtype=np.uint32
+)
+
+
+def _scaled(m, biased, k):
+    """For v = m 5^s / 2^r with s = 16 - k and r = 1075 - 16 + k - biased
+    (x 10^s for x = m 2^(biased - 1075)): floor(v), its fraction as a 64-bit
+    fixed-point number, and whether both are exact. The product m 5^s
+    (m < 2^53, 5^s < 2^63) is formed exactly as (hi, lo) from 32-bit limbs;
+    it is not exact where r is outside [1, 63] or floor(v) needs more than
+    64 bits."""
+    r = (k + 1059 - biased).view(np.uint64)
+    fits = r - _U64(1) <= _U64(62)
+    r = np.where(fits, r, _U64(1))
+    p = np.take(_POW5, 16 - k)
+    lo = m * p  # the low 64 bits, wrapping
+    w, limb = _U64(32), _U64(2**32)
+    m_hi, p_hi = m >> w, p >> w
+    m_lo, p_lo = m - m_hi * limb, p - p_hi * limb
+    del p  # the limbs are updated in place from here: this runs on whole blocks
+    mid = m_lo * p_lo
+    mid >>= w
+    m_lo *= p_hi
+    mid += m_lo
+    p_lo *= m_hi
+    mid += p_lo  # < 2^32 + 2^63 + 2^53: this limb sum cannot wrap
+    del m_lo, p_lo
+    hi = m_hi
+    hi *= p_hi
+    mid >>= w
+    hi += mid
+    del mid, p_hi
+    fits &= (hi >> r) == _U64(0)
+    left = np.take(_POW2, _U64(64) - r)  # a product by 2^(64 - r) shifts left
+    hi *= left
+    hi += lo >> r
+    lo *= left
+    return hi, lo, fits
+
+
+def _put_floats(slots: np.ndarray, x: np.ndarray) -> None:
+    """Write ``'%.17g' % v`` for each v of the float array ``x`` into
+    ``slots``, a uint32 view of a row buffer of shape x.shape + (7,) whose
+    slots start on 8-byte boundaries.
+
+    A normal x = m 2^e (m < 2^53) whose decimal exponent k is in [-11, 0]
+    gets its 17 digits from the exact quotient m 5^s / 2^r, s = 16 - k,
+    r = -(e + s), rounded half to even: the correctly rounded digits of
+    Python's formatter. k is estimated from e and corrected by the
+    truncated quotient, which lies in [1e16, 1e17) exactly when k is right.
+    +-0 is written directly; every other value (nan, inf, subnormals, |x|
+    below 1e-11 or from 10 up, any quotient that fails its check) is
+    formatted by Python.
+    """
+    ax = np.abs(x)
+    bits = ax.view(np.uint64)
+    biased = bits >> _U64(52)
+    # floor(log10 |x|) is floor(b log10 2) or one more, for |x| = 1.f 2^b;
+    # nan, inf, 0 and subnormals get k far outside [-11, 0]
+    k = np.floor((biased.astype(np.float64) - 1023.0) * 0.3010299956639812)
+    k = np.where(ax >= np.take(_POW10, k.astype(np.int64) + 13, mode="clip"), k + 1.0, k)
+    exact = (k >= -11.0) & (k <= 0.0)
+    zero = x == 0.0
+    k = np.where(exact, k, 0.0).astype(np.int64)
+    m = np.where(zero, _U64(0), bits - (biased - _U64(1)) * _U64(2**52))  # 0 digits: +-0
+    del ax, bits
+    biased = biased.view(np.int64)
+    n, frac, fits = _scaled(m, biased, k)
+    exact &= fits
+    redo = np.nonzero(exact & ((n < _E16) | (n >= _E17)))
+    if redo[0].size:  # k is off by one next to a power of ten
+        kr = np.clip(k[redo] + np.where(n[redo] < _E16, -1, 1), -11, 0)
+        q, frac[redo], ok = _scaled(m[redo], biased[redo], kr)
+        n[redo], k[redo] = q, kr
+        # q in [1e16, 1e17) proves kr right, also where kr was clipped
+        exact[redo] = ok & (q >= _E16) & (q < _E17)
+    del m, biased
+    # half to even: up when the fraction passes 1/2, or is 1/2 and n is odd
+    low_bit = n - (n >> _U64(1)) * _U64(2)
+    n += np.where(frac > _U64(2**63) - low_bit, _U64(1), _U64(0))
+    del frac, low_bit
+    carry = np.nonzero(n == _E17)
+    if carry[0].size:  # rounded up to the next power of ten
+        n[carry] = _E16
+        k[carry] += 1
+        exact[carry] &= k[carry] <= 0
+
+    lead = n // _E16
+    n -= lead * _E16
+    high = n // _U64(10**8)
+    n -= high * _U64(10**8)
+    hh, lh = high // _U64(10_000), n // _U64(10_000)
+    high -= hh * _U64(10_000)
+    n -= lh * _U64(10_000)
+    strip = np.full(x.shape, 10_000, dtype=np.uint64)  # offset of the stripped words
+    for word, g in zip((5, 4, 3, 2), (n, lh, high, hh)):  # while every later digit is 0
+        slots[..., word] = np.take(_DIGITS, g + strip, mode="clip")
+        strip = np.where(g == _U64(0), strip, _U64(0))
+    del hh, lh, high, n
+    sign = x.view(np.uint64) >> _U64(63)
+    head = (sign.view(np.int64) * 12 + k + 11) * 10 + lead.view(np.int64)
+    head = head * 2 + np.where(strip == _U64(0), 1, 0)
+    slots[..., :2].view(np.uint64)[..., 0] = np.take(_HEADS, head, mode="clip")
+    slots[..., 6] = np.take(_TAILS, k + 11, mode="clip")
+    others = np.nonzero(~(exact | zero))
+    if others[0].size:
+        text = b"".join(("%.17g" % v).encode().ljust(4 * _SLOT, b"\0") for v in x[others].tolist())
+        slots[others] = np.frombuffer(text, dtype=np.uint32).reshape(-1, _SLOT)
+
+
 @dataclass(frozen=True)
 class PropagationTrace:
     """State amplitudes sampled along the propagation axis."""
@@ -200,22 +370,38 @@ class PropagationTrace:
         """Long-format CSV: z_m, mode_index, re, im, probability.
 
         Rows are grouped by sample, then by mode index; floats are written
-        as ``%.17g``. Each block of samples is filled into a repeated row
-        template by one ``%``, with z formatted once per sample.
+        as ``'%.17g' % x`` would write them, by ``_put_floats``. Each block
+        of samples fills one reused buffer of fixed-width rows of uint32
+        words (z, ",m,", then re, im and probability each followed by its
+        separator), z once per sample, and drops the empty bytes in one
+        ``bytearray.translate``.
         """
         n, d = self.amplitudes.shape
-        template = "".join(f"%s,{m},%.17g,%.17g,%.17g\n" for m in range(d))
+        modes = [f",{m},".encode() for m in range(d)]
+        width = -(-len(modes[-1]) // 4) | 1  # words, odd: the slots stay 8-byte aligned
+        mode_words = np.frombuffer(
+            b"".join(text.ljust(4 * width, b"\0") for text in modes), dtype=np.uint32
+        ).reshape(d, width)
+        re = _SLOT + width
+        chunk = min(max(n, 1), _CSV_CHUNK)
+        raw = bytearray(4 * chunk * d * (re + 3 * (_SLOT + 1)))
+        buf = np.frombuffer(raw, dtype=np.uint32).reshape(chunk, d, -1)
+        fields = buf[:, :, re:].reshape(chunk, d, 3, _SLOT + 1)  # re, im, probability
+        buf[:, :, _SLOT:re] = mode_words
+        fields[..., _SLOT] = [_COMMA, _COMMA, _NEWLINE]
         parts = ["z_m,mode_index,re,im,probability\n"]
-        for start in range(0, n, _CSV_CHUNK):
-            rows = slice(start, start + _CSV_CHUNK)
+        for start in range(0, n, chunk):
+            rows = slice(start, start + chunk)
             amps = self.amplitudes[rows]
-            block = np.empty((len(amps), d, 4), dtype=object)
-            zs = ["%.17g" % z for z in self.z[rows].tolist()]
-            block[:, :, 0] = np.array(zs, dtype=object)[:, None]
-            block[:, :, 1:] = np.stack([amps.real, amps.imag, self.probabilities[rows]], axis=-1)
-            parts.append(template * len(amps) % tuple(block.ravel().tolist()))
+            size = len(amps)
+            if size < chunk:
+                buf[size:] = 0  # the last block: no bytes past it
+            _put_floats(buf[:size, 0, :_SLOT], self.z[rows])
+            buf[:size, 1:, :_SLOT] = buf[:size, :1, :_SLOT]
+            values = np.stack([amps.real, amps.imag, self.probabilities[rows]], axis=-1)
+            _put_floats(fields[:size, ..., :_SLOT], values)
+            parts.append(raw.translate(None, b"\0").decode("ascii"))
         return "".join(parts)
-
 
 def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) -> PropagationTrace:
     """Resolve the state along z through the section cascade.
@@ -259,8 +445,11 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
         local = v.conj().T @ state
         grid = np.minimum(dz * np.arange(1, count + 1), section.length)
         grid[-1] = section.length
-        phases = np.exp(-1j * reduce_phases(w, grid, offset))
-        block = (v @ (phases * local).T).T
+        # one complex temporary, filled in place: phases, then local weights
+        ph = np.multiply(-1j, reduce_phases(w, grid, offset))
+        np.exp(ph, out=ph)
+        np.multiply(ph, local, out=ph)
+        block = (v @ ph.T).T
         amps[row:row + count] = block
         zs[row:row + count] = z_offset + grid
         row += count
@@ -268,6 +457,7 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
         # the next section reads the block's own (strided) row: a contiguous
         # copy of it takes another BLAS path and changes the last bit
         state = block[-1]
+    del ph, block, state  # the trace's probabilities need the room
     # read-only arrays that own their data pass into the trace uncopied
     zs.flags.writeable = amps.flags.writeable = False
     return PropagationTrace(z=zs, amplitudes=amps)

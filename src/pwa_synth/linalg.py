@@ -115,8 +115,9 @@ def reduce_phases(eigenvalues, length, offset: float = 0.0) -> np.ndarray:
     sample positions; the result then has shape length.shape + (d,).
     """
     z = np.asarray(length, dtype=np.longdouble)[..., None]
-    prod = np.asarray(eigenvalues, dtype=np.longdouble) * z + np.longdouble(offset) * z
-    return np.mod(prod, _TWO_PI_LD).astype(float)
+    prod = np.asarray(eigenvalues, dtype=np.longdouble) * z
+    prod += np.longdouble(offset) * z
+    return np.mod(prod, _TWO_PI_LD, out=prod).astype(float)
 
 
 def assemble_unitary(eigenvectors, phases) -> np.ndarray:

@@ -474,6 +474,11 @@ def _read_metadata(payload) -> dict:
             epsilon=epsilon,
             recurrence=recurrence,
         )
+        compiled_budget = 4 * count_sections(d) * trotter_steps
+        if budget != compiled_budget:
+            raise ValueError(
+                f"plan K {budget} is not 4 * count_sections(d) * N = {compiled_budget}"
+            )
     certificate = _number_or_none(meta.get("epsilon_certificate"), "plan epsilon_certificate")
     if certificate != (None if config is None else config.recurrence.epsilon):
         raise ValueError(f"plan epsilon_certificate {certificate!r} is not its achieved_epsilon")

@@ -286,6 +286,22 @@ class TestSimulateCommand:
         assert str(path) in message
         assert "epsilon_certificate 0.0 is not its achieved_epsilon" in message
 
+    def test_plan_with_a_false_budget_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "plan.json"
+        code, _ = run_cli(capsys, "compile", "--gate", "dft", "--d", "3", "--N", "2",
+                          "--out", str(path))
+        assert code == 0
+        text = path.read_text()
+        assert text.count('"K": 40,') == 1
+        path.write_text(text.replace('"K": 40,', '"K": 1,'))
+        code, out = run_cli(capsys, "simulate", "--plan", str(path))
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        assert str(path) in message
+        assert "plan K 1 is not 4 * count_sections(d) * N = 40" in message
+
     def test_dz_too_small_for_a_voltage_chip_exits_2(self, capsys, tmp_path):
         # one 6 mm section: 6e6 samples at dz = 1 nm, one at dz = 6 mm
         argv = _write_voltages(tmp_path / "volts.json", [([0.0, 0.0], [0.0])])

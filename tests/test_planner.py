@@ -1105,12 +1105,12 @@ class TestLayoutReader:
 
     def test_a_huge_claimed_step_count_is_never_allocated(self):
         # N = 10^8 in the metadata, one step in the text: the budget scales
-        # as 1/N^2, so both epsilons shrink by 10^16
+        # as 1/N^2, so both epsilons shrink by 10^16, and K grows with N
         plan = compile_unitary(dft(3), trotter_steps=1)
         config = plan.config
         recurrence = dataclasses.replace(config.recurrence, epsilon=config.recurrence.epsilon * 1e-16)
         plan = dataclasses.replace(
-            plan, trotter_steps=10**8,
+            plan, trotter_steps=10**8, section_budget=plan.section_budget * 10**8,
             config=dataclasses.replace(
                 config, trotter_steps=10**8, epsilon=config.epsilon * 1e-16, recurrence=recurrence
             ),
@@ -1158,6 +1158,36 @@ class TestMetadataChecks:
         for read in readers:
             with pytest.raises(ValueError, match="epsilon_certificate 0.0 is not its achieved"):
                 read(edited)
+
+    @pytest.mark.parametrize("layout", ["writer", "compact"])
+    def test_a_compiled_plans_K_must_be_its_section_budget(self, layout):
+        # d=3, N=2: K = 4 * count_sections(3) * 2 = 40; one less is rejected
+        plan = compile_unitary(dft(3), trotter_steps=2)
+        assert plan.section_budget == 40
+        text = plan.to_json()
+        assert text.count('"K": 40,') == 1
+        edited = text.replace('"K": 40,', '"K": 39,')
+        if layout == "compact":
+            edited = json.dumps(json.loads(edited))
+        readers = [ChipPlan.from_json, general_load]
+        if layout == "writer":
+            readers.append(lambda text: planner._read_layout(ChipPlan, text))
+        for read in readers:
+            with pytest.raises(ValueError, match=r"plan K 39 is not 4 \* count_sections\(d\) \* N = 40"):
+                read(edited)
+
+    @pytest.mark.parametrize("layout", ["writer", "compact"])
+    def test_a_plan_without_a_config_keeps_K_free(self, layout):
+        plan = compile_unitary(dft(2))
+        assert plan.config is None
+        text = plan.to_json()
+        claim = f'"K": {plan.section_budget},'
+        assert text.count(claim) == 1
+        edited = text.replace(claim, '"K": 7,')
+        if layout == "compact":
+            edited = json.dumps(json.loads(edited))
+        for read in (ChipPlan.from_json, general_load):
+            assert read(edited).section_budget == 7
 
     def test_a_plan_without_a_schema_version_is_rejected(self):
         payload = json.loads(compile_unitary(dft(3), trotter_steps=2).to_json())
