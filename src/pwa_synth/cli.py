@@ -3,7 +3,7 @@
 Every command is deterministic given its flags and seeds. Floats in CSV
 output are printed with 17 significant digits so reruns are byte-identical.
 Failures exit nonzero with a one-line machine-readable error JSON on stdout:
-exit code 2 for input errors, 1 for pipeline failures.
+exit code 2 for input errors, 1 for pipeline failures and a missing scipy.
 """
 
 from __future__ import annotations
@@ -318,6 +318,10 @@ def main(argv=None) -> int:
         return 2
     except (PlanError, PrecisionUnreachable) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+        return 1
+    except ImportError as exc:  # scipy, which only the optimizer loads
+        message = f"{exc}; optimizing needs scipy>=1.15"
+        print(json.dumps({"error": {"type": type(exc).__name__, "message": message}}))
         return 1
 
 

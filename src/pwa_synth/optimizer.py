@@ -21,18 +21,26 @@ threads at once. Its returned gradients are a new array.
 ``minimize`` is the L-BFGS-B driver: it runs every restart in lockstep in one
 thread, stepping each through scipy's ``setulb`` exactly as
 ``scipy.optimize.minimize`` would and evaluating all the points requested in
-a round with one stacked objective call. It imports scipy on its first call,
-so compiling and simulating never load it. It stays a real module attribute
-that ``optimize`` looks up as a global: a tracer (``perfbench/spans.py``)
-times it by swapping that name.
+a round with one stacked objective call. On its first call it loads only the
+top-level ``scipy`` package and scipy's L-BFGS-B extension, never the
+``scipy.optimize`` package, so compiling and simulating load no scipy and
+optimizing loads a handful of scipy's modules, not hundreds; a later
+``import scipy.optimize`` loads and binds the extension as usual. ``minimize`` stays
+a real module attribute that ``optimize`` looks up as a global: a tracer
+(``perfbench/spans.py``) times it by swapping that name.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import io
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -265,6 +273,39 @@ _MAX_EVALUATIONS = 15000
 #: the stop's reasons that the driver sets: the iteration and evaluation caps.
 _NEW_X, _FG, _STOP = 1, 3, 5
 _ITERATION_CAP, _EVALUATION_CAP = 504, 502
+_LBFGSB = "scipy.optimize._lbfgsb"
+
+
+@functools.cache
+def _setulb():
+    """scipy's L-BFGS-B step ``setulb``, loaded without ``scipy.optimize``.
+
+    Importing the top-level ``scipy`` package sets up its bundled libraries;
+    the extension file is then loaded under its real name from that
+    package's ``optimize`` directory. Loading it inserts it into
+    ``sys.modules``; the entry is removed, so a later ``import
+    scipy.optimize`` loads and binds the extension itself. When
+    ``scipy.optimize`` has loaded it first, that module is used. Raises
+    ImportError when scipy is missing or has no such extension file.
+    """
+    import scipy
+
+    if _LBFGSB in sys.modules:
+        return sys.modules[_LBFGSB].setulb
+    directory = Path(scipy.__file__).parent / "optimize"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_lbfgsb{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(_LBFGSB, path)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            finally:
+                sys.modules.pop(_LBFGSB, None)
+            return module.setulb
+    raise ImportError(
+        f"no L-BFGS-B extension _lbfgsb in {directory} (scipy {scipy.__version__})"
+    )
 
 
 def minimize(fun, x0, *, maxiter: int, ftol: float, gtol: float):
@@ -281,9 +322,11 @@ def minimize(fun, x0, *, maxiter: int, ftol: float, gtol: float):
     ``maxiter`` iterations and at 15000 evaluations.
 
     Returns the last evaluated value, the final point and the iteration
-    count of every row.
+    count of every row. The first call loads ``setulb`` with ``_setulb``:
+    the top-level ``scipy`` package and its L-BFGS-B extension, not the
+    ``scipy.optimize`` package.
     """
-    from scipy.optimize import _lbfgsb
+    setulb = _setulb()
 
     x = np.array(x0, dtype=float)
     rows, n = x.shape
@@ -309,9 +352,9 @@ def minimize(fun, x0, *, maxiter: int, ftol: float, gtol: float):
     def advance(r: int) -> bool:
         """Step row r until it needs an evaluation (True) or stops (False)."""
         while True:
-            _lbfgsb.setulb(m, x[r], unbounded, unbounded, nbd, f[r], g[r], factr, gtol,
-                           wa[r], iwa[r], task[r], lsave[r], isave[r], dsave[r],
-                           _LINE_SEARCH_STEPS, ln_task[r])
+            setulb(m, x[r], unbounded, unbounded, nbd, f[r], g[r], factr, gtol,
+                   wa[r], iwa[r], task[r], lsave[r], isave[r], dsave[r],
+                   _LINE_SEARCH_STEPS, ln_task[r])
             if task[r, 0] == _FG:
                 if not np.array_equal(x[r], evaluated[r]):
                     return True

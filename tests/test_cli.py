@@ -621,12 +621,16 @@ def test_module_entry_point(tmp_path):
 
 
 _COLD_START = """
+import json
 import sys
+import types
+
+import numpy as np
 
 import pwa_synth
 from pwa_synth import cli
 
-chip = sys.argv[1]
+chip, out_dir = sys.argv[1:]
 for argv, code in [
     (["compile", "--gate", "dft", "--d", "2"], 0),
     (["compile", "--gate", "dft", "--d", "3", "--N", "8"], 0),
@@ -640,22 +644,75 @@ for argv, code in [
         got = exc.code
     assert got == code, (argv, got)
 assert "scipy" not in sys.modules
-assert cli.main(["optimize", "--gate", "dft", "--d", "2", "--K", "1", "--restarts", "1",
-                 "--maxiter", "5"]) == 0
-assert "scipy.optimize" in sys.modules
+
+
+def optimize(name):
+    out = f"{out_dir}/{name}.json"
+    assert cli.main(["optimize", "--gate", "dft", "--d", "3", "--K", "2", "--restarts", "2",
+                     "--maxiter", "20", "--out", out]) == 0
+    payload = json.loads(open(out).read())
+    return payload["restart_infidelities"], np.array(
+        [v["level_volts"] + v["coupling_volts"] for v in payload["voltages"]]).tobytes()
+
+
+first = optimize("first")
+assert "scipy" in sys.modules
+loaded = [name for name in ("scipy.optimize", "scipy.optimize._lbfgsb", "scipy.linalg",
+                            "scipy.sparse") if name in sys.modules]
+assert not loaded, loaded
+import scipy.optimize
+
+assert isinstance(scipy.optimize._lbfgsb, types.ModuleType)
+res = scipy.optimize.minimize(lambda x: (float(x @ x), 2.0 * x), np.ones(3), jac=True,
+                              method="L-BFGS-B")
+assert res.success and np.allclose(res.x, 0.0), res
+assert optimize("second") == first
 """
 
 
 def test_scipy_loads_only_when_optimizing(tmp_path):
-    # the compiler and simulator need numpy only; importing scipy.optimize
-    # takes most of the start-up time of a command
+    # the compiler and simulator need numpy only, and the optimizer loads
+    # the top-level scipy package and its L-BFGS-B extension alone, not the
+    # scipy.optimize package, whose import pulls in scipy.linalg and
+    # scipy.sparse and took most of a cold optimize's start-up time; a later
+    # public import of scipy.optimize still loads and binds the extension
     chip = tmp_path / "chip.json"
     chip.write_text(json.dumps({
         "schema_version": 1,
         "voltages": [{"level_volts": [1.0, -2.0, 0.5], "coupling_volts": [3.0, -1.0]}],
     }))
-    done = _run_python(tmp_path, "-c", _COLD_START, str(chip))
+    done = _run_python(tmp_path, "-c", _COLD_START, str(chip), str(tmp_path))
     assert done.returncode == 0, done.stderr
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None
+from pwa_synth.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["compile", "--gate", "dft", "--d", "3", "--N", "2"], 0),
+    (["simulate", "--voltages", "chip.json", "--dz", "1e-3"], 0),
+    (["--help"], 0),
+    (["optimize", "--gate", "dft", "--d", "2", "--K", "1", "--restarts", "1"], 1),
+])
+def test_without_scipy_only_optimize_fails_with_one_json_line(tmp_path, argv, code):
+    (tmp_path / "chip.json").write_text(json.dumps({
+        "voltages": [{"level_volts": [1.0, -2.0], "coupling_volts": [3.0]}],
+    }))
+    done = _run_python(tmp_path, "-c", _WITHOUT_SCIPY, *argv)
+    assert done.returncode == code, done.stderr
+    assert done.stderr == ""
+    if code:
+        [line] = done.stdout.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "ModuleNotFoundError"
+        assert "scipy>=1.15" in error["message"]
 
 
 def test_parser_is_built_once_and_parses_each_call_afresh(capsys, tmp_path):

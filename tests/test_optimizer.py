@@ -1,6 +1,9 @@
+import importlib.machinery
 import json
 import re
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -613,3 +616,39 @@ class TestOptimize:
         lines = csv.strip().splitlines()
         assert lines[0] == "restart_id,final_infidelity,iterations"
         assert len(lines) == 1 + task.restarts
+
+
+class TestSetulbLoader:
+    """``optimizer._setulb`` uncached: the extension file is loaded alone."""
+
+    def test_reuses_the_extension_scipy_optimize_loaded(self):
+        import scipy.optimize
+
+        before = dict(sys.modules)
+        assert optimizer._setulb.__wrapped__() is scipy.optimize._lbfgsb.setulb
+        assert sys.modules == before
+
+    def test_loads_the_extension_file_and_leaves_sys_modules_as_it_found_it(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
+        before = dict(sys.modules)
+        setulb = optimizer._setulb.__wrapped__()
+        assert sys.modules == before
+        assert setulb.__name__ == "setulb"
+        # the freshly loaded step drives the restarts to the same bits
+        task = OptimizationTask(target=dft(3), sections=2, restarts=3, seed=4, max_iterations=50)
+        expected = optimize(task)
+        monkeypatch.setattr(optimizer, "_setulb", lambda: setulb)
+        result = optimize(task)
+        assert result.restart_infidelities == expected.restart_infidelities
+        assert result.iteration_counts == expected.iteration_counts
+
+    def test_no_extension_file_raises_import_error(self, monkeypatch):
+        import scipy
+
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        before = dict(sys.modules)
+        with pytest.raises(ImportError, match=re.escape(f"(scipy {scipy.__version__})")) as info:
+            optimizer._setulb.__wrapped__()
+        assert str(Path(scipy.__file__).parent / "optimize") in str(info.value)
+        assert sys.modules == before
