@@ -21,9 +21,12 @@ import numpy as np
 from .device import DeviceModel, propagate
 from .gates import named_gate
 from .lattice import PrecisionUnreachable
-from .linalg import haar_random_unitary, require_number, require_positive, require_unitary
+from .linalg import haar_random_unitary, require_count, require_number, require_positive, require_unitary
 from .optimizer import OptimizationResult, OptimizationTask, optimize
 from .planner import ChipPlan, PlanError, compile_unitary
+
+#: Pipeline failures: exit 1 from a command, an ``error:`` row in ``bench``.
+_PIPELINE_FAILURES = (PlanError, PrecisionUnreachable)
 
 
 def _fmt(x: float) -> str:
@@ -165,12 +168,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    dims = [int(x) for x in args.dims.split(",")]
-    counts = [int(x) for x in args.sections.split(",")]
+    # Every flag is checked before any row runs or the output directory is made.
+    dims = [require_count(int(x), "--dims", 2) for x in args.dims.split(",")]
+    counts = [require_count(int(x), "--sections") for x in args.sections.split(",")]
     lengths = [require_positive(float(x), "section length") for x in args.lengths.split(",")]
     gates = args.gates.split(",")
     seeds = [int(x) for x in args.seeds.split(",")]
-    trotter_steps = [int(x) for x in args.N_values.split(",")]
+    trotter_steps = [require_count(int(x), "--N-values") for x in args.N_values.split(",")]
+    require_count(args.restarts, "--restarts")
+    require_count(args.maxiter, "--maxiter")
+    require_count(args.haar_count, "--haar-count")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -193,7 +200,7 @@ def _cmd_bench(args) -> int:
                             plan = compile_unitary(target, section_length=length, trotter_steps=n)
                             errors.append(plan.measured_error)
                             lines.append(f"{gate},{d},{n},{_fmt(length)},{_fmt(plan.measured_error)}")
-                        except Exception as exc:
+                        except _PIPELINE_FAILURES as exc:
                             lines.append(f"{gate},{d},{n},{_fmt(length)},error:{exc}")
                     # d = 2 plans are exact and ignore N: there is no slope to fit.
                     if d > 2 and len(errors) == len(trotter_steps) >= 2:
@@ -230,7 +237,7 @@ def _cmd_bench(args) -> int:
             key = f"{name},{d},{k},{_fmt(length)},{seed}"
             try:
                 rows.append(f"{key},{_fmt(_optimize(args, target, k, model, seed).infidelity)},ok")
-            except Exception as exc:  # per-row failures recorded, run continues
+            except _PIPELINE_FAILURES as exc:  # recorded, and the run continues
                 rows.append(f"{key},nan,error:{exc}")
         write(f"{args.experiment.replace('-', '_')}.csv", "\n".join(rows) + "\n")
     for path in written:
@@ -316,7 +323,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2
-    except (PlanError, PrecisionUnreachable) as exc:
+    except _PIPELINE_FAILURES as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
     except ImportError as exc:  # scipy, which only the optimizer loads

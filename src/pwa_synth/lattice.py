@@ -6,12 +6,14 @@ reduction is the standard one: a (d+1)-dimensional basis whose first row
 carries the scaled eigenvalues and a unit weight on q, reduced with LLL, with
 candidate denominators read off the first column. Candidates are certified
 against the original float eigenvalues in exact rational arithmetic, so the
-lattice scaling never leaks into the certificate.
+lattice scaling never leaks into the certificate. A ``DiophantineResult`` is
+built from the eigenvalues and q alone and derives the rest of its
+certificate, so q is the only part of it a plan needs to store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
 
@@ -103,31 +105,30 @@ def lll_reduce(basis) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class DiophantineResult:
-    """Certificate for |lambda_j q - p_j| <= eps, verified exactly on construction."""
+    """The certificate of the denominator q for ``lambdas``: numerators
+    p_j = round(lambda_j q), residuals lambda_j q - p_j and epsilon, the
+    largest |residual|. They are derived on construction from q and the
+    float64 values of ``lambdas`` in exact rational arithmetic, and cannot be
+    given, so a certificate always describes its q."""
 
+    lambdas: tuple[float, ...]
     denominator: int
-    numerators: tuple[int, ...]
-    residuals: tuple[float, ...]
-    epsilon: float
-    requested: float
+    numerators: tuple[int, ...] = field(init=False)
+    residuals: tuple[float, ...] = field(init=False)
+    epsilon: float = field(init=False)
 
     def __post_init__(self):
-        require_count(self.denominator, "denominator")
-        for p in self.numerators:
-            if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-                raise ValueError(f"numerators must be integers, got {p!r}")
-        if len(self.numerators) != len(self.residuals):
-            raise ValueError("numerators and residuals disagree in length")
-
-    def verify(self, lambdas) -> bool:
-        """Re-check the certificate by direct exact multiplication."""
-        lam = [Fraction(float(x)) for x in lambdas]
-        if len(lam) != len(self.numerators):
-            return False
-        bound = Fraction(float(self.requested))
-        return all(
-            abs(self.denominator * f - p) <= bound for f, p in zip(lam, self.numerators)
-        )
+        lam = np.asarray(self.lambdas, dtype=float)
+        if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
+            raise ValueError("lambdas must be a non-empty 1-d sequence of finite numbers")
+        values = tuple(lam.tolist())
+        q = require_count(self.denominator, "denominator")
+        numerators, residuals, worst = _attempt(list(map(Fraction, values)), q)
+        for name, value in (
+            ("lambdas", values), ("denominator", q), ("numerators", tuple(numerators)),
+            ("residuals", tuple(map(float, residuals))), ("epsilon", float(worst)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 class PrecisionUnreachable(RuntimeError):
@@ -146,6 +147,23 @@ def _attempt(fractions: list[Fraction], q: int):
     return numerators, residuals, worst
 
 
+def _candidates(fractions: list[Fraction], eps: float):
+    """The denominators to try in order: 1, then each escalation's reduced
+    lattice's first column, smallest first."""
+    yield 1
+    d = len(fractions)
+    scale = max(16, int(4.0 / float(eps)))
+    for _ in range(ESCALATIONS):
+        scaled = [floor(f * scale + Fraction(1, 2)) for f in fractions]
+        basis = [[1] + scaled]
+        for j in range(d):
+            row = [0] * (d + 1)
+            row[j + 1] = -scale
+            basis.append(row)
+        yield from sorted({abs(v[0]) for v in lll_reduce(basis) if v[0] != 0})
+        scale *= 16
+
+
 def simultaneous_diophantine(lambdas, eps: float) -> DiophantineResult:
     """Find q >= 1 and integers p_j with |lambda_j q - p_j| <= eps for all j.
 
@@ -161,49 +179,20 @@ def simultaneous_diophantine(lambdas, eps: float) -> DiophantineResult:
     are 0.08 to 1, and the plans' true error is 1.9 to 2.0 while their
     ``measured_error``, built from the same residuals, reads about 1e-3.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("lambdas must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("lambdas must be finite")
+    lambdas = DiophantineResult(lambdas, 1).lambdas  # checked and converted
     require_positive(eps, "eps")
-    fractions = [Fraction(float(x)) for x in lam]
+    fractions = list(map(Fraction, lambdas))
     bound = Fraction(float(eps))
-    d = lam.size
-
-    def result_for(q, numerators, residuals, worst):
-        return DiophantineResult(
-            denominator=int(q),
-            numerators=tuple(int(p) for p in numerators),
-            residuals=tuple(float(r) for r in residuals),
-            epsilon=float(worst),
-            requested=float(eps),
-        )
-
-    numerators, residuals, worst = _attempt(fractions, 1)
-    if worst <= bound:
-        return result_for(1, numerators, residuals, worst)
-    best = (worst, 1, numerators, residuals)
-
-    scale = max(16, int(4.0 / float(eps)))
-    for _ in range(ESCALATIONS):
-        scaled = [floor(f * scale + Fraction(1, 2)) for f in fractions]
-        basis = [[1] + scaled]
-        for j in range(d):
-            row = [0] * (d + 1)
-            row[j + 1] = -scale
-            basis.append(row)
-        reduced = lll_reduce(basis)
-        for q in sorted({abs(v[0]) for v in reduced if v[0] != 0}):
-            numerators, residuals, worst = _attempt(fractions, q)
-            if worst < best[0]:
-                best = (worst, q, numerators, residuals)
-            if worst <= bound:
-                return result_for(q, numerators, residuals, worst)
-        scale *= 16
-    worst, q, numerators, residuals = best
+    best = None
+    for q in _candidates(fractions, eps):
+        worst = _attempt(fractions, q)[2]
+        if worst <= bound:
+            return DiophantineResult(lambdas, q)
+        if best is None or worst < best[0]:
+            best = (worst, q)
+    worst, q = best
     raise PrecisionUnreachable(
         f"no (q, p) with residual <= {eps:g} within {ESCALATIONS} escalations; "
         f"best residual {float(worst):.3e} at q={q}",
-        result_for(q, numerators, residuals, worst),
+        DiophantineResult(lambdas, q),
     )

@@ -126,7 +126,9 @@ class TrotterConfig:
     background_coupling = 2 pi j1 and background_beta = 2 pi j2 / q make the
     background evolution over the recurrence length q - L/N equal to the
     backward step e^{+iB L/N} up to the certified residuals. All lengths,
-    the recurrence denominator q included, are in meters.
+    the recurrence denominator q included, are in meters. q is the one
+    stored part of the certificate: ``recurrence`` derives the rest from q
+    and the background eigenvalues, and must meet the budget ``epsilon``.
     """
 
     dimension: int
@@ -134,19 +136,25 @@ class TrotterConfig:
     trotter_steps: int
     j1: int
     j2: int
-    epsilon: float
-    recurrence: DiophantineResult
+    q: int
 
     def __post_init__(self):
         _require_design(self.dimension, self.section_length, self.trotter_steps, self.j1, self.j2)
-        require_positive(self.epsilon, "epsilon")
-        budget = self.epsilon_budget(self.dimension, self.section_length, self.trotter_steps, self.j1)
-        if self.epsilon > budget * (1.0 + 1e-12):
-            raise ValueError(
-                f"epsilon {self.epsilon:g} exceeds the budget L^2/(2 pi j1 d N^2) = {budget:g}"
-            )
+        require_count(self.q, "q")
         if self.recurrence.epsilon > self.epsilon:
-            raise ValueError("recurrence certificate is looser than the configured epsilon")
+            raise ValueError(
+                f"q {self.q} certifies {self.recurrence.epsilon:g}, above the budget {self.epsilon:g}"
+            )
+
+    @property
+    def epsilon(self) -> float:
+        """The precision budget ``epsilon_budget(d, L, N, j1)``."""
+        return self.epsilon_budget(self.dimension, self.section_length, self.trotter_steps, self.j1)
+
+    @cached_property
+    def recurrence(self) -> DiophantineResult:
+        """The certificate of q for the background eigenvalues."""
+        return DiophantineResult(tuple(toeplitz_eigenvalues(self.dimension)), self.q)
 
     @staticmethod
     def epsilon_budget(d: int, section_length: float, trotter_steps: int, j1: int = 1) -> float:
@@ -161,19 +169,11 @@ class TrotterConfig:
         """The design at the precision budget ``epsilon_budget(d, L, N, j1)``."""
         _require_design(dimension, section_length, trotter_steps, j1, j2)
         epsilon = cls.epsilon_budget(dimension, section_length, trotter_steps, j1)
-        recurrence = simultaneous_diophantine(tuple(toeplitz_eigenvalues(dimension)), epsilon)
-        shortfall = recurrence.denominator - section_length / trotter_steps
+        q = simultaneous_diophantine(tuple(toeplitz_eigenvalues(dimension)), epsilon).denominator
+        shortfall = q - section_length / trotter_steps
         if shortfall <= 0.0:
             raise PlanError(f"q - L/N = {shortfall:g} m: the recurrence length must be positive")
-        return cls(
-            dimension=int(dimension),
-            section_length=float(section_length),
-            trotter_steps=int(trotter_steps),
-            j1=int(j1),
-            j2=int(j2),
-            epsilon=float(epsilon),
-            recurrence=recurrence,
-        )
+        return cls(int(dimension), float(section_length), int(trotter_steps), int(j1), int(j2), q)
 
     @property
     def background_coupling(self) -> float:
@@ -181,12 +181,12 @@ class TrotterConfig:
 
     @property
     def background_beta(self) -> float:
-        return 2.0 * math.pi * self.j2 / self.recurrence.denominator
+        return 2.0 * math.pi * self.j2 / self.q
 
     @property
     def recurrence_length(self) -> float:
         """L~ = q - L/N in meters."""
-        return self.recurrence.denominator - self.section_length / self.trotter_steps
+        return self.q - self.section_length / self.trotter_steps
 
     def background_eigenvalues(self) -> np.ndarray:
         return self.background_coupling * toeplitz_eigenvalues(self.dimension) + self.background_beta
@@ -443,7 +443,9 @@ class ChipPlan:
 
 
 def _read_metadata(payload) -> dict:
-    """The checked ``ChipPlan`` fields, all but the blocks, of a parsed plan file."""
+    """The checked ``ChipPlan`` fields, all but the blocks, of a parsed plan
+    file. Its config is built from j1, j2 and q, and every value the writer
+    derives from them must be stored as the writer writes it."""
     payload = _require_json(payload, dict, "plan JSON")
     if payload.get("schema_version") != PLAN_SCHEMA_VERSION:
         raise ValueError(f"unsupported plan schema {payload.get('schema_version')!r}")
@@ -455,49 +457,55 @@ def _read_metadata(payload) -> dict:
     config = None
     raw_cfg = meta.get("config")
     if raw_cfg is not None:
-        if require_number(raw_cfg["recurrence_unit"], "plan recurrence_unit") != 1.0:
-            raise ValueError("plan recurrence_unit must be 1.0: lengths are in meters")
-        epsilon = require_number(raw_cfg["epsilon"], "plan epsilon")
-        recurrence = DiophantineResult(
-            denominator=raw_cfg["q"],
-            numerators=tuple(raw_cfg["numerators"]),
-            residuals=tuple(map(float, require_numbers(raw_cfg["residuals"], "plan residuals"))),
-            epsilon=require_number(raw_cfg["achieved_epsilon"], "plan achieved_epsilon"),
-            requested=epsilon,
-        )
         config = TrotterConfig(
-            dimension=d,
-            section_length=section_length,
-            trotter_steps=trotter_steps,
-            j1=raw_cfg["j1"],
-            j2=raw_cfg["j2"],
-            epsilon=epsilon,
-            recurrence=recurrence,
+            d, section_length, trotter_steps, raw_cfg["j1"], raw_cfg["j2"], raw_cfg["q"]
         )
+        for key, value in _config_payload(config).items():
+            _require_written(raw_cfg[key], value, key, "what j1, j2 and q give:")
         compiled_budget = 4 * count_sections(d) * trotter_steps
         if budget != compiled_budget:
             raise ValueError(
                 f"plan K {budget} is not 4 * count_sections(d) * N = {compiled_budget}"
             )
-    certificate = _number_or_none(meta.get("epsilon_certificate"), "plan epsilon_certificate")
-    if certificate != (None if config is None else config.recurrence.epsilon):
-        raise ValueError(f"plan epsilon_certificate {certificate!r} is not its achieved_epsilon")
+    _require_written(
+        meta.get("epsilon_certificate"), None if config is None else config.recurrence.epsilon,
+        "epsilon_certificate", "its achieved_epsilon",
+    )
+    measured_error = meta.get("measured_error")
+    if measured_error is not None:
+        require_number(measured_error, "plan measured_error")
     return dict(
         dimension=d,
         trotter_steps=trotter_steps,
         section_budget=budget,
         section_length=section_length,
-        measured_error=_number_or_none(meta.get("measured_error"), "plan measured_error"),
+        measured_error=measured_error,
         global_phase=require_number(meta.get("global_phase", 0.0), "plan global_phase"),
         config=config,
         target_name=meta.get("target_name"),
     )
 
 
+def _config_payload(config: TrotterConfig) -> dict:
+    """The ``config`` object of a plan file: j1, j2 and q, and what they give."""
+    r = config.recurrence
+    return dict(
+        j1=config.j1, j2=config.j2, epsilon=config.epsilon, recurrence_unit=1.0, q=config.q,
+        numerators=list(r.numerators), residuals=list(r.residuals), achieved_epsilon=r.epsilon,
+    )
+
+
+def _require_written(value, expected, key: str, source: str) -> None:
+    """Check that a plan file's ``value`` for ``key`` is ``expected`` as the
+    writer writes it: an int where it writes an int, floats bit for bit."""
+    # As in _read_general, marshal's bytes tell 1 from 1.0 and true, and 0.0 from -0.0.
+    if marshal.dumps(value, 2) != marshal.dumps(expected, 2):
+        raise ValueError(f"plan {key} {value!r} is not {source} {expected!r}")
+
+
 def _head_text(plan: ChipPlan) -> str:
     """The schema v1 text of ``plan`` up to its sections list, which starts
     right after the returned text."""
-    config = plan.config
     payload = {
         "schema_version": PLAN_SCHEMA_VERSION,
         "metadata": {
@@ -509,18 +517,7 @@ def _head_text(plan: ChipPlan) -> str:
             "section_length_m": plan.section_length,
             "global_phase": plan.global_phase,
             "target_name": plan.target_name,
-            "config": None
-            if config is None
-            else {
-                "j1": config.j1,
-                "j2": config.j2,
-                "epsilon": config.epsilon,
-                "recurrence_unit": 1.0,
-                "q": config.recurrence.denominator,
-                "numerators": list(config.recurrence.numerators),
-                "residuals": list(config.recurrence.residuals),
-                "achieved_epsilon": config.recurrence.epsilon,
-            },
+            "config": None if plan.config is None else _config_payload(plan.config),
         },
         "sections": [],
     }
@@ -665,13 +662,6 @@ def _require_json(value, kind: type, what: str):
     return value
 
 
-def _number_or_none(value, what: str):
-    """``value`` unchanged; it must be null or a number."""
-    if value is not None:
-        require_number(value, what)
-    return value
-
-
 def _read_body(item: dict, d: int) -> PlanSection:
     """The checked section body of a plan file's section ``item``."""
     hamiltonian = TridiagonalHamiltonian(
@@ -707,9 +697,8 @@ def _gap_windings_for_feasibility(
     """Smallest (j1, j2) keeping both compensated parameters positive."""
     zero_beta, zero_coupling = float(gap.betas[0]), float(gap.couplings[0])
     rec_length = config.recurrence_length
-    q = config.recurrence.denominator
     # background_beta * rec_length = 2 pi j2 * rec_length / q must exceed 2 beta0 dL
-    j2 = max(config.j2, math.floor(zero_beta * gap.length * q / (math.pi * rec_length)) + 1)
+    j2 = max(config.j2, math.floor(zero_beta * gap.length * config.q / (math.pi * rec_length)) + 1)
     # background_coupling * rec_length = 2 pi j1 rec_length must exceed 2 C0 dL
     j1 = max(config.j1, math.floor(zero_coupling * gap.length / (math.pi * rec_length)) + 1)
     return j1, j2

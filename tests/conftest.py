@@ -141,6 +141,20 @@ def brute_force_diophantine(lambdas, eps: float, q_max: int = 10**6):
     return None
 
 
+def assert_exact_certificate(result, lambdas, eps: float) -> None:
+    """Re-derive ``result`` from its q by exact rational multiplication with
+    the float64 ``lambdas``: each numerator is the integer nearest
+    lambda_j q, each residual is lambda_j q - p_j rounded to a float, and
+    epsilon is the largest |residual|, at most ``eps``."""
+    q = result.denominator
+    exact = [Fraction(float(lam)) * q - p for lam, p in zip(lambdas, result.numerators, strict=True)]
+    assert all(abs(r) <= Fraction(1, 2) for r in exact)
+    assert result.residuals == tuple(float(r) for r in exact)
+    worst = max(abs(r) for r in exact)
+    assert result.epsilon == float(worst)
+    assert worst <= Fraction(float(eps))
+
+
 @pytest.fixture(scope="session")
 def pauli_x():
     return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

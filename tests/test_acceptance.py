@@ -35,6 +35,8 @@ from pwa_synth import (
 )
 from pwa_synth.optimizer import _ChipObjective
 
+from conftest import assert_exact_certificate
+
 L = 6e-3
 
 
@@ -109,7 +111,7 @@ def test_criterion_4_diophantine_certificates():
             # re-verify by direct multiplication, independently of the solver
             direct = np.abs(lam * result.denominator - np.array(result.numerators))
             assert float(np.max(direct)) <= eps
-            assert result.verify(lam)
+            assert_exact_certificate(result, lam, eps)
             if d <= 4:
                 # brute-force scan: feasibility plus residual agreement at our q
                 found = None

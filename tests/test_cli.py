@@ -286,6 +286,35 @@ class TestSimulateCommand:
         assert str(path) in message
         assert "epsilon_certificate 0.0 is not its achieved_epsilon" in message
 
+    @pytest.mark.parametrize(
+        "key, edit",
+        [("q", lambda v: v + 12345), ("epsilon", lambda v: 2.0 * v),
+         ("recurrence_unit", lambda v: 1), ("numerators", lambda v: [v[0] + 1, *v[1:]]),
+         ("residuals", lambda v: [0.0] * len(v)), ("achieved_epsilon", lambda v: 1e-30)],
+        ids=["q", "epsilon", "unit", "numerators", "residuals", "achieved"],
+    )
+    def test_plan_with_a_forged_config_exits_2(self, capsys, tmp_path, key, edit):
+        # q raised by 12345 with both certificates claiming 1e-30 used to
+        # load and write itself back byte for byte
+        path = tmp_path / "plan.json"
+        code, _ = run_cli(capsys, "compile", "--gate", "dft", "--d", "3", "--N", "2",
+                          "--out", str(path))
+        assert code == 0
+        payload = json.loads(path.read_text())
+        config = payload["metadata"]["config"]
+        config[key] = edit(config[key])
+        if key == "q":
+            config["achieved_epsilon"] = payload["metadata"]["epsilon_certificate"] = 1e-30
+        path.write_text(json.dumps(payload, indent=2))
+        code, out = run_cli(capsys, "simulate", "--plan", str(path))
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        assert str(path) in message
+        expected = f"q {config['q']} certifies" if key == "q" else f"plan {key} "
+        assert expected in message
+
     def test_plan_with_a_false_budget_exits_2(self, capsys, tmp_path):
         path = tmp_path / "plan.json"
         code, _ = run_cli(capsys, "compile", "--gate", "dft", "--d", "3", "--N", "2",
@@ -527,7 +556,7 @@ def test_plan_with_non_integer_design_value_exits_2(capsys, tmp_path, tamper):
     tamper(payload["metadata"]["config"])
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="must be (an integer >= 1|integers), got "):
+    with pytest.raises(ValueError, match="must be an integer >= 1, got |is not what j1, j2 and q"):
         ChipPlan.from_json(path.read_text())
     code, out = run_cli(capsys, "simulate", "--plan", str(path))
     assert code == 2
@@ -700,6 +729,8 @@ sys.exit(main(sys.argv[1:]))
     (["simulate", "--voltages", "chip.json", "--dz", "1e-3"], 0),
     (["--help"], 0),
     (["optimize", "--gate", "dft", "--d", "2", "--K", "1", "--restarts", "1"], 1),
+    (["bench", "--experiment", "gate-sweep", "--dims", "2", "--sections", "1", "--gates", "dft",
+      "--restarts", "1", "--maxiter", "1", "--out", "bench"], 1),
 ])
 def test_without_scipy_only_optimize_fails_with_one_json_line(tmp_path, argv, code):
     (tmp_path / "chip.json").write_text(json.dumps({
@@ -837,7 +868,11 @@ class TestBenchCommand:
         assert len(traces) == 2
         assert traces[0].read_text().startswith("z_m,mode_index,re,im,probability")
 
-    @pytest.mark.parametrize("flag", ["--lengths=-1", "--lengths=nan", "--dims="])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--lengths=-1", "--lengths=nan", "--dims=", "--dims=1", "--sections=0",
+         "--N-values=0,4", "--restarts=0", "--maxiter=0", "--haar-count=-2"],
+    )
     def test_bad_sweep_flag_exits_2(self, capsys, tmp_path, flag):
         code, out = run_cli(
             capsys, "bench", "--experiment", "error-scaling", flag, "--out", str(tmp_path / "b"),

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,13 @@ from pwa_synth import (
 )
 from pwa_synth import lattice
 
-from conftest import assert_lll_reduced, brute_force_diophantine, gram_determinant, in_lattice
+from conftest import (
+    assert_exact_certificate,
+    assert_lll_reduced,
+    brute_force_diophantine,
+    gram_determinant,
+    in_lattice,
+)
 
 
 class TestLllReduce:
@@ -90,7 +97,7 @@ class TestSimultaneousDiophantine:
         eps = 1e-2
         result = simultaneous_diophantine(lam, eps)
         assert result.epsilon <= eps
-        assert result.verify(lam)
+        assert_exact_certificate(result, lam, eps)
         # independent re-verification by direct multiplication
         for value, p in zip(lam, result.numerators):
             assert abs(value * result.denominator - p) <= eps
@@ -103,9 +110,38 @@ class TestSimultaneousDiophantine:
     def test_certificates_hold_exactly(self, d):
         lam = toeplitz_eigenvalues(d)
         result = simultaneous_diophantine(lam, 1e-3)
-        assert result.verify(lam)
-        assert result.epsilon <= 1e-3
+        assert_exact_certificate(result, lam, 1e-3)
         assert max(abs(r) for r in result.residuals) == result.epsilon
+
+    def test_certificate_is_derived_from_q(self):
+        lam = toeplitz_eigenvalues(3)
+        solved = simultaneous_diophantine(lam, 1e-3)
+        result = DiophantineResult(lam, solved.denominator)
+        assert result == solved
+        assert result.lambdas == tuple(float(x) for x in lam)
+        assert [f.name for f in dataclasses.fields(result) if f.init] == ["lambdas", "denominator"]
+        assert not hasattr(result, "verify") and not hasattr(result, "requested")
+        other = DiophantineResult(lam, solved.denominator + 1)
+        assert other.epsilon > 1e-3
+        assert_exact_certificate(other, lam, other.epsilon)
+
+    @pytest.mark.parametrize("name", ["numerators", "residuals", "epsilon"])
+    def test_derived_fields_cannot_be_given(self, name):
+        result = simultaneous_diophantine(toeplitz_eigenvalues(3), 1e-3)
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(result, **{name: getattr(result, name)})
+        with pytest.raises(TypeError):
+            DiophantineResult(result.lambdas, result.denominator, **{name: getattr(result, name)})
+
+    @pytest.mark.parametrize(
+        "lambdas, q, match",
+        [([0.5], 0, "denominator"), ([0.5], 2.0, "denominator"), ([0.5], True, "denominator"),
+         ([], 1, "non-empty"), ([[0.5]], 1, "1-d"), ([np.nan], 1, "finite")],
+        ids=["q-zero", "q-float", "q-bool", "empty", "2-d", "nan"],
+    )
+    def test_construction_validation(self, lambdas, q, match):
+        with pytest.raises(ValueError, match=match):
+            DiophantineResult(lambdas, q)
 
     def test_unreachable_raises_with_best(self, monkeypatch):
         monkeypatch.setattr(lattice, "ESCALATIONS", 2)
@@ -115,6 +151,7 @@ class TestSimultaneousDiophantine:
         best = err.value.best
         assert isinstance(best, DiophantineResult)
         assert best.epsilon > 1e-20
+        assert_exact_certificate(best, lam, best.epsilon)
 
     def test_escalations_are_not_a_parameter(self):
         with pytest.raises(TypeError):

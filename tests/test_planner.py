@@ -2,6 +2,8 @@ import collections
 import copy
 import dataclasses
 import json
+import marshal
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -18,6 +20,7 @@ from pwa_synth import (
     adjacent_expand,
     clock,
     compile_unitary,
+    count_sections,
     dft,
     expm_hermitian,
     gap_compensate,
@@ -58,12 +61,26 @@ class TestTrotterConfig:
         budget = TrotterConfig.epsilon_budget(3, L, 8, 1)
         cfg = TrotterConfig.plan(3, L, 8)
         assert cfg.epsilon == budget
-        # a plan file's epsilon goes through the same constructor
-        with pytest.raises(ValueError, match="budget"):
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "dimension", "section_length", "trotter_steps", "j1", "j2", "q"
+        ]
+        # epsilon is the budget, not a field
+        with pytest.raises(TypeError):
             dataclasses.replace(cfg, epsilon=10.0 * budget)
-        for bad in (float("nan"), float("inf"), 0.0, -budget):
-            with pytest.raises(ValueError, match="positive and finite"):
-                dataclasses.replace(cfg, epsilon=bad)
+        # a q whose certificate misses the budget goes through the same
+        # constructor as a plan file's q
+        with pytest.raises(ValueError, match=rf"^q {cfg.q + 1} certifies 0\.\d+, above the budget"):
+            dataclasses.replace(cfg, q=cfg.q + 1)
+        for bad in (0, float(cfg.q), True):
+            with pytest.raises(ValueError, match="q must be an integer >= 1"):
+                dataclasses.replace(cfg, q=bad)
+        # a plan file whose epsilon is not the budget is rejected
+        payload = json.loads(compile_unitary(dft(3), trotter_steps=8, measure=False).to_json())
+        assert payload["metadata"]["config"]["epsilon"] == budget
+        for bad in (10.0 * budget, float("nan"), float("inf"), 0.0, -budget):
+            payload["metadata"]["config"]["epsilon"] = bad
+            with pytest.raises(ValueError, match="^plan epsilon .* is not what j1, j2 and q give"):
+                ChipPlan.from_json(json.dumps(payload))
 
     def test_precision_is_not_a_parameter(self):
         budget = TrotterConfig.epsilon_budget(3, L, 8, 1)
@@ -555,12 +572,14 @@ class TestPlanJson:
             (("B", "couplings", 1), True,
              "plan couplings must be a list of numbers, got item True"),
             (("config", "residuals", 0), "0.0",
-             "plan residuals must be a list of numbers, got item '0.0'"),
+             "plan residuals ['0.0', 0.0, -4.39718651490395e-07] is not what j1, j2 and q "
+             "give: [4.39718651490395e-07, 0.0, -4.39718651490395e-07]"),
             (("config", "achieved_epsilon"), "1e-3",
-             "plan achieved_epsilon must be a number, got '1e-3'"),
-            (("config", "epsilon"), True, "plan epsilon must be a number, got True"),
+             "plan achieved_epsilon '1e-3' is not what j1, j2 and q give: 4.39718651490395e-07"),
+            (("config", "epsilon"), True,
+             "plan epsilon True is not what j1, j2 and q give: 4.77464829275686e-07"),
             (("config", "recurrence_unit"), True,
-             "plan recurrence_unit must be a number, got True"),
+             "plan recurrence_unit True is not what j1, j2 and q give: 1.0"),
             (("meta", "global_phase"), "0.1", "plan global_phase must be a number, got '0.1'"),
             (("meta", "measured_error"), "0", "plan measured_error must be a number, got '0'"),
         ],
@@ -1104,16 +1123,14 @@ class TestLayoutReader:
         assert loaded.to_json() == text
 
     def test_a_huge_claimed_step_count_is_never_allocated(self):
-        # N = 10^8 in the metadata, one step in the text: the budget scales
-        # as 1/N^2, so both epsilons shrink by 10^16, and K grows with N
+        # N = 10^8 in the metadata, one step in the text: the config is
+        # planned at that N (q = 2^52 certifies the float64 eigenvalues with
+        # residual 0.0), and K grows with N
         plan = compile_unitary(dft(3), trotter_steps=1)
-        config = plan.config
-        recurrence = dataclasses.replace(config.recurrence, epsilon=config.recurrence.epsilon * 1e-16)
+        config = TrotterConfig.plan(3, L, 10**8)
+        assert config.q == 2**52 and config.recurrence.epsilon == 0.0
         plan = dataclasses.replace(
-            plan, trotter_steps=10**8, section_budget=plan.section_budget * 10**8,
-            config=dataclasses.replace(
-                config, trotter_steps=10**8, epsilon=config.epsilon * 1e-16, recurrence=recurrence
-            ),
+            plan, trotter_steps=10**8, section_budget=plan.section_budget * 10**8, config=config
         )
         text = plan.to_json()
         tracemalloc.start()
@@ -1158,6 +1175,57 @@ class TestMetadataChecks:
         for read in readers:
             with pytest.raises(ValueError, match="epsilon_certificate 0.0 is not its achieved"):
                 read(edited)
+
+    #: Edits of a value the config derives from j1, j2 and q, or of the
+    #: certificate: the next integer or float, an int in place of a float,
+    #: -0.0 in place of 0.0, and a bool.
+    DERIVED_EDITS = {
+        "epsilon-next": ("epsilon", lambda v: math.nextafter(v, 1.0)),
+        "epsilon-true": ("epsilon", lambda v: True),
+        "unit-int": ("recurrence_unit", lambda v: 1),
+        "unit-true": ("recurrence_unit", lambda v: True),
+        "numerator-next": ("numerators", lambda v: [v[0] + 1, *v[1:]]),
+        "numerator-false": ("numerators", lambda v: [v[0], False, v[2]]),
+        "residual-next": ("residuals", lambda v: [math.nextafter(v[0], 1.0), *v[1:]]),
+        "residual-int": ("residuals", lambda v: [v[0], 0, v[2]]),
+        "residual-negative-zero": ("residuals", lambda v: [v[0], -0.0, v[2]]),
+        "achieved-next": ("achieved_epsilon", lambda v: math.nextafter(v, 0.0)),
+        "achieved-true": ("achieved_epsilon", lambda v: True),
+        "certificate-next": ("epsilon_certificate", lambda v: math.nextafter(v, 0.0)),
+        "certificate-true": ("epsilon_certificate", lambda v: True),
+    }
+
+    @pytest.mark.parametrize("layout", ["writer", "compact"])
+    @pytest.mark.parametrize("key, edit", DERIVED_EDITS.values(), ids=DERIVED_EDITS)
+    def test_derived_values_must_be_what_the_writer_writes(self, key, edit, layout):
+        payload = json.loads(compile_unitary(dft(3), trotter_steps=2).to_json())
+        meta = payload["metadata"]
+        holder = meta if key == "epsilon_certificate" else meta["config"]
+        holder[key] = edit(holder[key])
+        text = json.dumps(payload, indent=2) if layout == "writer" else json.dumps(payload)
+        # the layout reader checks the metadata before the layout
+        for read in (ChipPlan.from_json, general_load,
+                     lambda text: planner._read_layout(ChipPlan, text)):
+            with pytest.raises(ValueError, match=f"^plan {key} "):
+                read(text)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_planned_configs_reload_bit_for_bit(self, d, n):
+        # the benchmark's cells, the vacuous certificates of q = 2^52 at
+        # (5, 32) and (6, 32) and of q ~ 6.3e14 at (6, 8) among them
+        config = TrotterConfig.plan(d, L, n)
+        text = ChipPlan(d, n, 4 * count_sections(d) * n, L, [], config=config).to_json()
+        fields = marshal.dumps(
+            (dataclasses.astuple(config), dataclasses.astuple(config.recurrence)), 2
+        )
+        for read in (ChipPlan.from_json, general_load):
+            loaded = read(text)
+            assert marshal.dumps(
+                (dataclasses.astuple(loaded.config), dataclasses.astuple(loaded.config.recurrence)),
+                2,
+            ) == fields
+            assert loaded.to_json() == text
 
     @pytest.mark.parametrize("layout", ["writer", "compact"])
     def test_a_compiled_plans_K_must_be_its_section_budget(self, layout):
