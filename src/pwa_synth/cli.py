@@ -1,7 +1,7 @@
 """Command-line front end: compile, optimize, simulate, bench.
 
-Every command is deterministic given its flags and seeds. Floats in CSV
-output are printed with 17 significant digits so reruns are byte-identical.
+Output files depend only on flags and seeds (timings go to stdout), and CSV
+floats carry 17 significant digits, so reruns are byte-identical.
 Failures exit nonzero with a one-line machine-readable error JSON on stdout:
 exit code 2 for input errors, 1 for pipeline failures and a missing scipy.
 """
@@ -138,6 +138,7 @@ def _cmd_optimize(args) -> int:
     print(f"best_infidelity = {_fmt(result.infidelity)}")
     print(f"best_fidelity = {_fmt(result.fidelity)}")
     print(f"restarts = {args.restarts}")
+    print(f"wall_time_s = {result.wall_time_s:.3f}")
     if args.out:
         print(f"voltages written to {args.out}")
     if args.csv:
@@ -173,6 +174,7 @@ def _cmd_bench(args) -> int:
     counts = [require_count(int(x), "--sections") for x in args.sections.split(",")]
     lengths = [require_positive(float(x), "section length") for x in args.lengths.split(",")]
     gates = args.gates.split(",")
+    targets = {(gate, d): named_gate(gate, d) for gate in gates for d in dims}
     seeds = [int(x) for x in args.seeds.split(",")]
     trotter_steps = [require_count(int(x), "--N-values") for x in args.N_values.split(",")]
     require_count(args.restarts, "--restarts")
@@ -192,7 +194,7 @@ def _cmd_bench(args) -> int:
         slopes = ["gate,d,L_m,slope"]
         for gate in gates:
             for d in dims:
-                target = named_gate(gate, d)
+                target = targets[gate, d]
                 for length in lengths:
                     errors = []
                     for n in trotter_steps:
@@ -214,7 +216,7 @@ def _cmd_bench(args) -> int:
         model = _device(length)
         for gate in gates:
             for d in dims:
-                result = _optimize(args, named_gate(gate, d), k, model, seeds[0])
+                result = _optimize(args, targets[gate, d], k, model, seeds[0])
                 for basis, state in enumerate(np.eye(d, dtype=complex)):
                     trace = propagate(state, result.voltages, model=model, dz=length / 50.0)
                     write(f"propagation_{gate}_d{d}_K{k}_in{basis}.csv", trace.to_csv())
@@ -222,7 +224,7 @@ def _cmd_bench(args) -> int:
         # One row per (name, target, d, K, L, seed) point, in the order listed.
         if args.experiment == "gate-sweep":
             points = [
-                (gate, named_gate(gate, d), d, k, length, seed)
+                (gate, targets[gate, d], d, k, length, seed)
                 for gate in gates for d in dims for k in counts
                 for length in lengths for seed in seeds
             ]

@@ -5,10 +5,11 @@ eigenvalues of the uniform coupling matrix. The reduction to lattice basis
 reduction is the standard one: a (d+1)-dimensional basis whose first row
 carries the scaled eigenvalues and a unit weight on q, reduced with LLL, with
 candidate denominators read off the first column. Candidates are certified
-against the original float eigenvalues in exact rational arithmetic, so the
-lattice scaling never leaks into the certificate. A ``DiophantineResult`` is
-built from the eigenvalues and q alone and derives the rest of its
-certificate, so q is the only part of it a plan needs to store.
+against the original float eigenvalues in exact integer arithmetic, over their
+common power-of-two denominator, so the lattice scaling never leaks into the
+certificate. A ``DiophantineResult`` is built from the eigenvalues and q alone
+and derives the rest of its certificate, so q is the only part of it a plan
+needs to store.
 """
 
 from __future__ import annotations
@@ -50,12 +51,9 @@ def lll_reduce(basis) -> list[list[int]]:
     sub = [0] * (n + 1)
     sub[0] = 1
 
-    def dot(x, y):
-        return sum(a * b for a, b in zip(x, y))
-
     def gram_row(k):
         for j in range(k + 1):
-            u = dot(rows[k], rows[j])
+            u = sum(a * b for a, b in zip(rows[k], rows[j]))
             for i in range(j):
                 u = (sub[i + 1] * u - lam[k][i] * lam[j][i]) // sub[i]
             if j < k:
@@ -123,10 +121,12 @@ class DiophantineResult:
             raise ValueError("lambdas must be a non-empty 1-d sequence of finite numbers")
         values = tuple(lam.tolist())
         q = require_count(self.denominator, "denominator")
-        numerators, residuals, worst = _attempt(list(map(Fraction, values)), q)
+        fractions = list(map(Fraction, values))
+        numerators = tuple(floor(q * f + Fraction(1, 2)) for f in fractions)
+        residuals = [q * f - p for f, p in zip(fractions, numerators)]
         for name, value in (
-            ("lambdas", values), ("denominator", q), ("numerators", tuple(numerators)),
-            ("residuals", tuple(map(float, residuals))), ("epsilon", float(worst)),
+            ("lambdas", values), ("denominator", q), ("numerators", numerators),
+            ("residuals", tuple(map(float, residuals))), ("epsilon", float(max(map(abs, residuals)))),
         ):
             object.__setattr__(self, name, value)
 
@@ -140,26 +140,16 @@ class PrecisionUnreachable(RuntimeError):
         self.best = best
 
 
-def _attempt(fractions: list[Fraction], q: int):
-    numerators = [floor(q * f + Fraction(1, 2)) for f in fractions]
-    residuals = [q * f - p for f, p in zip(fractions, numerators)]
-    worst = max((abs(r) for r in residuals), default=Fraction(0))
-    return numerators, residuals, worst
-
-
-def _candidates(fractions: list[Fraction], eps: float):
+def _candidates(nums: list[int], den: int, eps: float):
     """The denominators to try in order: 1, then each escalation's reduced
-    lattice's first column, smallest first."""
+    lattice's first column, smallest first, for lambda_j = nums[j] / den."""
     yield 1
-    d = len(fractions)
+    d = len(nums)
     scale = max(16, int(4.0 / float(eps)))
     for _ in range(ESCALATIONS):
-        scaled = [floor(f * scale + Fraction(1, 2)) for f in fractions]
+        scaled = [(2 * n * scale + den) // (2 * den) for n in nums]
         basis = [[1] + scaled]
-        for j in range(d):
-            row = [0] * (d + 1)
-            row[j + 1] = -scale
-            basis.append(row)
+        basis += [[0] * (j + 1) + [-scale] + [0] * (d - 1 - j) for j in range(d)]
         yield from sorted({abs(v[0]) for v in lll_reduce(basis) if v[0] != 0})
         scale *= 16
 
@@ -181,18 +171,23 @@ def simultaneous_diophantine(lambdas, eps: float) -> DiophantineResult:
     """
     lambdas = DiophantineResult(lambdas, 1).lambdas  # checked and converted
     require_positive(eps, "eps")
-    fractions = list(map(Fraction, lambdas))
-    bound = Fraction(float(eps))
-    best = None
-    for q in _candidates(fractions, eps):
-        worst = _attempt(fractions, q)[2]
-        if worst <= bound:
+    ratios = [lam.as_integer_ratio() for lam in lambdas]
+    den = max(r for _, r in ratios)  # a float's denominator is a power of two
+    nums = [n * (den // r) for n, r in ratios]
+    eps_num, eps_den = float(eps).as_integer_ratio()
+    best, scored = None, set()
+    for q in _candidates(nums, den, eps):
+        if q in scored:  # an equal score never replaces best
+            continue
+        scored.add(q)
+        worst = max(abs(q * n - (2 * q * n + den) // (2 * den) * den) for n in nums)
+        if worst * eps_den <= eps_num * den:
             return DiophantineResult(lambdas, q)
         if best is None or worst < best[0]:
             best = (worst, q)
     worst, q = best
     raise PrecisionUnreachable(
         f"no (q, p) with residual <= {eps:g} within {ESCALATIONS} escalations; "
-        f"best residual {float(worst):.3e} at q={q}",
+        f"best residual {worst / den:.3e} at q={q}",
         DiophantineResult(lambdas, q),
     )

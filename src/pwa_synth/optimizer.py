@@ -220,7 +220,6 @@ class OptimizationResult:
             "infidelity": self.infidelity,
             "restart_infidelities": self.restart_infidelities,
             "iteration_counts": self.iteration_counts,
-            "wall_time_s": self.wall_time_s,
             "voltages": [
                 {
                     "level_volts": [float(x) for x in v.level_volts],

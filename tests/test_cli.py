@@ -180,9 +180,10 @@ class TestOptimizeCommand:
                 "--seed", "0", *extra, "--out", str(out_path),
             )
             assert code == 0
-            lines = out_path.read_text().splitlines()
-            texts.append([l for l in lines if '"wall_time_s"' not in l])
+            assert len([l for l in out.splitlines() if l.startswith("wall_time_s = ")]) == 1
+            texts.append(out_path.read_text())
         assert texts[0] == texts[1]
+        assert "wall_time_s" not in texts[0]
         assert json.loads(out_path.read_text())["model"] == dataclasses.asdict(DeviceModel())
         best = next(l for l in out.splitlines() if l.startswith("best_infidelity")).split(" = ")[1]
         code, _ = run_cli(
@@ -341,6 +342,18 @@ class TestSimulateCommand:
         assert json.loads(lines[0])["error"]["message"] == (
             "dz too small for this chip: more than 5e6 sample points"
         )
+
+    def test_voltages_with_a_wall_time_load(self, capsys, tmp_path):
+        # earlier optimize runs wrote wall_time_s into the file; such files load
+        path = tmp_path / "volts.json"
+        argv = _write_voltages(path, [([0.0, 0.0], [0.0])])
+        traces = []
+        for extra in ({}, {"wall_time_s": 1.25}):
+            path.write_text(json.dumps({**json.loads(path.read_text()), **extra}))
+            code, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "trace.csv"))
+            assert code == 0
+            traces.append((tmp_path / "trace.csv").read_text())
+        assert traces[0] == traces[1]
 
     @pytest.mark.parametrize("version", [None, 1, 2, 99])
     def test_voltages_schema_version(self, capsys, tmp_path, version):
@@ -871,11 +884,14 @@ class TestBenchCommand:
     @pytest.mark.parametrize(
         "flag",
         ["--lengths=-1", "--lengths=nan", "--dims=", "--dims=1", "--sections=0",
-         "--N-values=0,4", "--restarts=0", "--maxiter=0", "--haar-count=-2"],
+         "--N-values=0,4", "--restarts=0", "--maxiter=0", "--haar-count=-2", "--gates=nope",
+         "--gates=dft,hadamard", "--experiment=gate-sweep --gates=nope"],
     )
     def test_bad_sweep_flag_exits_2(self, capsys, tmp_path, flag):
+        # a second --experiment overrides the first, as argparse stores flags
         code, out = run_cli(
-            capsys, "bench", "--experiment", "error-scaling", flag, "--out", str(tmp_path / "b"),
+            capsys, "bench", "--experiment", "error-scaling", *flag.split(),
+            "--out", str(tmp_path / "b"),
         )
         assert code == 2
         lines = out.strip().splitlines()

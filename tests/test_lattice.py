@@ -7,6 +7,7 @@ import pytest
 from pwa_synth import (
     DiophantineResult,
     PrecisionUnreachable,
+    TrotterConfig,
     lll_reduce,
     simultaneous_diophantine,
     toeplitz_eigenvalues,
@@ -105,6 +106,20 @@ class TestSimultaneousDiophantine:
         assert q_min is not None  # feasibility confirmed independently
         x = lam * result.denominator
         assert np.max(np.abs(x - np.round(x))) <= eps
+
+    @pytest.mark.parametrize(
+        "d, n, q",
+        [(2, 8, 1), (2, 32, 1), (3, 8, 15994428), (3, 32, 388883860), (4, 8, 39088169),
+         (4, 32, 102334155), (5, 8, 29354524), (5, 32, 2**52), (6, 8, 626434108930190),
+         (6, 32, 2**52), (7, 8, 2**52), (7, 32, 2**52), (8, 8, 2**52), (8, 32, 2**52)],
+    )
+    def test_plan_denominators_are_pinned(self, d, n, q):
+        # q at the 6 mm plan budgets; 2**52 and 6.3e14 certify only the float64 eigenvalues
+        lam = toeplitz_eigenvalues(d)
+        eps = TrotterConfig.epsilon_budget(d, 6e-3, n)
+        result = simultaneous_diophantine(lam, eps)
+        assert result.denominator == q
+        assert_exact_certificate(result, lam, eps)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_certificates_hold_exactly(self, d):

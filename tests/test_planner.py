@@ -36,7 +36,7 @@ from pwa_synth import (
     two_level_decompose,
 )
 
-from conftest import taylor_expm
+from conftest import decimal_product, taylor_expm
 
 L = 6e-3
 
@@ -682,7 +682,7 @@ class TestPlanJson:
         assert len({id(s.hamiltonian) for s in plan.sections}) < len(plan.sections)
         assert len({id(s.hamiltonian) for s in unshared.sections}) == len(unshared.sections)
         realized = loaded.realize()
-        assert np.array_equal(realized, unshared.realize())
+        assert_near_flat(loaded, realized, unshared.realize())
         assert np.array_equal(realized, plan.realize())
 
 
@@ -731,6 +731,15 @@ def flat_product(sections, d: int) -> np.ndarray:
     for s in sections:
         u = s.unitary() @ u
     return u
+
+
+def assert_near_flat(plan: ChipPlan, realized, flat) -> None:
+    """``realized``, the plan's product, against ``flat``, its sections'
+    product one by one: bit for bit when every block has one step, and
+    otherwise within 1e-12, what binary powering may move by rounding."""
+    if all(len(block.trotter_steps) == 1 for block in plan.blocks):
+        assert np.array_equal(realized, flat)
+    assert operator_norm(realized - flat) <= 1e-12
 
 
 def general_load(text: str) -> ChipPlan:
@@ -785,7 +794,7 @@ class TestBlocksMatchFlatReference:
         sections = plan.sections
         assert section_entries(sections) == flat_reference(target, steps, gap, plan.config)
         realized = plan.realize()
-        assert np.array_equal(realized, flat_product(sections, d))
+        assert_near_flat(plan, realized, flat_product(sections, d))
         assert plan.measured_error == operator_norm(target - realized)
 
         text = plan.to_json()
@@ -797,6 +806,17 @@ class TestBlocksMatchFlatReference:
         for variant in (text, *reencodings(text).values()):
             assert plan_summary(ChipPlan.from_json(variant)) == expected
         assert plan_summary(general_load(text)) == expected
+
+
+@pytest.mark.parametrize("d, with_gap", [(3, True), (4, True), (5, False)])
+def test_powered_and_flat_products_are_near_the_exact_product(d, with_gap):
+    plan = compile_unitary(
+        haar_random_unitary(d, 20 + d), trotter_steps=8, gap=device_gap(d) if with_gap else None
+    )
+    sections = plan.sections
+    exact = decimal_product(sections)
+    assert np.max(np.abs(plan.realize() - exact)) <= 1e-12
+    assert np.max(np.abs(flat_product(sections, d) - exact)) <= 1e-12
 
 
 def block_copies(payload, factor=0, su2=0) -> list[dict]:
@@ -847,7 +867,7 @@ class TestRunGrouping:
         assert [(s.kind, s.factor_index, s.su2_index, s.trotter_step) for s in loaded.sections] == [
             (s["kind"], *s["provenance"].values()) for s in payload["sections"]
         ]
-        assert np.array_equal(loaded.realize(), flat_product(loaded.sections, 3))
+        assert_near_flat(loaded, loaded.realize(), flat_product(loaded.sections, 3))
 
     def test_equal_int_literal_joins_its_block(self):
         # every drive copy of block (0, 0) holds the beta 1000.0, the step-2
