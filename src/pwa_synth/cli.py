@@ -173,7 +173,7 @@ def _cmd_bench(args) -> int:
     dims = [require_count(int(x), "--dims", 2) for x in args.dims.split(",")]
     counts = [require_count(int(x), "--sections") for x in args.sections.split(",")]
     lengths = [require_positive(float(x), "section length") for x in args.lengths.split(",")]
-    gates = args.gates.split(",")
+    gates = [] if args.experiment == "haar-sweep" else args.gates.split(",")
     targets = {(gate, d): named_gate(gate, d) for gate in gates for d in dims}
     seeds = [int(x) for x in args.seeds.split(",")]
     trotter_steps = [require_count(int(x), "--N-values") for x in args.N_values.split(",")]

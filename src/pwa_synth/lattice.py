@@ -5,18 +5,16 @@ eigenvalues of the uniform coupling matrix. The reduction to lattice basis
 reduction is the standard one: a (d+1)-dimensional basis whose first row
 carries the scaled eigenvalues and a unit weight on q, reduced with LLL, with
 candidate denominators read off the first column. Candidates are certified
-against the original float eigenvalues in exact integer arithmetic, over their
-common power-of-two denominator, so the lattice scaling never leaks into the
-certificate. A ``DiophantineResult`` is built from the eigenvalues and q alone
-and derives the rest of its certificate, so q is the only part of it a plan
-needs to store.
+against the original float eigenvalues in exact integer arithmetic, so the
+lattice scaling never leaks into the certificate. A ``DiophantineResult`` is
+built from the eigenvalues and q alone and derives the rest of its
+certificate, so q is the only part of it a plan needs to store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
 
 import numpy as np
 
@@ -106,7 +104,7 @@ class DiophantineResult:
     """The certificate of the denominator q for ``lambdas``: numerators
     p_j = round(lambda_j q), residuals lambda_j q - p_j and epsilon, the
     largest |residual|. They are derived on construction from q and the
-    float64 values of ``lambdas`` in exact rational arithmetic, and cannot be
+    float64 values of ``lambdas`` in exact integer arithmetic, and cannot be
     given, so a certificate always describes its q."""
 
     lambdas: tuple[float, ...]
@@ -121,12 +119,11 @@ class DiophantineResult:
             raise ValueError("lambdas must be a non-empty 1-d sequence of finite numbers")
         values = tuple(lam.tolist())
         q = require_count(self.denominator, "denominator")
-        fractions = list(map(Fraction, values))
-        numerators = tuple(floor(q * f + Fraction(1, 2)) for f in fractions)
-        residuals = [q * f - p for f, p in zip(fractions, numerators)]
+        nums, den = _integer_ratios(values)
+        numerators, residuals = _score(nums, den, q)
         for name, value in (
-            ("lambdas", values), ("denominator", q), ("numerators", numerators),
-            ("residuals", tuple(map(float, residuals))), ("epsilon", float(max(map(abs, residuals)))),
+            ("lambdas", values), ("denominator", q), ("epsilon", max(map(abs, residuals)) / den),
+            ("numerators", numerators), ("residuals", tuple(r / den for r in residuals)),
         ):
             object.__setattr__(self, name, value)
 
@@ -140,16 +137,26 @@ class PrecisionUnreachable(RuntimeError):
         self.best = best
 
 
+def _integer_ratios(values) -> tuple[list[int], int]:
+    """nums and den with values[j] == nums[j] / den exactly, den a power of two."""
+    den = max(v.as_integer_ratio()[1] for v in values)
+    return [n * (den // r) for n, r in map(float.as_integer_ratio, values)], den
+
+
+def _score(nums: list[int], den: int, q: int) -> tuple[tuple[int, ...], list[int]]:
+    """p_j = round(q nums[j] / den), half up, and the residuals q nums[j] - p_j den."""
+    numerators = tuple((2 * q * n + den) // (2 * den) for n in nums)
+    return numerators, [q * n - p * den for n, p in zip(nums, numerators)]
+
+
 def _candidates(nums: list[int], den: int, eps: float):
     """The denominators to try in order: 1, then each escalation's reduced
     lattice's first column, smallest first, for lambda_j = nums[j] / den."""
     yield 1
-    d = len(nums)
     scale = max(16, int(4.0 / float(eps)))
     for _ in range(ESCALATIONS):
-        scaled = [(2 * n * scale + den) // (2 * den) for n in nums]
-        basis = [[1] + scaled]
-        basis += [[0] * (j + 1) + [-scale] + [0] * (d - 1 - j) for j in range(d)]
+        top = [1] + [(2 * n * scale + den) // (2 * den) for n in nums]
+        basis = [top] + [[-scale * (i == j) for i in range(len(top))] for j in range(1, len(top))]
         yield from sorted({abs(v[0]) for v in lll_reduce(basis) if v[0] != 0})
         scale *= 16
 
@@ -171,16 +178,11 @@ def simultaneous_diophantine(lambdas, eps: float) -> DiophantineResult:
     """
     lambdas = DiophantineResult(lambdas, 1).lambdas  # checked and converted
     require_positive(eps, "eps")
-    ratios = [lam.as_integer_ratio() for lam in lambdas]
-    den = max(r for _, r in ratios)  # a float's denominator is a power of two
-    nums = [n * (den // r) for n, r in ratios]
+    nums, den = _integer_ratios(lambdas)
     eps_num, eps_den = float(eps).as_integer_ratio()
-    best, scored = None, set()
+    best = None
     for q in _candidates(nums, den, eps):
-        if q in scored:  # an equal score never replaces best
-            continue
-        scored.add(q)
-        worst = max(abs(q * n - (2 * q * n + den) // (2 * den) * den) for n in nums)
+        worst = max(map(abs, _score(nums, den, q)[1]))
         if worst * eps_den <= eps_num * den:
             return DiophantineResult(lambdas, q)
         if best is None or worst < best[0]:

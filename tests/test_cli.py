@@ -818,8 +818,8 @@ class TestBenchCommand:
         code, _ = run_cli(
             capsys, "bench", "--experiment", "haar-sweep", "--dims", "2",
             "--sections", "1", "--haar-count", "2", "--restarts", "2",
-            "--maxiter", "30", "--out", str(tmp_path),
-        )
+            "--maxiter", "30", "--gates", "nope", "--out", str(tmp_path),
+        )  # haar-sweep reads no --gates, so it does not check them
         assert code == 0
         lines = (tmp_path / "haar_sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "gate,d,K,L_m,seed,best_infidelity,status"

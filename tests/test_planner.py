@@ -815,8 +815,8 @@ def test_powered_and_flat_products_are_near_the_exact_product(d, with_gap):
     )
     sections = plan.sections
     exact = decimal_product(sections)
-    assert np.max(np.abs(plan.realize() - exact)) <= 1e-12
-    assert np.max(np.abs(flat_product(sections, d) - exact)) <= 1e-12
+    assert np.max(np.abs(plan.realize() - exact)) <= 3e-13
+    assert np.max(np.abs(flat_product(sections, d) - exact)) <= 3e-13
 
 
 def block_copies(payload, factor=0, su2=0) -> list[dict]:
