@@ -175,7 +175,7 @@ def _cmd_bench(args) -> int:
     lengths = [require_positive(float(x), "section length") for x in args.lengths.split(",")]
     gates = [] if args.experiment == "haar-sweep" else args.gates.split(",")
     targets = {(gate, d): named_gate(gate, d) for gate in gates for d in dims}
-    seeds = [int(x) for x in args.seeds.split(",")]
+    seeds = [require_count(int(x), "--seeds", 0) for x in args.seeds.split(",")]
     trotter_steps = [require_count(int(x), "--N-values") for x in args.N_values.split(",")]
     require_count(args.restarts, "--restarts")
     require_count(args.maxiter, "--maxiter")

@@ -50,7 +50,7 @@ def named_gate(name: str, dimension: int) -> np.ndarray:
     name = name.strip().lower()
     if name.startswith("haar:"):
         try:
-            seed = int(name.split(":", 1)[1])
+            seed = require_count(int(name.split(":", 1)[1]), "seed", 0)
         except ValueError:
             raise ValueError(f"bad Haar gate spec {name!r}, expected haar:<seed>") from None
         return haar_random_unitary(dimension, seed)

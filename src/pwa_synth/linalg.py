@@ -225,11 +225,13 @@ class TridiagonalHamiltonian:
                 f"expected {betas.size - 1} couplings for {betas.size} modes, "
                 f"got {couplings.shape}"
             )
-        if not (np.all(np.isfinite(betas)) and np.all(np.isfinite(couplings))):
+        # Python floats: a few entries check faster than numpy reductions.
+        beta_values, coupling_values = betas.tolist(), couplings.tolist()
+        if not all(map(math.isfinite, beta_values + coupling_values)):
             raise ValueError("non-finite Hamiltonian entries")
-        if np.any(betas <= 0.0):
+        if min(beta_values) <= 0.0:
             raise ValueError("propagation constants must be strictly positive")
-        if couplings.size and np.any(couplings <= 0.0):
+        if coupling_values and min(coupling_values) <= 0.0:
             raise ValueError("couplings must be strictly positive")
         length = require_positive(self.length, "section length")
         betas.flags.writeable = False

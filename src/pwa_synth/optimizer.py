@@ -64,6 +64,7 @@ class OptimizationTask:
         object.__setattr__(self, "target", target)
         for name in ("sections", "restarts", "max_iterations"):
             require_count(getattr(self, name), name)
+        require_count(self.seed, "seed", 0)
 
     @property
     def dimension(self) -> int:

@@ -20,13 +20,16 @@ section list, and the plan file (schema v1) stays that flat list.
 A section body (a section without its provenance) is identified by its text
 in the plan file, ``PlanSection._text``, which is formed once per body.
 Compiling, writing and both readers use it: equal drive bodies are one
-object, and so are the recurrence bodies of all blocks. ``_block_pieces``
-lays out a block's text, each body's cached text around its provenance, for
-``to_json`` and for ``ChipPlan.from_json``. Text that is exactly what
-``to_json`` writes for a compiled plan (or for a compiled plan written back
-after loading) takes the layout reader, which parses each block's first
-Trotter step, each distinct body once, and compares the block's text with
-the file. Every other text, hand edits in the writer's layout included,
+object, and so are the recurrence bodies of all blocks; compiling builds
+each distinct drive once per call. ``_block_pieces`` lays out a block's
+text for ``to_json`` and for ``ChipPlan.from_json`` from one template, the
+text of one step split at its ``trotter_step`` value, so the Python work
+per block does not grow with its step count; ``realize`` forms the powers
+of all blocks of one shape in stacked products. Text that is exactly what
+``to_json`` writes for a compiled plan (or for a compiled plan written
+back after loading) takes the layout reader, which parses each block's
+first Trotter step, each distinct body once, and compares the block's text
+with the file. Every other text, hand edits in the writer's layout included,
 takes the general reader, which parses the whole text and reads each
 distinct section once. Both give ``_group_blocks`` their runs of steps in
 file order, so one rule forms the blocks, and both share bodies with equal
@@ -397,30 +400,47 @@ class ChipPlan:
         """Cascade product, first section applied first. A block of n steps
         applies its step S = (last body) ... (first body) as S^n by binary
         powering: the bodies one by one if n is odd, then S^2, S^4, ... for the
-        higher set bits. A one-step block is the flat product bit for bit; the
-        others stay within 3e-13 of the exact product (d <= 6, N <= 32)."""
-        u = np.eye(self.dimension, dtype=complex)
-        for block in self.blocks:
-            mats, n = [body._unitary for body in block.bodies], len(block.trotter_steps)
+        higher set bits. Blocks with equal body and step counts form these
+        factors together, each product one stacked matmul; the factors are
+        then applied block by block. A one-step block is the flat product bit
+        for bit; the others stay within 3e-13 of the exact product (d <= 6,
+        N <= 32)."""
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, block in enumerate(self.blocks):
+            if block.trotter_steps:  # a block of no steps applies nothing
+                groups.setdefault((len(block.bodies), len(block.trotter_steps)), []).append(i)
+        factors = [()] * len(self.blocks)
+        for (_, n), members in groups.items():
+            mats = np.array([[body._unitary for body in self.blocks[i].bodies] for i in members])
+            applied = []
             while n:
                 if n & 1:
-                    for mat in mats:
-                        u = mat @ u
+                    applied.append(mats)
                 n >>= 1
                 if n:
-                    step = reduce(lambda product, mat: mat @ product, mats)
-                    mats = [step @ step]
+                    step = reduce(lambda product, mat: mat @ product, mats.swapaxes(0, 1))
+                    mats = (step @ step)[:, None]
+            for i, block_factors in zip(members, np.concatenate(applied, axis=1)):
+                factors[i] = block_factors
+        u = np.eye(self.dimension, dtype=complex)
+        for block_factors in factors:
+            for mat in block_factors:
+                u = mat @ u
         return u
 
     def to_json(self) -> str:
         """Schema v1 text: ``json.dumps(payload, indent=2)`` of the whole plan,
-        each block laid out by ``_block_pieces``. A body's text is formed once
-        per object, and compiled and loaded plans hold one object per distinct
-        body, so each is encoded once.
+        each block laid out by ``_block_pieces``, all joined once. A body's
+        text is formed once per object, and compiled and loaded plans hold one
+        object per distinct body, so each is encoded once.
         """
         pieces = [_head_text(self), "[\n    "]
+        step_texts: dict[tuple, list[str]] = {}  # blocks mostly share one steps tuple
         for b in self.blocks:
-            _block_pieces(b.factor_index, b.su2_index, b.trotter_steps, b.bodies, pieces)
+            values = step_texts.get(b.trotter_steps)
+            if values is None:
+                values = step_texts[b.trotter_steps] = list(map(_int_text, b.trotter_steps))
+            pieces += _block_pieces(b.factor_index, b.su2_index, values, b.bodies)
         pieces[-1] = _SECTIONS_END if len(pieces) > 2 else "[]\n}"
         return "".join(pieces)
 
@@ -526,16 +546,23 @@ def _head_text(plan: ChipPlan) -> str:
     return json.dumps(payload, indent=2)[: -len("[]\n}")]
 
 
-def _block_pieces(factor_index, su2_index, steps, bodies, pieces: list[str]) -> list[str]:
-    """``pieces`` with a block's file text appended: for each of ``steps``,
-    each body's cached ``_text`` around the step's provenance (ints or None,
-    which ``%d`` writes as the stdlib encoder does), then ``_SECTION_SEP``."""
-    texts = [body._text for body in bodies]
-    factor, su2 = _int_text(factor_index), _int_text(su2_index)
-    for step in steps:
-        provenance = _PROVENANCE_LAYOUT % (factor, su2, _int_text(step))
-        for before, after in texts:
-            pieces += (before, provenance, after, _SECTION_SEP)
+def _block_pieces(factor_index, su2_index, values: list[str], bodies) -> list[str]:
+    """A block's file text, to be joined: for each step's ``trotter_step``
+    text in ``values`` (``_int_text``), each body's cached ``_text`` around
+    the step's provenance, then ``_SECTION_SEP``. One step's text is formed
+    once, split at its ``trotter_step`` value, and each step repeats those
+    parts with its own value at the splits."""
+    # json.dumps escapes every control character, so no body text holds "\0".
+    provenance = _PROVENANCE_LAYOUT % (_int_text(factor_index), _int_text(su2_index), "\0")
+    parts = _SECTION_SEP.join(
+        before + provenance + after for before, after in (body._text for body in bodies)
+    ).split("\0")
+    width = 2 * len(parts)
+    step = [_SECTION_SEP] * width
+    step[::2] = parts
+    pieces = step * len(values)
+    for i in range(1, width - 1, 2):
+        pieces[i::width] = values
     return pieces
 
 
@@ -617,13 +644,14 @@ def _read_layout(cls, text: str) -> ChipPlan:
         # No later step is shorter than the first.
         if (step_end - block_start) * len(walk) > len(text) - block_start:
             raise ValueError(_NOT_LAYOUT)
-        steps = steps or tuple(walk)
-        run = (key[0], key[1], steps, first)
+        if steps is None:
+            steps = tuple(walk)
+            step_texts = list(map(_int_text, steps))
         # All but the last separator: the list's end may stand there instead.
-        block_text = "".join(_block_pieces(*run, [])[:-1])
+        block_text = "".join(_block_pieces(key[0], key[1], step_texts, first)[:-1])
         if not text.startswith(block_text, block_start):
             raise ValueError(_NOT_LAYOUT)
-        runs.append(run)
+        runs.append((key[0], key[1], steps, first))
         pos = block_start + len(block_text)
         if text.startswith(_SECTIONS_END, pos) and len(text) == pos + len(_SECTIONS_END):
             plan.blocks = _group_blocks(runs)
@@ -775,14 +803,20 @@ def compile_unitary(
         recurrence = _recurrence_sections(config, gap)
 
     blocks = []
-    drives: dict[tuple[str, str], PlanSection] = {}  # one body per distinct drive text
+    # One drive per distinct (mode, section) value of this call, and one body
+    # object per distinct drive text.
+    drives: dict[tuple, PlanSection] = {}
+    texts: dict[tuple[str, str], PlanSection] = {}
     for op_index, op in enumerate(ops):
         for su2_index, sec in enumerate(synthesize_su2(op.matrix, section_length)):
-            drive = PlanSection(
-                kind=SECTION_A,
-                hamiltonian=sec if config is None else plan_trotter_pair(sec, op.mode, config),
-            )
-            drive = drives.setdefault(drive._text, drive)
+            key = (op.mode, sec.betas.tobytes(), sec.couplings.tobytes(), sec.length)
+            drive = drives.get(key)
+            if drive is None:
+                drive = PlanSection(
+                    kind=SECTION_A,
+                    hamiltonian=sec if config is None else plan_trotter_pair(sec, op.mode, config),
+                )
+                drive = drives[key] = texts.setdefault(drive._text, drive)
             blocks.append(PlanBlock((*recurrence, drive), op_index, su2_index, steps))
 
     plan = ChipPlan(

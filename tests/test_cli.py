@@ -599,6 +599,33 @@ def test_argument_errors_print_one_json_line(capsys, argv):
     assert error["message"].startswith(f"pwa-synth {argv[0]}: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["optimize", "--gate", "dft", "--d", "2", "--K", "1", "--seed", "-1"],
+         "seed must be an integer >= 0, got -1"),
+        (["compile", "--gate", "haar:-1", "--d", "3"],
+         "bad Haar gate spec 'haar:-1', expected haar:<seed>"),
+        (["bench", "--experiment", "haar-sweep", "--seeds", "-1"],
+         "--seeds must be an integer >= 0, got -1"),
+        (["bench", "--experiment", "gate-sweep", "--seeds", "0,-2"],
+         "--seeds must be an integer >= 0, got -2"),
+    ],
+    ids=["optimize-seed", "haar-gate", "haar-sweep-seeds", "gate-sweep-seeds"],
+)
+def test_negative_seed_exits_2_naming_it(capsys, tmp_path, argv, message):
+    out_dir = tmp_path / "b"
+    if argv[0] == "bench":
+        argv = [*argv, "--out", str(out_dir)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {"type": "ValueError", "message": message}
+    # bench checks its flags before it makes the output directory
+    assert not out_dir.exists()
+
+
 def _unusable_output_paths(tmp_path: Path) -> dict[str, list[str]]:
     """argv lists whose input or output path cannot be used as one."""
     directory = tmp_path / "existing_dir"

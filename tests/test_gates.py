@@ -94,8 +94,9 @@ def test_named_gate_strings():
     np.testing.assert_array_equal(named_gate("haar:7", 3), haar_random_unitary(3, 7))
     with pytest.raises(ValueError, match="unknown gate"):
         named_gate("qft", 3)
-    with pytest.raises(ValueError, match="haar"):
-        named_gate("haar:x", 3)
+    for spec in ("haar:x", "haar:-1"):
+        with pytest.raises(ValueError, match=f"^bad Haar gate spec '{spec}', expected haar:<seed>$"):
+            named_gate(spec, 3)
 
 
 def test_named_gate_validation():

@@ -481,6 +481,12 @@ class TestOptimize:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             OptimizationTask(target=dft(2), **fields)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        message = f"seed must be an integer >= 0, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OptimizationTask(target=dft(2), sections=1, seed=seed)
+
     @pytest.mark.parametrize("jobs", [2.5, True, 0])
     def test_jobs_must_be_an_integer(self, jobs):
         task = OptimizationTask(target=dft(2), sections=1, restarts=1, max_iterations=5)

@@ -1,6 +1,7 @@
 import collections
 import copy
 import dataclasses
+import functools
 import json
 import marshal
 import math
@@ -819,6 +820,118 @@ def test_powered_and_flat_products_are_near_the_exact_product(d, with_gap):
     assert np.max(np.abs(flat_product(sections, d) - exact)) <= 3e-13
 
 
+def per_block_product(plan: ChipPlan) -> np.ndarray:
+    """The plan's product one block at a time: each block's step
+    S = (last body) ... (first body) as S^n by binary powering, the bodies one
+    by one if n is odd, then S^2, S^4, ... for the higher set bits of n."""
+    u = np.eye(plan.dimension, dtype=complex)
+    for block in plan.blocks:
+        mats, n = [body._unitary for body in block.bodies], len(block.trotter_steps)
+        while n:
+            if n & 1:
+                for mat in mats:
+                    u = mat @ u
+            n >>= 1
+            if n:
+                step = functools.reduce(lambda product, mat: mat @ product, mats)
+                mats = [step @ step]
+    return u
+
+
+def mixed_shape_plan(seed: int) -> ChipPlan:
+    """A d=3 plan whose blocks mix 0, 1, 2, 3, 5 and 8 steps with 1 to 3 bodies,
+    drawn from the gap, electrode (both with reduced phases) and drive bodies
+    of a compiled plan, in a seeded order, so blocks of one shape stand apart."""
+    compiled = compile_unitary(haar_random_unitary(3, seed), trotter_steps=4, gap=device_gap(3))
+    pool = list({id(body): body for block in compiled.blocks for body in block.bodies}.values())
+    rng = np.random.default_rng(seed)
+    shapes = [(n, m) for n in (0, 1, 2, 3, 5, 8) for m in (1, 2, 3)] * 2
+    blocks = [
+        PlanBlock(tuple(pool[i] for i in rng.integers(len(pool), size=m)), k, 0, tuple(range(n)))
+        for k, (n, m) in enumerate(shapes[i] for i in rng.permutation(len(shapes)))
+    ]
+    assert any(body.reduced_phases is not None for block in blocks for body in block.bodies)
+    return dataclasses.replace(compiled, trotter_steps=8, blocks=blocks, config=None)
+
+
+STACKING_CASES = [(d, n, gap) for d in range(3, 7) for n in (8, 32) for gap in (False, True)]
+
+
+class TestStackedPowering:
+    @pytest.mark.parametrize(
+        "d, steps, with_gap", STACKING_CASES,
+        ids=[f"d{d}-N{n}{'-gap' if g else ''}" for d, n, g in STACKING_CASES],
+    )
+    def test_compiled_and_loaded_plans_realize_as_block_by_block(self, d, steps, with_gap):
+        target = haar_random_unitary(d, 30 + d)
+        plan = compile_unitary(
+            target, trotter_steps=steps, gap=device_gap(d) if with_gap else None
+        )
+        loaded = ChipPlan.from_json(plan.to_json())
+        for each in (plan, loaded):
+            assert np.array_equal(each.realize(), per_block_product(each))
+        assert plan.measured_error == operator_norm(target - per_block_product(plan))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mixed_block_shapes_realize_as_block_by_block(self, seed):
+        plan = mixed_shape_plan(seed)
+        realized = plan.realize()
+        assert np.array_equal(realized, per_block_product(plan))
+        loaded = planner._read_general(ChipPlan, plan.to_json())
+        assert np.array_equal(loaded.realize(), realized)
+
+
+class TestDriveMemo:
+    @staticmethod
+    def count_plans(monkeypatch) -> list[tuple]:
+        """The (mode, section value) of every plan_trotter_pair call."""
+        calls = []
+
+        def counted(section, mode, config):
+            calls.append((mode, section.betas.tobytes(), section.couplings.tobytes(),
+                          section.length))
+            return plan_trotter_pair(section, mode, config)
+
+        monkeypatch.setattr(planner, "plan_trotter_pair", counted)
+        return calls
+
+    def test_each_distinct_mode_and_section_is_planned_once_per_call(self, monkeypatch):
+        calls = self.count_plans(monkeypatch)
+        target = clock(6)
+        plan = compile_unitary(target, trotter_steps=8)
+        distinct = {
+            (op.mode, s.betas.tobytes(), s.couplings.tobytes(), s.length)
+            for op in adjacent_expand(two_level_decompose(target), 6)
+            for s in synthesize_su2(op.matrix, L)
+        }
+        assert sorted(calls) == sorted(distinct)
+        assert len(distinct) < len(plan.blocks)
+        # one drive object per distinct drive
+        assert len({id(block.bodies[-1]) for block in plan.blocks}) == len(distinct)
+        # the memo lives for one call: the next call plans every drive again
+        compile_unitary(target, trotter_steps=8)
+        assert len(calls) == 2 * len(distinct)
+
+    def test_equal_sections_share_a_drive_only_at_one_mode(self, monkeypatch):
+        calls = self.count_plans(monkeypatch)
+
+        def equal_sections(matrix, length):
+            # new objects with equal values for every op
+            return [TridiagonalHamiltonian(np.array([3.0, 4.0]), np.array([5.0]), length)
+                    for _ in range(2)]
+
+        monkeypatch.setattr(planner, "synthesize_su2", equal_sections)
+        target = dft(3)
+        plan = compile_unitary(target, trotter_steps=2, measure=False)
+        modes = [op.mode for op in adjacent_expand(two_level_decompose(target), 3)]
+        assert sorted(set(modes)) == [1, 2] and len(modes) > 2
+        assert sorted(mode for mode, *_ in calls) == [1, 2]
+        drives = {}
+        for block in plan.blocks:
+            assert drives.setdefault(modes[block.factor_index], block.bodies[-1]) is block.bodies[-1]
+        assert drives[1] is not drives[2]
+
+
 def block_copies(payload, factor=0, su2=0) -> list[dict]:
     return [s for s in payload["sections"]
             if (s["provenance"]["factor_index"], s["provenance"]["su2_index"]) == (factor, su2)]
@@ -1162,6 +1275,21 @@ class TestLayoutReader:
         assert loaded.trotter_steps == 10**8
         assert plan_summary(loaded) == plan_summary(general_load(text))
         assert peak < 1e6
+
+    def test_a_last_step_edit_loads_as_the_general_reader_loads_it(self):
+        # one digit of the first block's last section: step 7 of the drive
+        # becomes 9, so that block's text is not the one the writer gives it
+        plan = compile_unitary(dft(3), trotter_steps=8)
+        text = plan.to_json()
+        mark = '"trotter_step": 7'
+        at = [found.end() - 1 for found in re.finditer(mark, text)][len(plan.blocks[0].bodies) - 1]
+        edited = text[:at] + "9" + text[at + 1:]
+        with pytest.raises(ValueError, match="not laid out"):
+            planner._read_layout(ChipPlan, edited)
+        loaded = ChipPlan.from_json(edited)
+        assert plan_summary(loaded) == plan_summary(general_load(edited))
+        assert [b.trotter_steps for b in loaded.blocks[:3]] == [tuple(range(7)), (7,), (9,)]
+        assert loaded.to_json() == edited
 
     def test_loading_peak_memory_is_a_fraction_of_the_text(self):
         text = compile_unitary(haar_random_unitary(4, 3), trotter_steps=32, measure=False).to_json()
