@@ -168,15 +168,31 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _entries(text: str, flag: str, parse) -> list:
+    """The comma-separated entries of a list flag, each read by ``parse``
+    (``int`` or ``float``); an entry it cannot read raises a ValueError that
+    names the flag and the entry."""
+    entries = []
+    for entry in text.split(","):
+        try:
+            entries.append(parse(entry))
+        except ValueError:
+            kind = "integers" if parse is int else "numbers"
+            raise ValueError(f"{flag} entries must be {kind}, got {entry!r}") from None
+    return entries
+
+
 def _cmd_bench(args) -> int:
     # Every flag is checked before any row runs or the output directory is made.
-    dims = [require_count(int(x), "--dims", 2) for x in args.dims.split(",")]
-    counts = [require_count(int(x), "--sections") for x in args.sections.split(",")]
-    lengths = [require_positive(float(x), "section length") for x in args.lengths.split(",")]
+    dims = [require_count(x, "--dims", 2) for x in _entries(args.dims, "--dims", int)]
+    counts = [require_count(x, "--sections") for x in _entries(args.sections, "--sections", int)]
+    lengths = [require_positive(x, "--lengths") for x in _entries(args.lengths, "--lengths", float)]
     gates = [] if args.experiment == "haar-sweep" else args.gates.split(",")
     targets = {(gate, d): named_gate(gate, d) for gate in gates for d in dims}
-    seeds = [require_count(int(x), "--seeds", 0) for x in args.seeds.split(",")]
-    trotter_steps = [require_count(int(x), "--N-values") for x in args.N_values.split(",")]
+    seeds = [require_count(x, "--seeds", 0) for x in _entries(args.seeds, "--seeds", int)]
+    trotter_steps = [
+        require_count(x, "--N-values") for x in _entries(args.N_values, "--N-values", int)
+    ]
     require_count(args.restarts, "--restarts")
     require_count(args.maxiter, "--maxiter")
     require_count(args.haar_count, "--haar-count")

@@ -121,10 +121,12 @@ def reduce_phases(eigenvalues, length, offset: float = 0.0) -> np.ndarray:
 
 
 def assemble_unitary(eigenvectors, phases) -> np.ndarray:
-    """V diag(e^{-i phases}) V^dag, batched over any leading axes."""
+    """V diag(e^{-i phases}) V^dag, batched over any leading axes; real
+    eigenvectors are not conjugated, so V^dag is a view of them."""
     v = np.asarray(eigenvectors)
     rotated = v * np.exp(-1j * np.asarray(phases))[..., None, :]
-    return rotated @ np.conj(np.swapaxes(v, -1, -2))
+    v_t = np.swapaxes(v, -1, -2)
+    return rotated @ (np.conj(v_t) if np.iscomplexobj(v) else v_t)
 
 
 def _centered_eigh(h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

@@ -16,12 +16,18 @@ eigensolver, every product and the gradient kernel run once for all the rows
 of a call. It owns a per-task workspace of ``task.restarts`` rows (the
 Hamiltonian stack, the prefix and suffix products and the gradient buffer)
 that every call rewrites, so one objective must not be called from two
-threads at once. Its returned gradients are a new array.
+threads at once. Its returned gradients are a new array. The prefix and
+suffix products share one chain buffer: each step is one matmul that
+extends both, each product keeping its operand order (suffix times factor,
+factor times prefix), so the shared chain has the bits of two separate
+ones. The suffix chain must not be computed as a transposed prefix chain:
+that reorders the sums inside its products and moves their bits.
 
 ``minimize`` is the L-BFGS-B driver: it runs every restart in lockstep in one
 thread, stepping each through scipy's ``setulb`` exactly as
 ``scipy.optimize.minimize`` would and evaluating all the points requested in
-a round with one stacked objective call. On its first call it loads only the
+a round with one stacked objective call. Each row's ``setulb`` argument list
+is built once. On its first call it loads only the
 top-level ``scipy`` package and scipy's L-BFGS-B extension, never the
 ``scipy.optimize`` package, so compiling and simulating load no scipy and
 optimizing loads a handful of scipy's modules, not hundreds; a later
@@ -98,58 +104,77 @@ class _ChipObjective:
         self.phase_rate = -1j * self.length
         self.beta_sens = model.beta_shift_per_volt
         self.coupling_sens = model.coupling_shift_per_volt
-        self.gap_unitary = model.zero_voltage_hamiltonian(d).unitary()
         # per-task workspace of `rows` rows, rewritten by every call: the
         # Hamiltonian stacks, written through strided views of their
-        # diagonals, the prefix and suffix products of the factors (section,
-        # gap, section, ...), and the gradients of the overlaps
+        # diagonals, the prefix and suffix products of the n factors F
+        # (section, gap, section, ...), and the gradients of the overlaps.
+        # below[t] is the product of the factors < t and above[t] of those
+        # >= t; chain[t] holds (above[n - t], F_t, F_{n-1-t}, below[t]) for
+        # every row, so one matmul of slots 0:2 by slots 2:4 of chain[t]
+        # writes slots 0 and 3 of chain[t + 1]. At odd t both factors are the
+        # gap, filled here; every call copies the sections in.
         n = 2 * k - 1
         self.hams = np.zeros((r, k, d, d))
-        flat = self.hams.reshape(r, k, d * d)
-        self.diagonal = flat[:, :, :: d + 1]
-        self.upper = flat[:, :, 1 :: d + 1]
-        self.lower = flat[:, :, d :: d + 1]
-        self.below = np.empty((r, n + 1, d, d), dtype=complex)
-        self.above = np.empty((r, n + 1, d, d), dtype=complex)
-        self.below[:, 0] = self.above[:, n] = np.eye(d)
+        self.chain = np.empty((n + 1, 4, r, d, d), dtype=complex)
+        self.chain[0, 0] = self.chain[0, 3] = np.eye(d)
+        self.chain[1:n:2, 1:3] = model.zero_voltage_hamiltonian(d).unitary()
         self.d_overlap = np.empty((r, k, 2 * d - 1), dtype=complex)
+        self._views = {}
+
+    def _workspace(self, a: int) -> tuple:
+        """Views of the workspace's first ``a`` rows, built once per ``a``."""
+        views = self._views.get(a)
+        if views is None:
+            d, n = self.d, 2 * self.k - 1
+            hams = self.hams[:a]
+            flat = hams.reshape(a, self.k, d * d)
+            chain = self.chain[:, :, :a]
+            views = self._views[a] = (
+                hams, flat[:, :, :: d + 1], flat[:, :, 1 :: d + 1], flat[:, :, d :: d + 1],
+                # the section slots: F_t = section t / 2 at even t >= 2, in
+                # section order 1..k-1, F_{n-1-t} in section order 0..k-2,
+                # and below[1] and above[n - 1], the first and last section
+                chain[2:n:2, 1], chain[n - 1 : 1 : -2, 2], chain[1, 3], chain[1, 0],
+                [(chain[t, 0:2], chain[t, 2:4], chain[t + 1, 0::3]) for t in range(1, n)],
+                # the chip, and above[2i + 1] and below[2i] for every section i
+                chain[n, 3], chain[n - 1 :: -2, 0], chain[0:n:2, 3],
+                self.d_overlap[:a],
+            )
+        return views
 
     def value_and_gradient(self, volts: np.ndarray) -> tuple[list[float], np.ndarray]:
         """Values and gradients at the rows of an (a, parameters) stack, a <= rows.
 
         Every row's bits are those of a one-row call at that row.
         """
-        d, k, length, gap = self.d, self.k, self.length, self.gap_unitary
+        d, k, length = self.d, self.k, self.length
         a, target = len(volts), self.task.target
-        below, above = self.below[:a], self.above[:a]
+        (hams, diagonal, upper, lower, sections, sections_reversed, below_1, above_last,
+         steps, chips, above_sections, below_sections, d_overlap) = self._workspace(a)
         v = volts.reshape(a, k, 2 * d - 1)
-        upper = self.upper[:a]
-        np.multiply(self.beta_sens, v[:, :, :d], out=self.diagonal[:a])
+        np.multiply(self.beta_sens, v[:, :, :d], out=diagonal)
         np.multiply(self.coupling_sens, v[:, :, d:], out=upper)
         np.add(self.task.model.base_coupling, upper, out=upper)
-        self.lower[:a] = upper
-        eigvals, eigvecs = np.linalg.eigh(self.hams[:a])
-        units = assemble_unitary(eigvecs, eigvals * length)
-        # factor j is section j // 2 when j is even and the gap when it is
-        # odd; below[:, j] holds the product of factors < j, above[:, j] of
-        # factors >= j. Products by the identity are skipped, and above[:, 0]
-        # is never read.
-        n = 2 * k - 1
-        below[:, 1] = units[:, 0]
-        for j in range(1, n):
-            np.matmul(gap if j & 1 else units[:, j >> 1], below[:, j], out=below[:, j + 1])
-        above[:, n - 1] = units[:, k - 1]
-        for j in range(n - 2, 0, -1):
-            np.matmul(above[:, j + 1], gap if j & 1 else units[:, j >> 1], out=above[:, j])
+        lower[...] = upper
+        eigvals, eigvecs = np.linalg.eigh(hams)
+        units = assemble_unitary(eigvecs, eigvals * length).swapaxes(0, 1)
+        # products by the identity are skipped: below[1] is the first section
+        # and above[n - 1] the last; above[0] is computed but never read
+        sections[...] = units[1:]
+        sections_reversed[...] = units[:-1]
+        below_1[...] = units[0]
+        above_last[...] = units[-1]
+        for left, right, out in steps:
+            np.matmul(left, right, out=out)
         # the overlaps and values stay scalar per row: array np.abs of the
         # overlaps differs from scalar abs in the last bit
-        overlaps = [np.vdot(chip, target) for chip in below[:, n]]
+        overlaps = [np.vdot(chip, target) for chip in chips]
         values = [float(1.0 - (abs(overlap) / d) ** 2) for overlap in overlaps]
         # section i is factor 2i; every product keeps the per-section order
         # (A^H T) B^H, (V^H M) V, (V C) V^H, since rounding steers L-BFGS.
         # The eigenvectors of the real stack are real, so V^H is a view.
         vecs_h = eigvecs.swapaxes(-1, -2)
-        middle = _dagger(above[:, 1::2]) @ target @ _dagger(below[:, ::2])
+        middle = (_dagger(above_sections) @ target @ _dagger(below_sections)).swapaxes(0, 1)
         mean = 0.5 * (eigvals[..., :, None] + eigvals[..., None, :])
         # np.sinc(cycles) written out: sin(pi x) / (pi x), with eps at x == 0
         y = np.pi * ((eigvals[..., :, None] - eigvals[..., None, :]) * length / (2.0 * np.pi))
@@ -157,7 +182,6 @@ class _ChipObjective:
         kernel = self.phase_rate * np.exp(self.phase_rate * mean) * (np.sin(y) / y)
         core = np.conj(kernel) * (vecs_h @ middle @ eigvecs)
         t_mat = eigvecs @ core @ vecs_h
-        d_overlap = self.d_overlap[:a]
         np.multiply(self.beta_sens, t_mat.diagonal(0, -2, -1), out=d_overlap[:, :, :d])
         np.add(t_mat.diagonal(1, -2, -1), t_mat.diagonal(-1, -2, -1), out=d_overlap[:, :, d:])
         np.multiply(self.coupling_sens, d_overlap[:, :, d:], out=d_overlap[:, :, d:])
@@ -274,6 +298,8 @@ _MAX_EVALUATIONS = 15000
 _NEW_X, _FG, _STOP = 1, 3, 5
 _ITERATION_CAP, _EVALUATION_CAP = 504, 502
 _LBFGSB = "scipy.optimize._lbfgsb"
+#: where f sits in setulb's argument list
+_F = 5
 
 
 @functools.cache
@@ -342,40 +368,48 @@ def minimize(fun, x0, *, maxiter: int, ftol: float, gtol: float):
     lsave = np.zeros((rows, 4), np.int32)
     isave = np.zeros((rows, 44), np.int32)
     dsave = np.zeros((rows, 29))
-    f = [0.0] * rows
-    # the last evaluation per row, which answers a request at the same x
-    evaluated = x.copy()
+    # the last evaluation per row, which answers a request at the same x; the
+    # points are lists, whose == is np.array_equal's for +-0 and NaN
+    evaluated = x.tolist()
     values, grads = fun(x.copy())
+    # each row's setulb arguments, built once; item _F is f, a float that
+    # setulb reads, so every new value is written into the list. As in
+    # scipy, f is 0 until the first request is answered.
+    arguments = [
+        [m, x[r], unbounded, unbounded, nbd, 0.0, g[r], factr, gtol, wa[r], iwa[r],
+         task[r], lsave[r], isave[r], dsave[r], _LINE_SEARCH_STEPS, ln_task[r]]
+        for r in range(rows)
+    ]
     evaluations = [1] * rows
     iterations = [0] * rows
 
     def advance(r: int) -> bool:
         """Step row r until it needs an evaluation (True) or stops (False)."""
+        row, state = arguments[r], task[r]
         while True:
-            setulb(m, x[r], unbounded, unbounded, nbd, f[r], g[r], factr, gtol,
-                   wa[r], iwa[r], task[r], lsave[r], isave[r], dsave[r],
-                   _LINE_SEARCH_STEPS, ln_task[r])
-            if task[r, 0] == _FG:
-                if not np.array_equal(x[r], evaluated[r]):
+            setulb(*row)
+            if state[0] == _FG:
+                if x[r].tolist() != evaluated[r]:
                     return True
-                f[r] = values[r]
+                row[_F] = values[r]
                 g[r] = grads[r]
-            elif task[r, 0] == _NEW_X:
+            elif state[0] == _NEW_X:
                 iterations[r] += 1
                 if iterations[r] >= maxiter:
-                    task[r] = _STOP, _ITERATION_CAP
+                    state[:] = _STOP, _ITERATION_CAP
                 elif evaluations[r] > _MAX_EVALUATIONS:
-                    task[r] = _STOP, _EVALUATION_CAP
+                    state[:] = _STOP, _EVALUATION_CAP
             else:
                 return False
 
     running = range(rows)
     while running := [r for r in running if advance(r)]:
-        new_values, new_grads = fun(x[running])
-        for r, value, grad in zip(running, new_values, new_grads):
-            evaluated[r] = x[r]
-            f[r] = values[r] = value
-            g[r] = grads[r] = grad
+        points = x[running]
+        new_values, new_grads = fun(points)
+        g[running] = grads[running] = new_grads
+        for r, point, value in zip(running, points.tolist(), new_values):
+            evaluated[r] = point
+            arguments[r][_F] = values[r] = value
             evaluations[r] += 1
     return values, x, iterations
 

@@ -626,6 +626,29 @@ def test_negative_seed_exits_2_naming_it(capsys, tmp_path, argv, message):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seeds", "0,abc", "--seeds entries must be integers, got 'abc'"),
+        ("--dims", "x", "--dims entries must be integers, got 'x'"),
+        ("--sections", "1.5", "--sections entries must be integers, got '1.5'"),
+        ("--N-values", "4,a", "--N-values entries must be integers, got 'a'"),
+        ("--lengths", "mm", "--lengths entries must be numbers, got 'mm'"),
+    ],
+    ids=["seeds", "dims", "sections", "N-values", "lengths"],
+)
+def test_bad_list_entry_exits_2_naming_its_flag(capsys, tmp_path, flag, value, message):
+    out_dir = tmp_path / "b"
+    code, out = run_cli(
+        capsys, "bench", "--experiment", "gate-sweep", f"{flag}={value}", "--out", str(out_dir)
+    )
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {"type": "ValueError", "message": message}
+    assert not out_dir.exists()
+
+
 def _unusable_output_paths(tmp_path: Path) -> dict[str, list[str]]:
     """argv lists whose input or output path cannot be used as one."""
     directory = tmp_path / "existing_dir"

@@ -12,7 +12,7 @@ from pwa_synth import (
     toeplitz_eigenvalues,
     unitarity_defect,
 )
-from pwa_synth.linalg import toeplitz_eigenvectors
+from pwa_synth.linalg import assemble_unitary, toeplitz_eigenvectors
 
 from conftest import power_iteration_norm, taylor_expm
 
@@ -64,6 +64,31 @@ class TestExpmHermitian:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             expm_hermitian(np.array([[np.inf, 0.0], [0.0, 0.0]]), 1.0)
+
+
+class TestAssembleUnitary:
+    @staticmethod
+    def _formula(v, phases):
+        # V diag(e^{-i phases}) V^dag, with V^dag always conjugated
+        return (v * np.exp(-1j * phases)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5, 5), (4, 2, 3, 3), (7, 5, 8, 8)])
+    def test_real_eigenvectors_keep_the_bits_of_the_conjugated_product(self, shape):
+        # real eigenvectors skip the conjugate copy; the product must not move
+        rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+        a = rng.standard_normal(shape)
+        w, v = np.linalg.eigh(a + np.swapaxes(a, -1, -2))
+        phases = w * 6e-3 * rng.uniform(0.5, 2.0)
+        assert v.dtype == np.float64
+        assert assemble_unitary(v, phases).tobytes() == self._formula(v, phases).tobytes()
+
+    def test_complex_eigenvectors_are_conjugated(self):
+        h = np.stack([random_hermitian(4, seed) for seed in range(3)])
+        w, v = np.linalg.eigh(h)
+        got = assemble_unitary(v, 0.7 * w)
+        assert got.tobytes() == self._formula(v, 0.7 * w).tobytes()
+        for u, one in zip(got, h):
+            assert operator_norm(u - taylor_expm(one, 0.7)) < 1e-10
 
 
 class TestOperatorNorm:

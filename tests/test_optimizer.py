@@ -539,6 +539,37 @@ class TestOptimize:
                                 max_iterations=400)
         _assert_matches_serial_optimize(task)
 
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_evaluates_as_often_as_public_scipy(self, monkeypatch, d, hadamard_matrix):
+        # scipy answers a request at an unchanged x from its last evaluation,
+        # and so must the lockstep driver; a driver that re-evaluated there
+        # would take the same steps, so only the evaluation count shows it
+        task = OptimizationTask(
+            target=hadamard_matrix if d == 2 else shift(d), sections=2,
+            restarts=3, seed=d, max_iterations=60,
+        )
+        rows, evaluations = [], []
+        lockstep, public = optimizer.minimize, minimize
+
+        def counting(fun, x0, **options):
+            def counted(u):
+                rows.append(len(u))
+                return fun(u)
+
+            return lockstep(counted, x0, **options)
+
+        def recording(fun, x0, **options):
+            result = public(fun, x0, **options)
+            evaluations.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(optimizer, "minimize", counting)
+        monkeypatch.setitem(globals(), "minimize", recording)
+        optimize(task)
+        _serial_optimize(task)
+        assert len(evaluations) == task.restarts
+        assert sum(rows) == sum(evaluations)
+
     def test_voltages_within_box(self):
         task = OptimizationTask(target=dft(3), sections=2, restarts=2, max_iterations=80)
         result = optimize(task)

@@ -59,12 +59,12 @@ def test_python_entry_point_rejects(what, call, value):
 
 @pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
 @pytest.mark.parametrize(
-    "argv",
-    [["compile", "--gate", "dft", "--d", "3", "--L={}"],
-     ["bench", "--experiment", "error-scaling", "--lengths={}"]],
+    "argv, what",
+    [(["compile", "--gate", "dft", "--d", "3", "--L={}"], "section length"),
+     (["bench", "--experiment", "error-scaling", "--lengths={}"], "--lengths")],
     ids=["compile-L", "bench-lengths"],
 )
-def test_cli_flag_rejects(capsys, tmp_path, argv, value):
+def test_cli_flag_rejects(capsys, tmp_path, argv, what, value):
     argv = [arg.format(value) for arg in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     lines = capsys.readouterr().out.strip().splitlines()
@@ -72,7 +72,7 @@ def test_cli_flag_rejects(capsys, tmp_path, argv, value):
     error = json.loads(lines[0])["error"]
     assert error == {
         "type": "ValueError",
-        "message": f"section length must be positive and finite, got {value!r}",
+        "message": f"{what} must be positive and finite, got {value!r}",
     }
     assert not (tmp_path / "out").exists()
 
