@@ -159,12 +159,12 @@ def _cmd_simulate(args) -> int:
     if not 0 <= args.input < d:
         raise ValueError(f"--input must be a basis index in [0, {d - 1}]")
     trace = propagate(np.eye(d, dtype=complex)[args.input], chip, model=model, dz=args.dz)
-    csv = trace.to_csv()
     if args.out:
-        Path(args.out).write_text(csv, encoding="utf-8")
+        with open(args.out, "wb") as file:
+            trace.write_csv(file)
         print(f"trace written to {args.out} ({trace.z.size} samples)")
     else:
-        sys.stdout.write(csv)
+        sys.stdout.write(trace.to_csv())
     return 0
 
 
@@ -235,7 +235,10 @@ def _cmd_bench(args) -> int:
                 result = _optimize(args, targets[gate, d], k, model, seeds[0])
                 for basis, state in enumerate(np.eye(d, dtype=complex)):
                     trace = propagate(state, result.voltages, model=model, dz=length / 50.0)
-                    write(f"propagation_{gate}_d{d}_K{k}_in{basis}.csv", trace.to_csv())
+                    path = outdir / f"propagation_{gate}_d{d}_K{k}_in{basis}.csv"
+                    with path.open("wb") as file:
+                        trace.write_csv(file)
+                    written.append(path)
     else:
         # One row per (name, target, d, K, L, seed) point, in the order listed.
         if args.experiment == "gate-sweep":

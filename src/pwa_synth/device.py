@@ -14,6 +14,7 @@ unitaries stay nearly tridiagonal.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field, fields
 
@@ -22,13 +23,18 @@ import numpy as np
 from .linalg import TridiagonalHamiltonian, reduce_phases, require_count, require_positive
 from .planner import ChipPlan
 
-# Samples formatted per block by ``PropagationTrace.to_csv``. The block, not
-# the trace length, bounds the row buffer (128 bytes a row below 100 modes)
-# and the kernel's temporaries (about 90 bytes a float). In the simulate
+# Rows (one sample and one mode each) formatted per block by
+# ``PropagationTrace.write_csv``. The block, not the trace length, bounds the
+# row buffer (128 bytes a row below 100 modes) and the kernel's temporaries
+# (about 90 bytes a float); z is formatted once per d blocks, into a word
+# array of about as many samples as a block has rows. In the simulate
 # benchmark (traces of up to 961 samples, d = 3..8), blocks of 512 and 1024
-# samples peaked 0.5-1 MB and 2.5-3 MB higher in RSS than blocks of 256;
-# blocks of 128 saved at most 0.3 MB and made the pass about 15 % slower.
-_CSV_CHUNK = 256
+# samples peaked 0.5-1 MB and 2.5-3 MB higher in RSS than blocks of 256, and
+# blocks of 128 samples saved at most 0.3 MB and made the pass about 15 %
+# slower. 2048 rows is the 256-sample block at d = 8, the benchmark's
+# largest: smaller d now write fewer, larger blocks, and below 2048 modes no
+# block outgrows it.
+_CSV_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -175,7 +181,7 @@ def _read_only(values, dtype) -> np.ndarray:
     return out
 
 
-# ``PropagationTrace.to_csv`` writes each float into a slot of seven uint32
+# ``PropagationTrace.write_csv`` writes each float into a slot of seven uint32
 # words (28 bytes) of a row buffer; a 0 byte is no byte (a stripped zero, a
 # missing '.' or exponent), and the bytes that remain, in order, are
 # ``'%.17g' % x``:
@@ -366,42 +372,55 @@ class PropagationTrace:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "probabilities", probs)
 
-    def to_csv(self) -> str:
-        """Long-format CSV: z_m, mode_index, re, im, probability.
+    def write_csv(self, file) -> None:
+        """Write the long-format CSV (z_m, mode_index, re, im, probability)
+        to ``file``, a binary file, one block of rows at a time.
 
-        Rows are grouped by sample, then by mode index; floats are written
-        as ``'%.17g' % x`` would write them, by ``_put_floats``. Each block
-        of samples fills one reused buffer of fixed-width rows of uint32
-        words (z, ",m,", then re, im and probability each followed by its
-        separator), z once per sample, and drops the empty bytes in one
-        ``bytearray.translate``.
+        Rows are grouped by sample, then by mode index, and end in a line
+        feed; floats are written as ``'%.17g' % x`` would write them, by
+        ``_put_floats``. Each block of about ``_CSV_ROWS`` rows fills one
+        reused buffer of fixed-width rows of uint32 words (z, ",m,", then
+        re, im and probability each followed by its separator) and is
+        written with its empty bytes dropped by one ``bytearray.translate``.
+        z is formatted once per d blocks into a small word array, and each
+        block copies a sample's z words into all d of its rows.
         """
         n, d = self.amplitudes.shape
+        file.write(b"z_m,mode_index,re,im,probability\n")
         modes = [f",{m},".encode() for m in range(d)]
         width = -(-len(modes[-1]) // 4) | 1  # words, odd: the slots stay 8-byte aligned
         mode_words = np.frombuffer(
             b"".join(text.ljust(4 * width, b"\0") for text in modes), dtype=np.uint32
         ).reshape(d, width)
         re = _SLOT + width
-        chunk = min(max(n, 1), _CSV_CHUNK)
+        chunk = min(max(n, 1), max(_CSV_ROWS // d, 1))  # samples per block
         raw = bytearray(4 * chunk * d * (re + 3 * (_SLOT + 1)))
         buf = np.frombuffer(raw, dtype=np.uint32).reshape(chunk, d, -1)
         fields = buf[:, :, re:].reshape(chunk, d, 3, _SLOT + 1)  # re, im, probability
         buf[:, :, _SLOT:re] = mode_words
         fields[..., _SLOT] = [_COMMA, _COMMA, _NEWLINE]
-        parts = ["z_m,mode_index,re,im,probability\n"]
+        z_words = np.empty((min(n, d * chunk), _SLOT + 1), dtype=np.uint32)
         for start in range(0, n, chunk):
+            at = start % len(z_words)
+            if at == 0:
+                z = self.z[start:start + len(z_words)]
+                _put_floats(z_words[:z.size, :_SLOT], z)
             rows = slice(start, start + chunk)
             amps = self.amplitudes[rows]
             size = len(amps)
             if size < chunk:
                 buf[size:] = 0  # the last block: no bytes past it
-            _put_floats(buf[:size, 0, :_SLOT], self.z[rows])
-            buf[:size, 1:, :_SLOT] = buf[:size, :1, :_SLOT]
+            buf[:size, :, :_SLOT] = z_words[at:at + size, None, :_SLOT]
             values = np.stack([amps.real, amps.imag, self.probabilities[rows]], axis=-1)
             _put_floats(fields[:size, ..., :_SLOT], values)
-            parts.append(raw.translate(None, b"\0").decode("ascii"))
-        return "".join(parts)
+            file.write(raw.translate(None, b"\0"))
+
+    def to_csv(self) -> str:
+        """The CSV text that ``write_csv`` writes."""
+        out = io.BytesIO()
+        self.write_csv(out)
+        return out.getvalue().decode("ascii")
+
 
 def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) -> PropagationTrace:
     """Resolve the state along z through the section cascade.

@@ -88,7 +88,8 @@ def operator_norm(matrix) -> float:
         raise ValueError(f"operator norm needs a 2-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    return float(np.linalg.norm(a, 2))
+    # np.linalg.norm(a, 2) takes the max of this same call, whose values are sorted
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def unitarity_defect(matrix) -> float:

@@ -43,7 +43,7 @@ import json
 import marshal
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -797,8 +797,10 @@ def compile_unitary(
         config = TrotterConfig.plan(d, section_length, trotter_steps, j1, j2)
         if gap is not None:
             need_j1, need_j2 = _gap_windings_for_feasibility(config, gap)
-            if (need_j1, need_j2) != (config.j1, config.j2):
+            if need_j1 != config.j1:  # a new budget, so a new q
                 config = TrotterConfig.plan(d, section_length, trotter_steps, need_j1, need_j2)
+            elif need_j2 != config.j2:  # the budget and q do not depend on j2
+                config = replace(config, j2=need_j2)
         steps = tuple(range(config.trotter_steps))
         recurrence = _recurrence_sections(config, gap)
 

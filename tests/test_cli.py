@@ -809,6 +809,39 @@ def test_without_scipy_only_optimize_fails_with_one_json_line(tmp_path, argv, co
         assert "scipy>=1.15" in error["message"]
 
 
+_PEAK_RSS = """
+import re
+import sys
+
+from pwa_synth.cli import main
+
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1])
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_simulate_out_never_holds_the_trace_text(tmp_path):
+    # d = 8, three sections and two gaps at dz = 1e-7 m: 192 001 samples.
+    # The trace arrays take 38 MB and its CSV 132 MB; a writer that held the
+    # text peaked at 330 MB, the block writer at 74 MB. The child reads its
+    # own high-water mark: ru_maxrss would count the memory of this process,
+    # which a child started by vfork shares until it runs python.
+    rng = np.random.default_rng(1)
+    volts = rng.uniform(-15.0, 15.0, (3, 15))
+    (tmp_path / "chip.json").write_text(json.dumps({"voltages": [
+        {"level_volts": list(v[:8]), "coupling_volts": list(v[8:])} for v in volts]}))
+    done = _run_python(tmp_path, "-c", _PEAK_RSS, "simulate", "--voltages", "chip.json",
+                       "--dz", "1e-7", "--out", "trace.csv")
+    assert done.returncode == 0, done.stderr
+    written, peak_kb = done.stdout.splitlines()
+    assert written == "trace written to trace.csv (192001 samples)"
+    assert (tmp_path / "trace.csv").stat().st_size > 130e6
+    assert int(peak_kb) < 160_000, peak_kb
+
+
 def test_parser_is_built_once_and_parses_each_call_afresh(capsys, tmp_path):
     assert build_parser() is build_parser()
     code, _ = run_cli(capsys, "compile", "--gate", "dft", "--d", "2", "--out", str(tmp_path / "p"))

@@ -23,7 +23,7 @@ from pwa_synth import (
     unitarity_defect,
 )
 from pwa_synth import cli
-from pwa_synth.device import _CSV_CHUNK
+from pwa_synth.device import _CSV_ROWS
 
 
 @pytest.fixture
@@ -292,13 +292,30 @@ class TestTraceCsv:
         assert trace.to_csv() == _reference_csv(trace)
 
     def test_trace_longer_than_two_chunks(self):
+        # two z blocks of three value blocks each, and three samples more
         rng = np.random.default_rng(3)
-        n = 2 * _CSV_CHUNK + 3
+        n = 2 * 3 * (_CSV_ROWS // 3) + 3
         trace = _trace(np.cumsum(rng.uniform(0, 1e-4, n)), rng.standard_normal((n, 3)),
                        rng.standard_normal((n, 3)))
         text = trace.to_csv()
         assert text == _reference_csv(trace)
         assert text.count("\n") == 1 + 3 * n
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 12])
+    def test_file_writer_at_block_edges(self, d, tmp_path):
+        # a value block holds chunk samples and a z block d * chunk samples;
+        # n runs up to, onto and past both kinds of edge
+        rng = np.random.default_rng(d)
+        chunk = _CSV_ROWS // d
+        path = tmp_path / "trace.csv"
+        for n in sorted({chunk - 1, chunk, chunk + 1, d * chunk - 1, d * chunk + 1}):
+            trace = _trace(np.cumsum(rng.uniform(0, 1e-4, n)), rng.standard_normal((n, d)),
+                           rng.standard_normal((n, d)))
+            with open(path, "wb") as file:
+                trace.write_csv(file)
+            written = path.read_bytes()
+            assert written == trace.to_csv().encode(), n
+            assert written == _reference_csv(trace).encode(), n
 
     def test_powers_of_two_and_their_odd_multiples(self):
         # dyadic values hit exact decimal ties: 2^-25 = 2.98023223876953125e-08
@@ -372,7 +389,8 @@ class TestTraceCsv:
         return traces
 
     def test_simulate_is_byte_identical(self, tmp_path, monkeypatch, capsys):
-        # one 6 mm section at dz = 2.5e-6 m: 2401 samples cross two chunk boundaries
+        # one 6 mm section at dz = 2.5e-6 m: 2401 samples cross three value
+        # block edges and one z block edge
         path = tmp_path / "volts.json"
         path.write_text(json.dumps({"voltages": [{"level_volts": [4.0, -9.0, 2.5],
                                                   "coupling_volts": [7.0, -3.0]}]}))
@@ -383,7 +401,7 @@ class TestTraceCsv:
         capsys.readouterr()
         assert cli.main(argv) == 0
         to_file, to_stdout = traces
-        assert to_file.z.size > 2 * _CSV_CHUNK
+        assert to_file.z.size > 3 * (_CSV_ROWS // 3)
         assert out.read_bytes() == _reference_csv(to_file).encode()
         assert capsys.readouterr().out == _reference_csv(to_stdout)
 

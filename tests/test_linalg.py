@@ -111,6 +111,16 @@ class TestOperatorNorm:
         v = haar_random_unitary(4, seed + 200)
         assert operator_norm(u @ m @ v) == pytest.approx(operator_norm(m), abs=1e-10)
 
+    def test_equals_numpys_two_norm_bit_for_bit(self):
+        # plan files store measured_error = operator_norm(...): its bits must not move
+        rng = np.random.default_rng(11)
+        for d in range(1, 9):
+            for rows in (d, d + 1):
+                for _ in range(50):
+                    m = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+                    m *= 10.0 ** rng.uniform(-16, 2)
+                    assert operator_norm(m) == np.linalg.norm(m, 2)
+
 
 class TestFidelity:
     def test_self_fidelity(self):

@@ -372,6 +372,17 @@ class TestCompileUnitary:
         assert plan.config.epsilon == TrotterConfig.epsilon_budget(3, L, 4, plan.config.j1)
         assert plan.epsilon_certificate <= plan.config.epsilon
 
+    def test_gap_escalating_only_j2_solves_once(self, monkeypatch):
+        # the budget, and so q, depends on j1 alone: raising j2 keeps q
+        calls = []
+        solve = planner.simultaneous_diophantine
+        monkeypatch.setattr(planner, "simultaneous_diophantine",
+                            lambda *args: calls.append(args) or solve(*args))
+        plan = compile_unitary(clock(3), trotter_steps=8, gap=device_gap(3))
+        assert (plan.config.j1, len(calls)) == (1, 1)
+        assert plan.config.j2 > 1
+        assert plan.config == TrotterConfig.plan(3, L, 8, 1, plan.config.j2)
+
     def test_json_round_trip_preserves_error(self):
         plan = compile_unitary(clock(3), trotter_steps=4)
         loaded = ChipPlan.from_json(plan.to_json())
