@@ -163,7 +163,11 @@ def _cmd_simulate(args) -> int:
         with open(args.out, "wb") as file:
             trace.write_csv(file)
         print(f"trace written to {args.out} ({trace.z.size} samples)")
-    else:
+    elif hasattr(sys.stdout, "buffer"):
+        # Streamed block by block, as --out writes it, after any text before it.
+        sys.stdout.flush()
+        trace.write_csv(sys.stdout.buffer)
+    else:  # a text stream with no binary buffer, such as an io.StringIO
         sys.stdout.write(trace.to_csv())
     return 0
 

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .linalg import TridiagonalHamiltonian, reduce_phases, require_count, require_positive
+from .linalg import (
+    TridiagonalHamiltonian,
+    reduce_phases,
+    require_count,
+    require_positive,
+    section_unitaries,
+)
 from .planner import ChipPlan
 
 # Rows (one sample and one mode each) formatted per block by
@@ -157,15 +163,16 @@ def chip_sections(chip, model: DeviceModel | None = None) -> list[TridiagonalHam
 
 
 def realize(chip, model: DeviceModel | None = None) -> np.ndarray:
-    """Cascade unitary, sections multiplied right to left in arrival order."""
+    """Cascade unitary, sections multiplied right to left in arrival order;
+    the section unitaries are formed in one ``section_unitaries`` call."""
     if isinstance(chip, ChipPlan):
         return chip.realize()
     sections = chip_sections(chip, model)
     if not sections:
         raise ValueError("cannot realize an empty chip with unknown dimension")
     u = np.eye(sections[0].dimension, dtype=complex)
-    for section in sections:
-        u = section.unitary() @ u
+    for unit in section_unitaries(sections):
+        u = unit @ u
     return u
 
 

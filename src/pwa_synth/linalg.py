@@ -6,13 +6,16 @@ norm, the phase-invariant gate fidelity, the analytic eigenvalues of the
 uniform tridiagonal coupling matrix, and Haar-random unitary sampling.
 
 This module is also the single place where section evolutions e^{-iHz} are
-formed, for the compiler, the simulator and the optimizer alike. The
-kernel has three steps: ``TridiagonalHamiltonian.eigensystem`` splits the
-mean diagonal off as an exact phase offset and diagonalizes the rest (the
-analytic sine basis for uniform sections, ``eigh`` otherwise);
-``reduce_phases`` forms (eigenvalue + offset) * z mod 2 pi in extended
-precision; ``assemble_unitary`` builds V diag(e^{-i phi}) V^dag, batched
-over leading axes.
+formed, for the compiler, the simulator and the optimizer alike.
+``section_unitaries`` forms the unitaries of many same-dimension sections in
+one stacked pass: it splits each section's mean diagonal off as an exact
+phase offset and diagonalizes the rest (the analytic sine basis for uniform
+sections, one stacked ``eigh`` for the others); ``reduce_phases`` forms
+(eigenvalue + offset) * z mod 2 pi in extended precision, row by row;
+``assemble_unitary`` builds V diag(e^{-i phi}) V^dag, batched over leading
+axes. Each row is bit for bit what the section alone gives, so one section's
+``unitary()`` is the one-row case. ``TridiagonalHamiltonian.eigensystem``
+gives the same split for the simulator's sampled propagation.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def require_unitary(matrix, atol: float = UNITARITY_ATOL, what: str = "matrix") 
     return u
 
 
-def reduce_phases(eigenvalues, length, offset: float = 0.0) -> np.ndarray:
+def reduce_phases(eigenvalues, length, offset=0.0) -> np.ndarray:
     """Eigenphases (eigenvalue + offset) * length, reduced mod 2 pi.
 
     The exponential only depends on the phase mod 2 pi; products like
@@ -114,10 +117,12 @@ def reduce_phases(eigenvalues, length, offset: float = 0.0) -> np.ndarray:
     forming them in float64 loses the digits that matter after reduction,
     so they are formed in extended precision. ``length`` may be an array of
     sample positions; the result then has shape length.shape + (d,).
+    ``length`` and ``offset`` may also hold one value per row of a stack of
+    eigenvalues, shape (n, d); each row is then reduced as it would be alone.
     """
     z = np.asarray(length, dtype=np.longdouble)[..., None]
     prod = np.asarray(eigenvalues, dtype=np.longdouble) * z
-    prod += np.longdouble(offset) * z
+    prod += np.asarray(offset, dtype=np.longdouble)[..., None] * z
     return np.mod(prod, _TWO_PI_LD, out=prod).astype(float)
 
 
@@ -130,15 +135,84 @@ def assemble_unitary(eigenvectors, phases) -> np.ndarray:
     return rotated @ (np.conj(v_t) if np.iscomplexobj(v) else v_t)
 
 
-def _centered_eigh(h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """(mu, w, V) with H = mu I + V diag(w) V^dag and mu the mean diagonal.
+def _centered_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu, w, V) with H = mu I + V diag(w) V^dag and mu the mean diagonal,
+    batched over leading axes.
 
     Waveguide Hamiltonians carry a ~1e7 m^-1 identity offset that would
     otherwise dominate the eigensolver's error budget.
     """
-    mu = float(np.trace(h).real) / h.shape[0]
-    w, v = np.linalg.eigh(h - mu * np.eye(h.shape[0]))
+    d = h.shape[-1]
+    mu = np.trace(h, axis1=-2, axis2=-1).real / d
+    w, v = np.linalg.eigh(h - np.multiply.outer(mu, np.eye(d)))
     return mu, w, v
+
+
+def _sine_eigenvalues(coupling, d: int) -> np.ndarray:
+    """Eigenvalues, around the diagonal, of uniform d-mode sections with
+    off-diagonal ``coupling`` (one value or one per row), in extended
+    precision; recurrence sections have lengths of 1e7 m and more, where the
+    generic eigensolver path would shed accuracy."""
+    return np.asarray(coupling, dtype=np.longdouble)[..., None] * toeplitz_eigenvalues(d).astype(
+        np.longdouble
+    )
+
+
+def section_unitaries(sections, reduced_phases=None) -> np.ndarray:
+    """The evolutions e^{-i H L} of same-dimension ``TridiagonalHamiltonian``
+    sections over their own lengths, stacked with shape (n, d, d).
+
+    Each row is bit for bit the section's evolution alone: a uniform section
+    (d > 1) in the sine basis, any other through ``eigh`` with its mean
+    diagonal split off, all of one kind stacked in one call. A row of
+    ``reduced_phases`` that is not None holds that uniform section's
+    eigenphases in the sine basis, already reduced mod 2 pi, and replaces
+    its own.
+    """
+    d = sections[0].dimension
+    if any(s.dimension != d for s in sections):
+        raise ValueError("sections must share one mode count")
+    given = [None] * len(sections) if reduced_phases is None else reduced_phases
+    sine, dense, phased = [], [], []
+    for k, (section, phases) in enumerate(zip(sections, given)):
+        if phases is not None:
+            phased.append(k)
+        elif d > 1 and section.is_uniform():
+            sine.append(k)
+        else:
+            dense.append(k)
+    units = np.empty((len(sections), d, d), dtype=complex)
+    eigenvalues, offsets = [], []
+    if sine:
+        eigenvalues.append(_sine_eigenvalues([sections[k].couplings[0] for k in sine], d))
+        offsets.append([sections[k].betas[0] for k in sine])
+    if dense:
+        h = np.zeros((len(dense), d, d), dtype=complex)
+        i = np.arange(d)
+        couplings = np.array([sections[k].couplings for k in dense])
+        h[:, i, i] = [sections[k].betas for k in dense]
+        h[:, i[:-1], i[1:]] = h[:, i[1:], i[:-1]] = couplings
+        mu, w, v = _centered_eigh(h)
+        eigenvalues.append(w)
+        offsets.append(mu)
+    sine_phases = np.empty((0, d))
+    if eigenvalues:
+        phases = reduce_phases(
+            np.concatenate(eigenvalues), [sections[k].length for k in sine + dense],
+            np.concatenate(offsets),
+        )
+        sine_phases = phases[: len(sine)]
+        if dense:
+            units[dense] = assemble_unitary(v, phases[len(sine) :])
+    # Real sine-basis rows and complex eigh rows stay in separate stacks, each
+    # assembled as one section alone is: V^dag is a transposed view of a real
+    # V and a conjugated copy of a complex one.
+    if sine or phased:
+        given_phases = np.array([given[k] for k in phased], dtype=float).reshape(-1, d)
+        units[sine + phased] = assemble_unitary(
+            toeplitz_eigenvectors(d), np.concatenate([sine_phases, given_phases])
+        )
+    return units
 
 
 def expm_hermitian(hamiltonian, scale: float = 1.0) -> np.ndarray:
@@ -268,19 +342,15 @@ class TridiagonalHamiltonian:
         return h
 
     def eigensystem(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """(offset, w, V) with H = offset I + V diag(w) V^dag.
-
-        Uniform sections use the analytic sine basis, with w formed in
-        extended precision; recurrence sections have lengths of 1e7 m and
-        more, where the generic eigensolver path would shed accuracy.
-        """
+        """(offset, w, V) with H = offset I + V diag(w) V^dag, split as
+        ``section_unitaries`` splits it: the sine basis for uniform sections,
+        with w in extended precision, and ``eigh`` otherwise."""
         d = self.dimension
         if self.is_uniform() and d > 1:
-            w = np.longdouble(self.couplings[0]) * toeplitz_eigenvalues(d).astype(np.longdouble)
+            w = _sine_eigenvalues(self.couplings[0], d)
             return float(self.betas[0]), w, toeplitz_eigenvectors(d)
         return _centered_eigh(self.to_matrix())
 
     def unitary(self) -> np.ndarray:
         """Section evolution e^{-i H L} over the section's own length."""
-        offset, w, v = self.eigensystem()
-        return assemble_unitary(v, reduce_phases(w, self.length, offset))
+        return section_unitaries([self])[0]

@@ -20,20 +20,22 @@ section list, and the plan file (schema v1) stays that flat list.
 A section body (a section without its provenance) is identified by its text
 in the plan file, ``PlanSection._text``, which is formed once per body.
 Compiling, writing and both readers use it: equal drive bodies are one
-object, and so are the recurrence bodies of all blocks; compiling builds
-each distinct drive once per call. ``_block_pieces`` lays out a block's
-text for ``to_json`` and for ``ChipPlan.from_json`` from one template, the
-text of one step split at its ``trotter_step`` value, so the Python work
-per block does not grow with its step count; ``realize`` forms the powers
-of all blocks of one shape in stacked products. Text that is exactly what
-``to_json`` writes for a compiled plan (or for a compiled plan written
-back after loading) takes the layout reader, which parses each block's
-first Trotter step, each distinct body once, and compares the block's text
-with the file. Every other text, hand edits in the writer's layout included,
-takes the general reader, which parses the whole text and reads each
-distinct section once. Both give ``_group_blocks`` their runs of steps in
-file order, so one rule forms the blocks, and both share bodies with equal
-text: where both load a text they return the same plan.
+object, and so are the recurrence bodies of all blocks; compiling
+synthesizes each distinct 2x2 factor and builds each distinct drive once
+per call. ``_block_pieces`` lays out a block's text for ``to_json`` and for
+``ChipPlan.from_json`` from one template, the text of one step split at its
+``trotter_step`` value, so the Python work per block does not grow with its
+step count; ``realize`` forms the unitaries of all distinct bodies in one
+``section_unitaries`` call and the powers of all blocks of one shape in
+stacked products. Text that is exactly what ``to_json`` writes for a
+compiled plan (or for a compiled plan written back after loading) takes the
+layout reader, which parses each block's first Trotter step, each distinct
+body once, and compares the block's text with the file. Every other text,
+hand edits in the writer's layout included, takes the general reader, which
+parses the whole text and reads each distinct section once. Both give
+``_group_blocks`` their runs of steps in file order, so one rule forms the
+blocks, and both share bodies with equal text: where both load a text they
+return the same plan.
 """
 
 from __future__ import annotations
@@ -51,15 +53,14 @@ import numpy as np
 from .lattice import DiophantineResult, simultaneous_diophantine
 from .linalg import (
     TridiagonalHamiltonian,
-    assemble_unitary,
     operator_norm,
     require_count,
     require_number,
     require_numbers,
     require_positive,
     require_unitary,
+    section_unitaries,
     toeplitz_eigenvalues,
-    toeplitz_eigenvectors,
 )
 from .reck import adjacent_expand, count_sections, two_level_decompose
 from .su2 import synthesize_su2
@@ -310,16 +311,9 @@ class PlanSection:
         _require_provenance((self.factor_index, self.su2_index, self.trotter_step), _PROVENANCE)
 
     def unitary(self) -> np.ndarray:
-        if self.reduced_phases is None:
-            return self.hamiltonian.unitary()
-        basis = toeplitz_eigenvectors(self.hamiltonian.dimension)
-        return assemble_unitary(basis, self.reduced_phases)
-
-    @cached_property
-    def _unitary(self) -> np.ndarray:
-        # The fields are immutable, so ``unitary()`` is formed once per object;
-        # plan blocks share recurrence bodies, and realize only reads it.
-        return self.unitary()
+        """The section's evolution: its ``reduced_phases`` in the sine basis
+        when it has them, else its Hamiltonian's over its length."""
+        return section_unitaries([self.hamiltonian], [self.reduced_phases])[0]
 
     @cached_property
     def _text(self) -> tuple[str, str]:
@@ -397,21 +391,38 @@ class ChipPlan:
         ]
 
     def realize(self) -> np.ndarray:
-        """Cascade product, first section applied first. A block of n steps
-        applies its step S = (last body) ... (first body) as S^n by binary
-        powering: the bodies one by one if n is odd, then S^2, S^4, ... for the
-        higher set bits. Blocks with equal body and step counts form these
-        factors together, each product one stacked matmul; the factors are
-        then applied block by block. A one-step block is the flat product bit
-        for bit; the others stay within 3e-13 of the exact product (d <= 6,
-        N <= 32)."""
-        groups: dict[tuple[int, int], list[int]] = {}
+        """Cascade product, first section applied first. The unitaries of all
+        distinct body objects are formed in one ``section_unitaries`` call. A
+        block of n steps applies its step S = (last body) ... (first body) as
+        S^n by binary powering: the bodies one by one if n is odd, then S^2,
+        S^4, ... for the higher set bits. Blocks with equal body and step
+        counts form these factors together, each product one stacked matmul;
+        the factors are then applied block by block. A one-step block is the
+        flat product bit for bit; the others stay within 3e-13 of the exact
+        product (d <= 6, N <= 32)."""
+        rows: dict[int, int] = {}  # id of a distinct body -> its row in the stack
+        bodies: list[PlanSection] = []
+        # (body count, step count) -> the blocks of that shape and their rows
+        groups: dict[tuple[int, int], tuple[list[int], list[list[int]]]] = {}
         for i, block in enumerate(self.blocks):
-            if block.trotter_steps:  # a block of no steps applies nothing
-                groups.setdefault((len(block.bodies), len(block.trotter_steps)), []).append(i)
+            if not block.trotter_steps:  # a block of no steps applies nothing
+                continue
+            for body in block.bodies:
+                if id(body) not in rows:
+                    rows[id(body)] = len(bodies)
+                    bodies.append(body)
+            members, index = groups.setdefault(
+                (len(block.bodies), len(block.trotter_steps)), ([], [])
+            )
+            members.append(i)
+            index.append([rows[id(body)] for body in block.bodies])
+        if bodies:
+            units = section_unitaries(
+                [body.hamiltonian for body in bodies], [body.reduced_phases for body in bodies]
+            )
         factors = [()] * len(self.blocks)
-        for (_, n), members in groups.items():
-            mats = np.array([[body._unitary for body in self.blocks[i].bodies] for i in members])
+        for (_, n), (members, index) in groups.items():
+            mats = units[np.array(index)]
             applied = []
             while n:
                 if n & 1:
@@ -805,12 +816,18 @@ def compile_unitary(
         recurrence = _recurrence_sections(config, gap)
 
     blocks = []
-    # One drive per distinct (mode, section) value of this call, and one body
-    # object per distinct drive text.
+    # One synthesis per distinct 2x2 factor, one drive per distinct (mode,
+    # section) value and one body object per distinct drive text, all for
+    # this call only.
+    synthesized: dict[bytes, list[TridiagonalHamiltonian]] = {}
     drives: dict[tuple, PlanSection] = {}
     texts: dict[tuple[str, str], PlanSection] = {}
     for op_index, op in enumerate(ops):
-        for su2_index, sec in enumerate(synthesize_su2(op.matrix, section_length)):
+        factor = op.matrix.tobytes()
+        sections = synthesized.get(factor)
+        if sections is None:
+            sections = synthesized[factor] = synthesize_su2(op.matrix, section_length)
+        for su2_index, sec in enumerate(sections):
             key = (op.mode, sec.betas.tobytes(), sec.couplings.tobytes(), sec.length)
             drive = drives.get(key)
             if drive is None:

@@ -42,6 +42,35 @@ def power_iteration_norm(m, iterations: int = 500, seed: int = 0) -> float:
     return float(np.sqrt(np.real(np.vdot(v, g @ v))))
 
 
+def single_section_unitary(hamiltonian, reduced_phases=None) -> np.ndarray:
+    """One section's evolution e^{-iHL} formed on its own, step by step, as
+    the kernel formed it before it was stacked: the uniform sine basis with
+    extended-precision eigenvalues (d > 1), else ``eigh`` of H minus its
+    mean diagonal; the phases (eigenvalue + offset) * L reduced mod 2 pi in
+    extended precision, or the given ``reduced_phases`` in the sine basis;
+    then V diag(e^{-i phi}) V^dag, with V^dag a transposed view for a real V."""
+    from pwa_synth.linalg import toeplitz_eigenvalues, toeplitz_eigenvectors
+
+    d = hamiltonian.dimension
+    if reduced_phases is not None:
+        v, phases = toeplitz_eigenvectors(d), np.asarray(reduced_phases)
+    else:
+        if hamiltonian.is_uniform() and d > 1:
+            w = np.longdouble(hamiltonian.couplings[0]) * toeplitz_eigenvalues(d).astype(
+                np.longdouble
+            )
+            offset, v = float(hamiltonian.betas[0]), toeplitz_eigenvectors(d)
+        else:
+            h = hamiltonian.to_matrix()
+            offset = float(np.trace(h).real) / d
+            w, v = np.linalg.eigh(h - offset * np.eye(d))
+        z = np.longdouble(hamiltonian.length)
+        prod = np.asarray(w, dtype=np.longdouble) * z + np.longdouble(offset) * z
+        phases = np.mod(prod, 2 * np.longdouble(np.pi)).astype(float)
+    rotated = v * np.exp(-1j * phases)[None, :]
+    return rotated @ (v.conj().T if np.iscomplexobj(v) else v.T)
+
+
 def decimal_product(sections) -> np.ndarray:
     """The product of the sections' float64 unitaries, first section applied
     first, multiplied out in 40-digit decimal arithmetic and rounded to

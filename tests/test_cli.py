@@ -684,14 +684,17 @@ def test_unusable_path_exits_2_with_one_json_line(capsys, tmp_path, case):
                                                      "FileNotFoundError"}
 
 
-def _run_python(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
-    """``python argv`` in a fresh interpreter that imports this checkout."""
+def _run_python(
+    tmp_path: Path, *argv: str, stdout=subprocess.PIPE
+) -> subprocess.CompletedProcess:
+    """``python argv`` in a fresh interpreter that imports this checkout;
+    its stdout goes to ``stdout`` (captured by default), its stderr is captured."""
     src = str(Path(pwa_synth.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=tmp_path,
-        timeout=120,
+        [sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        cwd=tmp_path, timeout=120,
     )
 
 
@@ -817,29 +820,50 @@ from pwa_synth.cli import main
 
 code = main(sys.argv[1:])
 with open("/proc/self/status") as status:
-    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1])
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1], file=sys.stderr)
 sys.exit(code)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_simulate_out_never_holds_the_trace_text(tmp_path):
-    # d = 8, three sections and two gaps at dz = 1e-7 m: 192 001 samples.
-    # The trace arrays take 38 MB and its CSV 132 MB; a writer that held the
-    # text peaked at 330 MB, the block writer at 74 MB. The child reads its
-    # own high-water mark: ru_maxrss would count the memory of this process,
-    # which a child started by vfork shares until it runs python.
+def _write_d8_chip(tmp_path: Path) -> None:
+    """chip.json: d = 8, three sections and two gaps, which at dz = 1e-7 m
+    take 192 001 samples."""
     rng = np.random.default_rng(1)
     volts = rng.uniform(-15.0, 15.0, (3, 15))
     (tmp_path / "chip.json").write_text(json.dumps({"voltages": [
         {"level_volts": list(v[:8]), "coupling_volts": list(v[8:])} for v in volts]}))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_simulate_out_never_holds_the_trace_text(tmp_path):
+    # The trace arrays take 38 MB and its CSV 132 MB; a writer that held the
+    # text peaked at 330 MB, the block writer at 74 MB. The child reads its
+    # own high-water mark: ru_maxrss would count the memory of this process,
+    # which a child started by vfork shares until it runs python.
+    _write_d8_chip(tmp_path)
     done = _run_python(tmp_path, "-c", _PEAK_RSS, "simulate", "--voltages", "chip.json",
                        "--dz", "1e-7", "--out", "trace.csv")
     assert done.returncode == 0, done.stderr
-    written, peak_kb = done.stdout.splitlines()
-    assert written == "trace written to trace.csv (192001 samples)"
+    assert done.stdout == "trace written to trace.csv (192001 samples)\n"
     assert (tmp_path / "trace.csv").stat().st_size > 130e6
-    assert int(peak_kb) < 160_000, peak_kb
+    assert int(done.stderr) < 160_000, done.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_simulate_to_stdout_never_holds_the_trace_text(tmp_path):
+    # The same trace to stdout, here a file: writing to_csv() to the text
+    # stream held the text twice and peaked at 340 MB; streaming it block by
+    # block to the binary buffer peaks as --out does.
+    _write_d8_chip(tmp_path)
+    with open(tmp_path / "stdout.csv", "wb") as stdout:
+        done = _run_python(tmp_path, "-c", _PEAK_RSS, "simulate", "--voltages", "chip.json",
+                           "--dz", "1e-7", stdout=stdout)
+    assert done.returncode == 0, done.stderr
+    with open(tmp_path / "stdout.csv", "rb") as written:
+        assert written.readline() == b"z_m,mode_index,re,im,probability\n"
+        assert written.readline().startswith(b"0,0,")
+    assert (tmp_path / "stdout.csv").stat().st_size > 130e6
+    assert int(done.stderr) < 160_000, done.stderr
 
 
 def test_parser_is_built_once_and_parses_each_call_afresh(capsys, tmp_path):

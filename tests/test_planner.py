@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from pwa_synth import (
+    BoundsInfeasible,
     ChipPlan,
     DeviceModel,
     GapInfeasible,
@@ -30,6 +31,8 @@ from pwa_synth import (
     PlanBlock,
     PlanError,
     PlanSection,
+    ParameterBounds,
+    VoltageSettings,
     plan_trotter_pair,
     planner,
     synthesize_su2,
@@ -37,7 +40,10 @@ from pwa_synth import (
     two_level_decompose,
 )
 
-from conftest import decimal_product, taylor_expm
+from pwa_synth.device import chip_sections, realize as device_realize
+from pwa_synth.linalg import section_unitaries
+
+from conftest import decimal_product, single_section_unitary, taylor_expm
 
 L = 6e-3
 
@@ -837,7 +843,9 @@ def per_block_product(plan: ChipPlan) -> np.ndarray:
     by one if n is odd, then S^2, S^4, ... for the higher set bits of n."""
     u = np.eye(plan.dimension, dtype=complex)
     for block in plan.blocks:
-        mats, n = [body._unitary for body in block.bodies], len(block.trotter_steps)
+        mats = [single_section_unitary(body.hamiltonian, body.reduced_phases)
+                for body in block.bodies]
+        n = len(block.trotter_steps)
         while n:
             if n & 1:
                 for mat in mats:
@@ -890,6 +898,126 @@ class TestStackedPowering:
         assert np.array_equal(realized, per_block_product(plan))
         loaded = planner._read_general(ChipPlan, plan.to_json())
         assert np.array_equal(loaded.realize(), realized)
+
+
+def distinct_bodies(plan: ChipPlan) -> list[PlanSection]:
+    return list({id(body): body for block in plan.blocks for body in block.bodies}.values())
+
+
+def _compiled_case(d, steps, with_gap, loaded):
+    def build():
+        gap = device_gap(d) if with_gap else None
+        plan = compile_unitary(haar_random_unitary(d, 40 + d), trotter_steps=steps, gap=gap)
+        return ChipPlan.from_json(plan.to_json()) if loaded else plan
+    return build
+
+
+def _mixed_bodies_plan() -> ChipPlan:
+    """``mixed_shape_plan``'s phased (gap, electrode) and non-uniform (drive)
+    bodies, and one more block with a uniform body that has no phases."""
+    plan = mixed_shape_plan(4)
+    bare = PlanSection(kind="B", hamiltonian=uniform_section(3, 7.0, 2.0, 0.3))
+    plan.blocks.append(PlanBlock((bare, plan.blocks[0].bodies[0]), 99, 0, (0, 1, 2)))
+    return plan
+
+
+def _voltage_chip():
+    rng = np.random.default_rng(3)
+    model = DeviceModel()
+    volts = [VoltageSettings(rng.uniform(-15.0, 15.0, 5), rng.uniform(-15.0, 15.0, 4))
+             for _ in range(3)]
+    return volts, model
+
+
+STACKED_EVOLUTION_CASES = {
+    **{
+        f"d{d}-N{n}{'-gap' if gap else ''}{'-loaded' if loaded else ''}":
+            _compiled_case(d, n, gap, loaded)
+        for d in range(2, 7) for n in (1, 8, 32) for gap in (False, True) for loaded in (False, True)
+        if not (gap and d == 2)
+    },
+    "mixed-bodies": _mixed_bodies_plan,
+    "voltage-chip": _voltage_chip,
+}
+
+
+class TestStackedEvolution:
+    @pytest.mark.parametrize("case", STACKED_EVOLUTION_CASES)
+    def test_stacked_rows_match_single_section_evolution(self, case):
+        built = STACKED_EVOLUTION_CASES[case]()
+        if isinstance(built, ChipPlan):
+            bodies = distinct_bodies(built)
+            hamiltonians = [body.hamiltonian for body in bodies]
+            phases = [body.reduced_phases for body in bodies]
+            singles = [body.unitary() for body in bodies]
+            realized, expected = built.realize(), per_block_product(built)
+        else:
+            hamiltonians = chip_sections(*built)
+            phases = [None] * len(hamiltonians)
+            singles = [h.unitary() for h in hamiltonians]
+            realized = device_realize(*built)
+            expected = np.eye(hamiltonians[0].dimension, dtype=complex)
+            for h in hamiltonians:
+                expected = single_section_unitary(h) @ expected
+        if case == "mixed-bodies":
+            kinds = {(p is not None, h.is_uniform()) for h, p in zip(hamiltonians, phases)}
+            assert kinds == {(True, True), (False, False), (False, True)}
+        stacked = section_unitaries(hamiltonians, phases)
+        assert stacked.shape == (len(hamiltonians), *singles[0].shape)
+        for row, h, p, single in zip(stacked, hamiltonians, phases, singles):
+            reference = single_section_unitary(h, p)
+            assert np.array_equal(row, reference)
+            assert np.array_equal(single, reference)
+        assert np.array_equal(realized, expected)
+
+    def test_sections_of_two_dimensions_do_not_stack(self):
+        with pytest.raises(ValueError, match="one mode count"):
+            section_unitaries([uniform_section(3, 1.0, 1.0, 1.0), uniform_section(4, 1.0, 1.0, 1.0)])
+
+
+class TestSynthesisMemo:
+    @staticmethod
+    def count_syntheses(monkeypatch, synthesize=synthesize_su2) -> list[bytes]:
+        calls = []
+
+        def counted(matrix, length):
+            calls.append(matrix.tobytes())
+            return synthesize(matrix, length)
+
+        monkeypatch.setattr(planner, "synthesize_su2", counted)
+        return calls
+
+    def test_each_distinct_factor_is_synthesized_once_per_call(self, monkeypatch):
+        calls = self.count_syntheses(monkeypatch)
+        target = haar_random_unitary(6, 11)
+        ops = adjacent_expand(two_level_decompose(target), 6)
+        distinct = {op.matrix.tobytes() for op in ops}
+        plan = compile_unitary(target, trotter_steps=8)
+        assert sorted(calls) == sorted(distinct)
+        assert len(distinct) < len(ops) == 1 + max(block.factor_index for block in plan.blocks)
+        # the memo lives for one call: the next call synthesizes every factor again
+        again = compile_unitary(target, trotter_steps=8)
+        assert sorted(calls) == sorted(2 * list(distinct))
+        assert again.to_json() == plan.to_json()
+
+    def test_an_infeasible_factor_raises_its_own_message(self, monkeypatch):
+        bounds = ParameterBounds(kappa_max=600.0)
+        target = haar_random_unitary(5, 2)
+        ops = adjacent_expand(two_level_decompose(target), 5)
+        messages = []
+        for op in ops:
+            try:
+                synthesize_su2(op.matrix, L, bounds)
+            except BoundsInfeasible as error:
+                messages.append(str(error))
+        assert messages and len(messages) < len(ops)
+        calls = self.count_syntheses(
+            monkeypatch, lambda matrix, length: synthesize_su2(matrix, length, bounds)
+        )
+        with pytest.raises(BoundsInfeasible) as raised:
+            compile_unitary(target, trotter_steps=8)
+        assert str(raised.value) == messages[0]
+        assert len(calls) == len(set(calls))
 
 
 class TestDriveMemo:
