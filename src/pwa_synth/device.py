@@ -32,8 +32,8 @@ from .planner import ChipPlan
 # Rows (one sample and one mode each) formatted per block by
 # ``PropagationTrace.write_csv``. The block, not the trace length, bounds the
 # row buffer (128 bytes a row below 100 modes) and the kernel's temporaries
-# (about 90 bytes a float); z is formatted once per d blocks, into a word
-# array of about as many samples as a block has rows. In the simulate
+# (about 90 bytes a float); each block formats its own z values into a
+# word array of one row per sample. In the simulate
 # benchmark (traces of up to 961 samples, d = 3..8), blocks of 512 and 1024
 # samples peaked 0.5-1 MB and 2.5-3 MB higher in RSS than blocks of 256, and
 # blocks of 128 samples saved at most 0.3 MB and made the pass about 15 %
@@ -389,8 +389,8 @@ class PropagationTrace:
         reused buffer of fixed-width rows of uint32 words (z, ",m,", then
         re, im and probability each followed by its separator) and is
         written with its empty bytes dropped by one ``bytearray.translate``.
-        z is formatted once per d blocks into a small word array, and each
-        block copies a sample's z words into all d of its rows.
+        Each block formats its own samples' z into a small word array and
+        copies a sample's z words into all d of its rows.
         """
         n, d = self.amplitudes.shape
         file.write(b"z_m,mode_index,re,im,probability\n")
@@ -406,18 +406,15 @@ class PropagationTrace:
         fields = buf[:, :, re:].reshape(chunk, d, 3, _SLOT + 1)  # re, im, probability
         buf[:, :, _SLOT:re] = mode_words
         fields[..., _SLOT] = [_COMMA, _COMMA, _NEWLINE]
-        z_words = np.empty((min(n, d * chunk), _SLOT + 1), dtype=np.uint32)
+        z_words = np.empty((chunk, _SLOT + 1), dtype=np.uint32)
         for start in range(0, n, chunk):
-            at = start % len(z_words)
-            if at == 0:
-                z = self.z[start:start + len(z_words)]
-                _put_floats(z_words[:z.size, :_SLOT], z)
             rows = slice(start, start + chunk)
             amps = self.amplitudes[rows]
             size = len(amps)
             if size < chunk:
                 buf[size:] = 0  # the last block: no bytes past it
-            buf[:size, :, :_SLOT] = z_words[at:at + size, None, :_SLOT]
+            _put_floats(z_words[:size, :_SLOT], self.z[rows])
+            buf[:size, :, :_SLOT] = z_words[:size, None, :_SLOT]
             values = np.stack([amps.real, amps.imag, self.probabilities[rows]], axis=-1)
             _put_floats(fields[:size, ..., :_SLOT], values)
             file.write(raw.translate(None, b"\0"))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from numbers import Real
 
 import numpy as np
@@ -241,9 +241,10 @@ def fidelity(u, u_target) -> float:
     return float(min(1.0, (abs(t) / d) ** 2))
 
 
+@lru_cache(maxsize=None, typed=True)  # typed, so True and 2.0 still fail require_count
 def toeplitz_eigenvalues(d: int) -> np.ndarray:
     """Eigenvalues -2 cos(j pi/(d+1)), j = 1..d, of the 0-diagonal/1-offdiagonal
-    tridiagonal Toeplitz matrix, sorted ascending.
+    tridiagonal Toeplitz matrix, sorted ascending, as one read-only array per d.
 
     Built antisymmetrically so that lambda_j == -lambda_{d+1-j} holds exactly
     (the middle eigenvalue of odd d is exactly 0.0, which the Diophantine
@@ -253,7 +254,9 @@ def toeplitz_eigenvalues(d: int) -> np.ndarray:
     j = np.arange(1, d // 2 + 1)
     lower = -2.0 * np.cos(j * np.pi / (d + 1))
     middle = [0.0] if d % 2 else []
-    return np.concatenate([lower, middle, -lower[::-1]])
+    values = np.concatenate([lower, middle, -lower[::-1]])
+    values.flags.writeable = False
+    return values
 
 
 @cache

@@ -289,6 +289,8 @@ class OptimizationResult:
         return out.getvalue()
 
 
+#: scipy's ftol and gtol, the stops on f's relative reduction and on the projected gradient
+_FTOL = _GTOL = 1e-12
 #: scipy's L-BFGS-B defaults: history length, line-search and evaluation caps.
 _LBFGS_HISTORY = 10
 _LINE_SEARCH_STEPS = 20
@@ -334,7 +336,7 @@ def _setulb():
     )
 
 
-def minimize(fun, x0, *, maxiter: int, ftol: float, gtol: float):
+def minimize(fun, x0, *, maxiter: int):
     """Unbounded L-BFGS-B from every row of ``x0`` at once, in lockstep.
 
     ``fun`` maps an (a, n) stack of points to a list of a values and an
@@ -343,9 +345,10 @@ def minimize(fun, x0, *, maxiter: int, ftol: float, gtol: float):
     then evaluates all the requested points in one call of ``fun``. When
     each row of ``fun``'s result depends on that row's point alone, each row
     takes the steps of ``scipy.optimize.minimize(fun, x0, jac=True,
-    method="L-BFGS-B")`` from that row alone: scipy's defaults, the first
-    evaluation at x0, no re-evaluation at an unchanged x, and its stops at
-    ``maxiter`` iterations and at 15000 evaluations.
+    method="L-BFGS-B")`` from that row alone: ``ftol`` and ``gtol`` of 1e-12,
+    otherwise scipy's defaults, the first evaluation at x0, no re-evaluation
+    at an unchanged x, and its stops at ``maxiter`` iterations and at 15000
+    evaluations.
 
     Returns the last evaluated value, the final point and the iteration
     count of every row. The first call loads ``setulb`` with ``_setulb``:
@@ -357,7 +360,7 @@ def minimize(fun, x0, *, maxiter: int, ftol: float, gtol: float):
     x = np.array(x0, dtype=float)
     rows, n = x.shape
     m = _LBFGS_HISTORY
-    factr = ftol / np.finfo(float).eps
+    factr = _FTOL / np.finfo(float).eps
     unbounded, nbd = np.zeros(n), np.zeros(n, np.int32)
     # setulb's state per row, stepped in place through row views
     g = np.zeros((rows, n))
@@ -376,7 +379,7 @@ def minimize(fun, x0, *, maxiter: int, ftol: float, gtol: float):
     # setulb reads, so every new value is written into the list. As in
     # scipy, f is 0 until the first request is answered.
     arguments = [
-        [m, x[r], unbounded, unbounded, nbd, 0.0, g[r], factr, gtol, wa[r], iwa[r],
+        [m, x[r], unbounded, unbounded, nbd, 0.0, g[r], factr, _GTOL, wa[r], iwa[r],
          task[r], lsave[r], isave[r], dsave[r], _LINE_SEARCH_STEPS, ln_task[r]]
         for r in range(rows)
     ]
@@ -439,9 +442,7 @@ def optimize(task: OptimizationTask, jobs: int = 1) -> OptimizationResult:
         values, grads = objective.value_and_gradient(vmax * th)
         return values, grads * vmax * (1.0 - th * th)
 
-    values, x, iterations = minimize(
-        fun, np.array(starts), maxiter=task.max_iterations, ftol=1e-12, gtol=1e-12
-    )
+    values, x, iterations = minimize(fun, np.array(starts), maxiter=task.max_iterations)
     wall = time.monotonic() - started
 
     infidelities = [min(max(value, 0.0), 1.0) for value in values]

@@ -19,10 +19,11 @@ section list, and the plan file (schema v1) stays that flat list.
 
 A section body (a section without its provenance) is identified by its text
 in the plan file, ``PlanSection._text``, which is formed once per body.
-Compiling, writing and both readers use it: equal drive bodies are one
-object, and so are the recurrence bodies of all blocks; compiling
-synthesizes each distinct 2x2 factor and builds each distinct drive once
-per call. ``_block_pieces`` lays out a block's text for ``to_json`` and for
+Only the writer and the readers use it; the readers give bodies of equal
+text one object. Compiling forms no text: it interns drives by value,
+synthesizing each distinct 2x2 factor and building each distinct drive once
+per call, and the recurrence bodies of all blocks are one set of objects.
+``_block_pieces`` lays out a block's text for ``to_json`` and for
 ``ChipPlan.from_json`` from one template, the text of one step split at its
 ``trotter_step`` value, so the Python work per block does not grow with its
 step count; ``realize`` forms the unitaries of all distinct bodies in one
@@ -816,12 +817,10 @@ def compile_unitary(
         recurrence = _recurrence_sections(config, gap)
 
     blocks = []
-    # One synthesis per distinct 2x2 factor, one drive per distinct (mode,
-    # section) value and one body object per distinct drive text, all for
-    # this call only.
+    # One synthesis per distinct 2x2 factor and one drive per distinct (mode,
+    # section) value, both for this call only.
     synthesized: dict[bytes, list[TridiagonalHamiltonian]] = {}
     drives: dict[tuple, PlanSection] = {}
-    texts: dict[tuple[str, str], PlanSection] = {}
     for op_index, op in enumerate(ops):
         factor = op.matrix.tobytes()
         sections = synthesized.get(factor)
@@ -831,11 +830,10 @@ def compile_unitary(
             key = (op.mode, sec.betas.tobytes(), sec.couplings.tobytes(), sec.length)
             drive = drives.get(key)
             if drive is None:
-                drive = PlanSection(
+                drive = drives[key] = PlanSection(
                     kind=SECTION_A,
                     hamiltonian=sec if config is None else plan_trotter_pair(sec, op.mode, config),
                 )
-                drive = drives[key] = texts.setdefault(drive._text, drive)
             blocks.append(PlanBlock((*recurrence, drive), op_index, su2_index, steps))
 
     plan = ChipPlan(

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: the Taylor expm uses
 scaling-and-squaring on the series, the norm oracle is power iteration, the
 LLL checker re-derives the Gram-Schmidt data in exact rational arithmetic,
-and plan products are multiplied out in 40-digit decimal arithmetic.
+plan products are multiplied out in 40-digit decimal arithmetic, and the
+background eigenvalues are summed from series in 60-digit decimals.
 """
 
 import decimal
@@ -92,6 +93,36 @@ def decimal_product(sections) -> np.ndarray:
             else:
                 re, im = a @ re - b @ im, a @ im + b @ re
         return re.astype(float) + 1j * im.astype(float)
+
+
+def decimal_toeplitz_eigenvalues(d: int, digits: int = 60) -> list[decimal.Decimal]:
+    """-2 cos(j pi/(d+1)), j = 1..d, to ``digits`` significant digits in
+    stdlib decimal arithmetic: pi from the decimal module docs' series and
+    each cosine from its Taylor series, both with guard digits."""
+    with decimal.localcontext() as context:
+        context.prec = digits + 10
+        pi = t = decimal.Decimal(3)
+        last, n, na, k, da = 0, 1, 0, 0, 24
+        while pi != last:  # pi = 3 + 1/8 + 9/640 + ..., from the decimal docs
+            last = pi
+            n, na = n + na, na + 8
+            k, da = k + da, da + 32
+            t = (t * n) / k
+            pi += t
+        values = []
+        for j in range(1, d + 1):
+            x = j * pi / (d + 1)
+            total, term, i = decimal.Decimal(1), decimal.Decimal(1), 0
+            while True:
+                i += 2
+                term = -term * x * x / (i * (i - 1))
+                if total + term == total:
+                    break
+                total += term
+            values.append(-2 * total)
+    with decimal.localcontext() as context:
+        context.prec = digits
+        return [+v for v in values]
 
 
 def exact_gram_schmidt(rows):

@@ -292,7 +292,7 @@ class TestTraceCsv:
         assert trace.to_csv() == _reference_csv(trace)
 
     def test_trace_longer_than_two_chunks(self):
-        # two z blocks of three value blocks each, and three samples more
+        # six blocks of a third of _CSV_ROWS samples each, and three samples more
         rng = np.random.default_rng(3)
         n = 2 * 3 * (_CSV_ROWS // 3) + 3
         trace = _trace(np.cumsum(rng.uniform(0, 1e-4, n)), rng.standard_normal((n, 3)),
@@ -303,8 +303,8 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 12])
     def test_file_writer_at_block_edges(self, d, tmp_path):
-        # a value block holds chunk samples and a z block d * chunk samples;
-        # n runs up to, onto and past both kinds of edge
+        # a block holds chunk samples; n runs up to, onto and past the first
+        # block edge, and up to and past the d-th
         rng = np.random.default_rng(d)
         chunk = _CSV_ROWS // d
         path = tmp_path / "trace.csv"
@@ -389,8 +389,8 @@ class TestTraceCsv:
         return traces
 
     def test_simulate_is_byte_identical(self, tmp_path, monkeypatch, capsys):
-        # one 6 mm section at dz = 2.5e-6 m: 2401 samples cross three value
-        # block edges and one z block edge
+        # one 6 mm section at dz = 2.5e-6 m: 2401 samples cross three block
+        # edges
         path = tmp_path / "volts.json"
         path.write_text(json.dumps({"voltages": [{"level_volts": [4.0, -9.0, 2.5],
                                                   "coupling_volts": [7.0, -3.0]}]}))

@@ -178,6 +178,22 @@ class TestToeplitzEigenvalues:
             toeplitz_eigenvalues(0)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_eigenvalues_are_one_read_only_array_per_d(self, d):
+        lam = toeplitz_eigenvalues(d)
+        assert toeplitz_eigenvalues(d) is lam
+        assert not lam.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            lam[0] = 1.0
+        # the formula's bits: -2 cos(j pi/(d+1)) below the middle, negated above it
+        lower = -2.0 * np.cos(np.arange(1, d // 2 + 1) * np.pi / (d + 1))
+        formula = np.concatenate([lower, [0.0] * (d % 2), -lower[::-1]])
+        assert lam.tobytes() == formula.tobytes()
+        # a bool or float equal to d is rejected, not served d's cached array
+        for bad in (float(d), d == 1):
+            with pytest.raises(ValueError, match="dimension must be an integer"):
+                toeplitz_eigenvalues(bad)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
     def test_eigenvectors_are_one_read_only_array_per_d(self, d):
         basis = toeplitz_eigenvectors(d)
         assert toeplitz_eigenvectors(d) is basis

@@ -1,6 +1,7 @@
 import collections
 import copy
 import dataclasses
+import decimal
 import functools
 import json
 import marshal
@@ -43,9 +44,17 @@ from pwa_synth import (
 from pwa_synth.device import chip_sections, realize as device_realize
 from pwa_synth.linalg import section_unitaries
 
-from conftest import decimal_product, single_section_unitary, taylor_expm
+from conftest import (
+    decimal_product,
+    decimal_toeplitz_eigenvalues,
+    single_section_unitary,
+    taylor_expm,
+)
 
 L = 6e-3
+#: (d, N) at L whose q certifies only the float64-rounded eigenvalues
+_FLOAT_ONLY_CERTIFICATES = {(3, 32), (4, 32), (5, 32), (6, 8), (6, 32), (7, 8), (7, 32),
+                            (8, 8), (8, 32)}
 
 
 def make_config(d=3, length=L, steps=8, j1=1, j2=1):
@@ -88,6 +97,23 @@ class TestTrotterConfig:
             payload["metadata"]["config"]["epsilon"] = bad
             with pytest.raises(ValueError, match="^plan epsilon .* is not what j1, j2 and q give"):
                 ChipPlan.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("d, n", [
+        pytest.param(d, n, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1: q is certified against the float64 eigenvalues",
+        )) if (d, n) in _FLOAT_ONLY_CERTIFICATES else (d, n)
+        for d in range(2, 9) for n in (8, 32)
+    ])
+    def test_certificate_holds_for_the_exact_eigenvalues(self, d, n):
+        # every residual lambda_j q - p_j of the plan's q and numerators,
+        # with lambda_j to 60 digits, is within the budget
+        config = TrotterConfig.plan(d, L, n)
+        q, numerators = config.q, config.recurrence.numerators
+        with decimal.localcontext() as context:
+            context.prec = 100
+            residuals = [abs(lam * q - p)
+                         for lam, p in zip(decimal_toeplitz_eigenvalues(d), numerators)]
+            assert max(residuals) <= decimal.Decimal(config.epsilon), (q, max(residuals))
 
     def test_precision_is_not_a_parameter(self):
         budget = TrotterConfig.epsilon_budget(3, L, 8, 1)
@@ -540,14 +566,17 @@ class TestPlanJson:
         assert ChipPlan.from_json(text).to_json() == text
 
     def test_each_body_text_is_formed_once(self, monkeypatch):
-        plan = compile_unitary(haar_random_unitary(4, 3), trotter_steps=8)
-        text = plan.to_json()
-        loaded = ChipPlan.from_json(text)
         calls = []
         list_text = planner._list_text
         monkeypatch.setattr(planner, "_list_text", lambda v: calls.append(v) or list_text(v))
-        # the compiled drives and the first write formed every body's text,
-        # and the reader formed the loaded bodies' texts when it checked them
+        # compiling forms no plan text: drives are interned by value
+        plan = compile_unitary(haar_random_unitary(4, 3), trotter_steps=8, gap=device_gap(4))
+        assert len(calls) == 0
+        text = plan.to_json()
+        loaded = ChipPlan.from_json(text)
+        calls.clear()
+        # the first write formed every body's text, and the reader formed
+        # the loaded bodies' texts when it checked them
         assert plan.to_json() == text
         assert len(calls) == 0
         assert loaded.to_json() == text
