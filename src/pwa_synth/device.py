@@ -195,14 +195,17 @@ def _read_only(values, dtype) -> np.ndarray:
 #   words 0-1  sign, lead, '.', three leading zeros, first digit, (empty)
 #   words 2-5  the 16 digits after the first, four to a word
 #   word 6     'e', '-', two exponent digits
-# The kernel keeps to a few numpy loops (uint64 products, sums, shifts,
-# comparisons and floor division, take and where): each further loop a
-# process runs maps more of numpy's code into memory.
+# ``_put_floats`` takes the digits of 2^-32 <= |x| < 10 from a float64
+# estimate within 23 of the exact 17-digit quotient and one exact uint64
+# correction; every other value (or one whose exponent it misjudged) goes to
+# ``'%.17g'``. The kernel keeps to a few numpy loops (float products, fmin
+# and floor; uint64 products, sums, shifts, comparisons and floor division;
+# take and where): each further loop a process runs maps about 64 KB more
+# of numpy's code into memory.
 _SLOT = 7
 _U64 = np.uint64
-_POW2 = np.array([1 << j for j in range(64)], dtype=np.uint64)
 _POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)  # 5^27 < 2^63
-_POW10 = np.array([float(f"1e{j}") for j in range(-12, 2)])  # 10^(i - 12)
+_POW10 = np.array([float(f"1e{16 - k}") for k in range(-10, 2)])  # fl(10^(16 - k))
 _E16, _E17 = _U64(10**16), _U64(10**17)  # the range of 17-digit quotients
 _COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", dtype=np.uint32)
 
@@ -225,17 +228,17 @@ def _digit_words() -> np.ndarray:
 
 
 def _head_words() -> np.ndarray:
-    """Words 0-1 of a slot as one uint64, row ((sign * 12 + k + 11) * 10 +
-    lead) * 2 + has_fraction for a decimal exponent k in [-11, 0]. From
+    """Words 0-1 of a slot as one uint64, row ((sign * 11 + k + 10) * 10 +
+    lead) * 2 + has_fraction for a decimal exponent k in [-10, 0]. From
     1e-4 up to 1 the lead digit follows "0." and -k - 1 zeros; elsewhere it
     leads, and the '.' goes when no fraction follows (so k = 0 with lead 0
     writes +-0)."""
     digits = np.frombuffer(b"0123456789", dtype=np.uint8)
-    head = np.zeros((2, 12, 10, 2, 8), dtype=np.uint8)  # sign, k + 11, lead, fraction
+    head = np.zeros((2, 11, 10, 2, 8), dtype=np.uint8)  # sign, k + 10, lead, fraction
     head[1, ..., 0] = ord("-")
     head[..., 1] = digits[:, None]
     head[..., 1, 2] = ord(".")
-    fixed = head[:, 7:11]  # k = -4..-1
+    fixed = head[:, 6:10]  # k = -4..-1
     fixed[..., 1:3] = np.frombuffer(b"0.", dtype=np.uint8)
     for zeros in range(1, 4):  # k = -2, -3, -4
         fixed[:, 3 - zeros, ..., 3:3 + zeros] = ord("0")
@@ -246,44 +249,8 @@ def _head_words() -> np.ndarray:
 _DIGITS = _digit_words()
 _HEADS = _head_words()
 _TAILS = np.frombuffer(
-    b"".join(b"e-%02d" % -k if k < -4 else bytes(4) for k in range(-11, 1)), dtype=np.uint32
+    b"".join(b"e-%02d" % -k if k < -4 else bytes(4) for k in range(-10, 1)), dtype=np.uint32
 )
-
-
-def _scaled(m, biased, k):
-    """For v = m 5^s / 2^r with s = 16 - k and r = 1075 - 16 + k - biased
-    (x 10^s for x = m 2^(biased - 1075)): floor(v), its fraction as a 64-bit
-    fixed-point number, and whether both are exact. The product m 5^s
-    (m < 2^53, 5^s < 2^63) is formed exactly as (hi, lo) from 32-bit limbs;
-    it is not exact where r is outside [1, 63] or floor(v) needs more than
-    64 bits."""
-    r = (k + 1059 - biased).view(np.uint64)
-    fits = r - _U64(1) <= _U64(62)
-    r = np.where(fits, r, _U64(1))
-    p = np.take(_POW5, 16 - k)
-    lo = m * p  # the low 64 bits, wrapping
-    w, limb = _U64(32), _U64(2**32)
-    m_hi, p_hi = m >> w, p >> w
-    m_lo, p_lo = m - m_hi * limb, p - p_hi * limb
-    del p  # the limbs are updated in place from here: this runs on whole blocks
-    mid = m_lo * p_lo
-    mid >>= w
-    m_lo *= p_hi
-    mid += m_lo
-    p_lo *= m_hi
-    mid += p_lo  # < 2^32 + 2^63 + 2^53: this limb sum cannot wrap
-    del m_lo, p_lo
-    hi = m_hi
-    hi *= p_hi
-    mid >>= w
-    hi += mid
-    del mid, p_hi
-    fits &= (hi >> r) == _U64(0)
-    left = np.take(_POW2, _U64(64) - r)  # a product by 2^(64 - r) shifts left
-    hi *= left
-    hi += lo >> r
-    lo *= left
-    return hi, lo, fits
 
 
 def _put_floats(slots: np.ndarray, x: np.ndarray) -> None:
@@ -291,38 +258,43 @@ def _put_floats(slots: np.ndarray, x: np.ndarray) -> None:
     ``slots``, a uint32 view of a row buffer of shape x.shape + (7,) whose
     slots start on 8-byte boundaries.
 
-    A normal x = m 2^e (m < 2^53) whose decimal exponent k is in [-11, 0]
-    gets its 17 digits from the exact quotient m 5^s / 2^r, s = 16 - k,
-    r = -(e + s), rounded half to even: the correctly rounded digits of
-    Python's formatter. k is estimated from e and corrected by the
-    truncated quotient, which lies in [1e16, 1e17) exactly when k is right.
-    +-0 is written directly; every other value (nan, inf, subnormals, |x|
-    below 1e-11 or from 10 up, any quotient that fails its check) is
-    formatted by Python.
+    A normal x = m 2^e (m < 2^53) with 2^-32 <= |x| < 10 and decimal
+    exponent k gets its 17 digits from the exact quotient v = m 5^s / 2^r,
+    s = 16 - k, r = -(e + s) <= 58, rounded half to even: the correctly
+    rounded digits of Python's formatter. The float t = |x| fl(10^s) is
+    within 23 of v, so n = floor(t) - 32 leaves a remainder m 5^s - n 2^r
+    in [9 2^r, 56 2^r), exact in wrapping uint64 arithmetic; its top bits
+    correct n and its low r bits are the fraction. k is estimated from e and
+    raised once where t reaches 1e17; floor(v) lies in [1e16, 1e17) exactly
+    when k is right. +-0 is written directly; every other value (nan, inf,
+    subnormals, |x| below 2^-32 or from 10 up, a k misjudged next to a
+    power of ten) is formatted by Python.
     """
     ax = np.abs(x)
     bits = ax.view(np.uint64)
     biased = bits >> _U64(52)
-    # floor(log10 |x|) is floor(b log10 2) or one more, for |x| = 1.f 2^b;
-    # nan, inf, 0 and subnormals get k far outside [-11, 0]
-    k = np.floor((biased.astype(np.float64) - 1023.0) * 0.3010299956639812)
-    k = np.where(ax >= np.take(_POW10, k.astype(np.int64) + 13, mode="clip"), k + 1.0, k)
-    exact = (k >= -11.0) & (k <= 0.0)
+    # floor(log10 |x|) is floor(b log10 2) or one more, for |x| = 1.f 2^b
+    k = np.floor((biased.astype(np.float64) - 1023.0) * 0.3010299956639812).astype(np.int64)
+    ax = np.fmin(ax, 10.0)  # nan and inf give a finite t: no warnings
+    t = ax * np.take(_POW10, k + 10, mode="clip")
+    k = np.where(t >= 1e17, k + 1, k)
+    t = ax * np.take(_POW10, k + 10, mode="clip")
+    n = (np.floor(t) - 32.0).astype(np.int64).view(np.uint64)
+    del ax, t
     zero = x == 0.0
-    k = np.where(exact, k, 0.0).astype(np.int64)
-    m = np.where(zero, _U64(0), bits - (biased - _U64(1)) * _U64(2**52))  # 0 digits: +-0
-    del ax, bits
-    biased = biased.view(np.int64)
-    n, frac, fits = _scaled(m, biased, k)
-    exact &= fits
-    redo = np.nonzero(exact & ((n < _E16) | (n >= _E17)))
-    if redo[0].size:  # k is off by one next to a power of ten
-        kr = np.clip(k[redo] + np.where(n[redo] < _E16, -1, 1), -11, 0)
-        q, frac[redo], ok = _scaled(m[redo], biased[redo], kr)
-        n[redo], k[redo] = q, kr
-        # q in [1e16, 1e17) proves kr right, also where kr was clipped
-        exact[redo] = ok & (q >= _E16) & (q < _E17)
-    del m, biased
+    m = np.where(zero, _U64(0), bits - (biased - _U64(1)) * _U64(2**52))
+    r = k + 1059 - biased.view(np.int64)
+    exact = (k <= 0) & (r <= 58)
+    # elsewhere any r in [0, 58] keeps the shifts defined; +-0 (m = 0,
+    # n = -32) then gets q = 32: 0 digits
+    r = np.where(exact, r, 58).view(np.uint64)
+    rem = m * np.take(_POW5, 16 - k, mode="clip") - (n << r)
+    del m, bits, biased
+    n += rem >> r
+    frac = rem << (_U64(64) - r)
+    del rem, r
+    exact &= (n >= _E16) & (n < _E17)
+    k = np.where(exact, k, 0)
     # half to even: up when the fraction passes 1/2, or is 1/2 and n is odd
     low_bit = n - (n >> _U64(1)) * _U64(2)
     n += np.where(frac > _U64(2**63) - low_bit, _U64(1), _U64(0))
@@ -346,10 +318,10 @@ def _put_floats(slots: np.ndarray, x: np.ndarray) -> None:
         strip = np.where(g == _U64(0), strip, _U64(0))
     del hh, lh, high, n
     sign = x.view(np.uint64) >> _U64(63)
-    head = (sign.view(np.int64) * 12 + k + 11) * 10 + lead.view(np.int64)
+    head = (sign.view(np.int64) * 11 + k + 10) * 10 + lead.view(np.int64)
     head = head * 2 + np.where(strip == _U64(0), 1, 0)
     slots[..., :2].view(np.uint64)[..., 0] = np.take(_HEADS, head, mode="clip")
-    slots[..., 6] = np.take(_TAILS, k + 11, mode="clip")
+    slots[..., 6] = np.take(_TAILS, k + 10, mode="clip")
     others = np.nonzero(~(exact | zero))
     if others[0].size:
         text = b"".join(("%.17g" % v).encode().ljust(4 * _SLOT, b"\0") for v in x[others].tolist())

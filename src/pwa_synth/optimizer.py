@@ -106,8 +106,9 @@ class _ChipObjective:
         self.coupling_sens = model.coupling_shift_per_volt
         # per-task workspace of `rows` rows, rewritten by every call: the
         # Hamiltonian stacks, written through strided views of their
-        # diagonals, the prefix and suffix products of the n factors F
-        # (section, gap, section, ...), and the gradients of the overlaps.
+        # diagonal and lower off-diagonal (eigh reads only that triangle),
+        # the prefix and suffix products of the n factors F (section, gap,
+        # section, ...), and the gradients of the overlaps.
         # below[t] is the product of the factors < t and above[t] of those
         # >= t; chain[t] holds (above[n - t], F_t, F_{n-1-t}, below[t]) for
         # every row, so one matmul of slots 0:2 by slots 2:4 of chain[t]
@@ -130,7 +131,7 @@ class _ChipObjective:
             flat = hams.reshape(a, self.k, d * d)
             chain = self.chain[:, :, :a]
             views = self._views[a] = (
-                hams, flat[:, :, :: d + 1], flat[:, :, 1 :: d + 1], flat[:, :, d :: d + 1],
+                hams, flat[:, :, :: d + 1], flat[:, :, d :: d + 1],
                 # the section slots: F_t = section t / 2 at even t >= 2, in
                 # section order 1..k-1, F_{n-1-t} in section order 0..k-2,
                 # and below[1] and above[n - 1], the first and last section
@@ -149,13 +150,12 @@ class _ChipObjective:
         """
         d, k, length = self.d, self.k, self.length
         a, target = len(volts), self.task.target
-        (hams, diagonal, upper, lower, sections, sections_reversed, below_1, above_last,
+        (hams, diagonal, lower, sections, sections_reversed, below_1, above_last,
          steps, chips, above_sections, below_sections, d_overlap) = self._workspace(a)
         v = volts.reshape(a, k, 2 * d - 1)
         np.multiply(self.beta_sens, v[:, :, :d], out=diagonal)
-        np.multiply(self.coupling_sens, v[:, :, d:], out=upper)
-        np.add(self.task.model.base_coupling, upper, out=upper)
-        lower[...] = upper
+        np.multiply(self.coupling_sens, v[:, :, d:], out=lower)
+        np.add(self.task.model.base_coupling, lower, out=lower)
         eigvals, eigvecs = np.linalg.eigh(hams)
         units = assemble_unitary(eigvecs, eigvals * length).swapaxes(0, 1)
         # products by the identity are skipped: below[1] is the first section

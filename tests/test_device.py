@@ -335,9 +335,10 @@ class TestTraceCsv:
         assert "%.17g" % 1e-7 == "9.9999999999999995e-08"
 
     def test_both_sides_of_the_integer_domain(self):
-        # the integer path covers 1e-11 <= |x| < 10; 1e-4 and 1e-5 switch
-        # between fixed and exponent notation
-        edges = np.array([1e-11, 1e-5, 1e-4, 0.1, 1.0, 10.0])
+        # the integer path covers 2^-32 <= |x| < 10; Python's formatter
+        # writes the values below it, 1e-11 among them, and from 10 up; 1e-4
+        # and 1e-5 switch between fixed and exponent notation
+        edges = np.array([1e-11, 2.0**-32, 1e-5, 1e-4, 0.1, 1.0, 10.0])
         _assert_written_as_percent_17g(_ulp_neighbours(np.concatenate([edges, -edges]), 64))
 
     def test_zeros_subnormals_and_non_finite_values(self):
