@@ -25,6 +25,7 @@ from .linalg import (
     reduce_phases,
     require_count,
     require_positive,
+    section_eigensystems,
     section_unitaries,
 )
 from .planner import ChipPlan
@@ -403,9 +404,10 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
 
     Sampling is exact within each constant-Hamiltonian section (the grid only
     controls where the evolution is evaluated, not its accuracy): the state
-    is advanced in the section's eigenbasis with the same eigensystem and
-    phase reduction as ``realize``, so the last sample agrees with the
-    realized cascade to rounding. dz must not exceed the shortest section.
+    is advanced in its eigenbasis from ``section_eigensystems`` (one call per
+    chip), the one place that picks it for ``realize`` too, with the same
+    phase reduction, so the last sample matches the realized cascade to
+    rounding. dz must not exceed the shortest section.
     """
     sections = chip_sections(chip, model)
     if not sections:
@@ -435,8 +437,7 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
     amps = np.empty((zs.size, d), dtype=complex)
     zs[0], amps[0] = 0.0, state
     row, z_offset = 1, 0.0
-    for section, count in zip(sections, steps):
-        offset, w, v = section.eigensystem()
+    for section, count, offset, w, v in zip(sections, steps, *section_eigensystems(sections)):
         local = v.conj().T @ state
         grid = np.minimum(dz * np.arange(1, count + 1), section.length)
         grid[-1] = section.length

@@ -7,15 +7,16 @@ uniform tridiagonal coupling matrix, and Haar-random unitary sampling.
 
 This module is also the single place where section evolutions e^{-iHz} are
 formed, for the compiler, the simulator and the optimizer alike.
-``section_unitaries`` forms the unitaries of many same-dimension sections in
-one stacked pass: it splits each section's mean diagonal off as an exact
-phase offset and diagonalizes the rest (the analytic sine basis for uniform
-sections, one stacked ``eigh`` for the others); ``reduce_phases`` forms
-(eigenvalue + offset) * z mod 2 pi in extended precision, row by row;
-``assemble_unitary`` builds V diag(e^{-i phi}) V^dag, batched over leading
-axes. Each row is bit for bit what the section alone gives, so one section's
-``unitary()`` is the one-row case. ``TridiagonalHamiltonian.eigensystem``
-gives the same split for the simulator's sampled propagation.
+``section_eigensystems`` is the one place that picks a section's eigenbasis,
+for a whole stack of same-dimension sections at once: it splits each
+section's mean diagonal off as an exact phase offset and diagonalizes the
+rest (the analytic sine basis for uniform sections, one stacked ``eigh`` for
+the others). ``reduce_phases`` forms (eigenvalue + offset) * z mod 2 pi in
+extended precision, row by row; ``assemble_unitary`` builds
+V diag(e^{-i phi}) V^dag, batched over leading axes. ``section_unitaries``
+joins the three over a stack, and ``device.propagate`` samples the same
+eigensystems. Each row is bit for bit what the section alone gives, so one
+section's ``unitary()`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -148,70 +149,62 @@ def _centered_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mu, w, v
 
 
-def _sine_eigenvalues(coupling, d: int) -> np.ndarray:
-    """Eigenvalues, around the diagonal, of uniform d-mode sections with
-    off-diagonal ``coupling`` (one value or one per row), in extended
-    precision; recurrence sections have lengths of 1e7 m and more, where the
-    generic eigensolver path would shed accuracy."""
-    return np.asarray(coupling, dtype=np.longdouble)[..., None] * toeplitz_eigenvalues(d).astype(
-        np.longdouble
-    )
+def section_eigensystems(sections) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(offsets, w, V): one offset, one eigenvalue row and one eigenbasis per
+    same-dimension section, H = offset I + V diag(w) V^dag. A uniform section
+    (d > 1) takes its beta, w = coupling * toeplitz_eigenvalues(d) in extended
+    precision (recurrence sections are 1e7 m long and more) and the shared real
+    sine basis; the others take one stacked ``eigh`` of H minus its mean
+    diagonal."""
+    d = sections[0].dimension
+    if any(s.dimension != d for s in sections):
+        raise ValueError("sections must share one mode count")
+    offsets = np.empty(len(sections))
+    w = np.empty((len(sections), d), dtype=np.longdouble)
+    bases = [toeplitz_eigenvectors(d)] * len(sections)
+    sine = [k for k, s in enumerate(sections) if d > 1 and s.is_uniform()]
+    if sine:
+        offsets[sine] = [sections[k].betas[0] for k in sine]
+        couplings = np.array([sections[k].couplings[0] for k in sine], dtype=np.longdouble)
+        w[sine] = couplings[:, None] * toeplitz_eigenvalues(d).astype(np.longdouble)
+    dense = sorted(set(range(len(sections))).difference(sine))
+    if dense:
+        h = np.zeros((len(dense), d, d), dtype=complex)
+        i = np.arange(d)
+        h[:, i, i] = [sections[k].betas for k in dense]
+        couplings = np.array([sections[k].couplings for k in dense])
+        h[:, i[:-1], i[1:]] = h[:, i[1:], i[:-1]] = couplings
+        offsets[dense], w[dense], v = _centered_eigh(h)
+        for k, basis in zip(dense, v):
+            bases[k] = basis
+    return offsets, w, bases
 
 
 def section_unitaries(sections, reduced_phases=None) -> np.ndarray:
     """The evolutions e^{-i H L} of same-dimension ``TridiagonalHamiltonian``
-    sections over their own lengths, stacked with shape (n, d, d).
-
-    Each row is bit for bit the section's evolution alone: a uniform section
-    (d > 1) in the sine basis, any other through ``eigh`` with its mean
-    diagonal split off, all of one kind stacked in one call. A row of
-    ``reduced_phases`` that is not None holds that uniform section's
-    eigenphases in the sine basis, already reduced mod 2 pi, and replaces
-    its own.
+    sections over their own lengths, stacked with shape (n, d, d), each in
+    its eigenbasis from ``section_eigensystems``, the one place that picks
+    it. ``reduced_phases`` has one row per section; a row that is not None
+    holds that section's eigenphases in its eigenbasis (the sine basis of a
+    uniform section), already reduced mod 2 pi, and replaces its own.
     """
-    d = sections[0].dimension
-    if any(s.dimension != d for s in sections):
-        raise ValueError("sections must share one mode count")
-    given = [None] * len(sections) if reduced_phases is None else reduced_phases
-    sine, dense, phased = [], [], []
-    for k, (section, phases) in enumerate(zip(sections, given)):
-        if phases is not None:
-            phased.append(k)
-        elif d > 1 and section.is_uniform():
-            sine.append(k)
-        else:
-            dense.append(k)
-    units = np.empty((len(sections), d, d), dtype=complex)
-    eigenvalues, offsets = [], []
-    if sine:
-        eigenvalues.append(_sine_eigenvalues([sections[k].couplings[0] for k in sine], d))
-        offsets.append([sections[k].betas[0] for k in sine])
-    if dense:
-        h = np.zeros((len(dense), d, d), dtype=complex)
-        i = np.arange(d)
-        couplings = np.array([sections[k].couplings for k in dense])
-        h[:, i, i] = [sections[k].betas for k in dense]
-        h[:, i[:-1], i[1:]] = h[:, i[1:], i[:-1]] = couplings
-        mu, w, v = _centered_eigh(h)
-        eigenvalues.append(w)
-        offsets.append(mu)
-    sine_phases = np.empty((0, d))
-    if eigenvalues:
-        phases = reduce_phases(
-            np.concatenate(eigenvalues), [sections[k].length for k in sine + dense],
-            np.concatenate(offsets),
-        )
-        sine_phases = phases[: len(sine)]
-        if dense:
-            units[dense] = assemble_unitary(v, phases[len(sine) :])
+    if reduced_phases is None:
+        reduced_phases = [None] * len(sections)
+    elif len(reduced_phases) != len(sections):
+        raise ValueError(f"{len(reduced_phases)} reduced-phase rows for {len(sections)} sections")
+    offsets, w, v = section_eigensystems(sections)
+    phases = reduce_phases(w, [s.length for s in sections], offsets)
+    for k, given in enumerate(reduced_phases):
+        if given is not None:
+            phases[k] = given
     # Real sine-basis rows and complex eigh rows stay in separate stacks, each
     # assembled as one section alone is: V^dag is a transposed view of a real
     # V and a conjugated copy of a complex one.
-    if sine or phased:
-        given_phases = np.array([given[k] for k in phased], dtype=float).reshape(-1, d)
-        units[sine + phased] = assemble_unitary(
-            toeplitz_eigenvectors(d), np.concatenate([sine_phases, given_phases])
-        )
+    units = np.empty((len(sections), *v[0].shape), dtype=complex)
+    for kind in "fc":
+        rows = [k for k, basis in enumerate(v) if basis.dtype.kind == kind]
+        if rows:
+            units[rows] = assemble_unitary(np.array([v[k] for k in rows]), phases[rows])
     return units
 
 
@@ -343,16 +336,6 @@ class TridiagonalHamiltonian:
             h[i, i + 1] = self.couplings
             h[i + 1, i] = self.couplings
         return h
-
-    def eigensystem(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """(offset, w, V) with H = offset I + V diag(w) V^dag, split as
-        ``section_unitaries`` splits it: the sine basis for uniform sections,
-        with w in extended precision, and ``eigh`` otherwise."""
-        d = self.dimension
-        if self.is_uniform() and d > 1:
-            w = _sine_eigenvalues(self.couplings[0], d)
-            return float(self.betas[0]), w, toeplitz_eigenvectors(d)
-        return _centered_eigh(self.to_matrix())
 
     def unitary(self) -> np.ndarray:
         """Section evolution e^{-i H L} over the section's own length."""

@@ -43,33 +43,65 @@ def power_iteration_norm(m, iterations: int = 500, seed: int = 0) -> float:
     return float(np.sqrt(np.real(np.vdot(v, g @ v))))
 
 
-def single_section_unitary(hamiltonian, reduced_phases=None) -> np.ndarray:
-    """One section's evolution e^{-iHL} formed on its own, step by step, as
-    the kernel formed it before it was stacked: the uniform sine basis with
+def _single_section_eigensystem(hamiltonian):
+    """(offset, w, V) of one section on its own: the uniform sine basis with
     extended-precision eigenvalues (d > 1), else ``eigh`` of H minus its
-    mean diagonal; the phases (eigenvalue + offset) * L reduced mod 2 pi in
-    extended precision, or the given ``reduced_phases`` in the sine basis;
-    then V diag(e^{-i phi}) V^dag, with V^dag a transposed view for a real V."""
+    mean diagonal."""
     from pwa_synth.linalg import toeplitz_eigenvalues, toeplitz_eigenvectors
 
     d = hamiltonian.dimension
+    if hamiltonian.is_uniform() and d > 1:
+        w = np.longdouble(hamiltonian.couplings[0]) * toeplitz_eigenvalues(d).astype(np.longdouble)
+        return float(hamiltonian.betas[0]), w, toeplitz_eigenvectors(d)
+    h = hamiltonian.to_matrix()
+    offset = float(np.trace(h).real) / d
+    w, v = np.linalg.eigh(h - offset * np.eye(d))
+    return offset, w, v
+
+
+def _reduced_phases(w, offset, z) -> np.ndarray:
+    """(eigenvalue + offset) * z reduced mod 2 pi in extended precision."""
+    z = np.asarray(z, dtype=np.longdouble)[..., None]
+    prod = np.asarray(w, dtype=np.longdouble) * z + np.longdouble(offset) * z
+    return np.mod(prod, 2 * np.longdouble(np.pi)).astype(float)
+
+
+def single_section_unitary(hamiltonian, reduced_phases=None) -> np.ndarray:
+    """One section's evolution e^{-iHL} formed on its own, step by step, as
+    the kernel formed it before it was stacked: the section's own
+    eigensystem; the phases (eigenvalue + offset) * L reduced mod 2 pi in
+    extended precision, or the given ``reduced_phases`` in the sine basis;
+    then V diag(e^{-i phi}) V^dag, with V^dag a transposed view for a real V."""
+    from pwa_synth.linalg import toeplitz_eigenvectors
+
     if reduced_phases is not None:
-        v, phases = toeplitz_eigenvectors(d), np.asarray(reduced_phases)
+        v, phases = toeplitz_eigenvectors(hamiltonian.dimension), np.asarray(reduced_phases)
     else:
-        if hamiltonian.is_uniform() and d > 1:
-            w = np.longdouble(hamiltonian.couplings[0]) * toeplitz_eigenvalues(d).astype(
-                np.longdouble
-            )
-            offset, v = float(hamiltonian.betas[0]), toeplitz_eigenvectors(d)
-        else:
-            h = hamiltonian.to_matrix()
-            offset = float(np.trace(h).real) / d
-            w, v = np.linalg.eigh(h - offset * np.eye(d))
-        z = np.longdouble(hamiltonian.length)
-        prod = np.asarray(w, dtype=np.longdouble) * z + np.longdouble(offset) * z
-        phases = np.mod(prod, 2 * np.longdouble(np.pi)).astype(float)
+        offset, w, v = _single_section_eigensystem(hamiltonian)
+        phases = _reduced_phases(w, offset, hamiltonian.length)
     rotated = v * np.exp(-1j * phases)[None, :]
     return rotated @ (v.conj().T if np.iscomplexobj(v) else v.T)
+
+
+def sectionwise_propagation(state, sections, dz: float) -> np.ndarray:
+    """The sampled amplitudes of ``propagate``, formed one section at a time
+    as the simulator formed them before its eigensystems were stacked: each
+    section's own eigensystem; the phases (eigenvalue + offset) * z reduced
+    mod 2 pi in extended precision; the weights V^dag psi scaled by
+    e^{-i phi} per sample and rotated back by V, the next section starting
+    from the block's own strided last row."""
+    state = np.asarray(state, dtype=complex)
+    blocks = [state[None, :]]
+    for h in sections:
+        offset, w, v = _single_section_eigensystem(h)
+        count = int(np.ceil(h.length / dz - 1e-9))
+        grid = np.minimum(dz * np.arange(1, count + 1), h.length)
+        grid[-1] = h.length
+        phases = _reduced_phases(w, offset, grid)
+        block = (v @ (np.exp(-1j * phases) * (v.conj().T @ state)).T).T
+        blocks.append(block)
+        state = block[-1]
+    return np.concatenate(blocks)
 
 
 def decimal_product(sections) -> np.ndarray:

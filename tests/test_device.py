@@ -17,13 +17,16 @@ from pwa_synth import (
     dyson_first_order,
     expm_hermitian,
     hamiltonian_from_voltages,
+    named_gate,
     operator_norm,
     propagate,
     realize,
     unitarity_defect,
 )
 from pwa_synth import cli
-from pwa_synth.device import _CSV_ROWS
+from pwa_synth.device import _CSV_ROWS, chip_sections
+
+from conftest import sectionwise_propagation
 
 
 @pytest.fixture
@@ -186,6 +189,23 @@ class TestRealize:
             realize([volts([0, 0], [0])])
 
 
+def _propagation_chips(model) -> list:
+    """(chip, dz): three-section voltage chips at d = 3..8, then gapless
+    metre-scale plans at d = 3, 4 and 5 (L = 0.5, 1 and 1 m, N = 1)."""
+    rng = np.random.default_rng(11)
+    vmax = model.max_voltage
+    chips = [
+        ([volts(rng.uniform(-vmax, vmax, d), rng.uniform(-vmax, vmax, d - 1)) for _ in range(3)],
+         model.section_length / 40)
+        for d in range(3, 9)
+    ]
+    for d, length in ((3, 0.5), (4, 1.0), (5, 1.0)):
+        for gate in ("dft", "haar:3"):
+            plan = compile_unitary(named_gate(gate, d), section_length=length, trotter_steps=1)
+            chips.append((plan, 0.5))
+    return chips
+
+
 class TestPropagate:
     def test_two_mode_rabi_oscillation(self, model):
         # zero voltage, 2 modes: P2(z) = sin^2(C0 z); full transfer at pi/(2 C0)
@@ -212,19 +232,29 @@ class TestPropagate:
     def test_final_state_matches_realize(self, model):
         # propagate and realize share one evolution kernel, so the last
         # sample matches the cascade unitary to rounding on every input of
-        # three-section chips (two gaps included)
-        rng = np.random.default_rng(11)
-        vmax = model.max_voltage
-        for d in range(3, 9):
-            settings = [
-                volts(rng.uniform(-vmax, vmax, d), rng.uniform(-vmax, vmax, d - 1))
-                for _ in range(3)
-            ]
-            u = realize(settings, model)
+        # three-section chips (two gaps included), and of gapless metre-scale
+        # plans at d > 2, whose sections are long enough to sample (the d = 3
+        # plan gives 1161 samples at dz = 0.5 m)
+        for chip, dz in _propagation_chips(model):
+            u = realize(chip, model)
+            d = u.shape[0]
+            for m in range(d):
+                trace = propagate(np.eye(d, dtype=complex)[m], chip, model, dz=dz)
+                np.testing.assert_allclose(trace.amplitudes[-1], u[:, m], rtol=0, atol=1e-13)
+
+    def test_samples_match_the_sectionwise_reference(self, model):
+        # every sample, bit for bit, is what each section's own eigensystem
+        # gives, though the chip's eigensystems are formed in one stacked
+        # call: the voltage chips, the d = 3 plan and an exact d = 2 plan
+        d2_plan = compile_unitary(named_gate("haar:3", 2))
+        for chip, dz in _propagation_chips(model)[:7] + [(d2_plan, 2e-5)]:
+            sections = chip_sections(chip, model)
+            d = sections[0].dimension
             for m in range(d):
                 state = np.eye(d, dtype=complex)[m]
-                trace = propagate(state, settings, model, dz=model.section_length / 40)
-                np.testing.assert_allclose(trace.amplitudes[-1], u[:, m], rtol=0, atol=1e-13)
+                trace = propagate(state, chip, model, dz=dz)
+                reference = sectionwise_propagation(state, sections, dz)
+                assert trace.amplitudes.tobytes() == reference.tobytes()
 
     def test_norm_conserved_everywhere(self, model):
         settings = [volts([5.0, -5.0, 3.0], [2.0, -7.0]), volts([1.0, 1.0, 1.0], [0.5, 0.5])]

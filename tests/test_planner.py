@@ -1003,6 +1003,13 @@ class TestStackedEvolution:
         with pytest.raises(ValueError, match="one mode count"):
             section_unitaries([uniform_section(3, 1.0, 1.0, 1.0), uniform_section(4, 1.0, 1.0, 1.0)])
 
+    def test_reduced_phases_need_one_row_per_section(self):
+        # a short list once left the rows past its end uninitialized
+        h = uniform_section(3, 1.0, 1.0, 1.0)
+        for phases in ([None], [None, None, None, None]):
+            with pytest.raises(ValueError, match="reduced-phase rows for 3 sections"):
+                section_unitaries([h, h, h], phases)
+
 
 class TestSynthesisMemo:
     @staticmethod
