@@ -10,6 +10,12 @@ length L separated by zero-voltage gaps; the simulator realizes the cascade
 unitary, resolves the state along the propagation axis, and provides the
 first-order interaction-picture expansion used to explain why single-section
 unitaries stay nearly tridiagonal.
+
+Every chip lowers to one cascade form, run-length plan blocks
+(``chip_sections``), a voltage chip to one block with one shared gap body;
+``realize`` and ``propagate`` read only that form. ``propagate`` evolves
+recurrence and gap sections from their float length, not from their
+``reduced_phases`` (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -26,9 +32,8 @@ from .linalg import (
     require_count,
     require_positive,
     section_eigensystems,
-    section_unitaries,
 )
-from .planner import ChipPlan
+from .planner import SECTION_A, SECTION_GAP, ChipPlan, PlanBlock, PlanSection, cascade_unitary
 
 # Rows (one sample and one mode each) formatted per block by
 # ``PropagationTrace.write_csv``. The block, not the trace length, bounds the
@@ -125,56 +130,39 @@ def hamiltonian_from_voltages(model: DeviceModel, volts: VoltageSettings) -> Tri
     return TridiagonalHamiltonian(betas=betas, couplings=couplings, length=model.section_length)
 
 
-def chip_sections(chip, model: DeviceModel | None = None) -> list[TridiagonalHamiltonian]:
-    """Normalize a plan / Hamiltonian list / voltage list into physical sections.
-
-    Plan sections come back as their Hamiltonians alone, without their
-    ``reduced_phases``, so ``propagate`` evolves a plan's recurrence and gap
-    sections from their float ``length`` rather than from their exact
-    phases (ROADMAP item 5). Voltage lists become K sections of length L
-    separated by K-1 zero-voltage gaps of length 0.1 L, the layout of the
-    numerical experiments.
+def chip_sections(chip, model: DeviceModel | None = None) -> tuple[int, list[PlanBlock]]:
+    """A chip as (mode count, run-length ``PlanBlock``s). A plan gives its
+    own. A list of Hamiltonians or of voltage settings becomes one block of
+    one step (``trotter_steps == (None,)``) whose bodies are its sections in
+    order; voltage lists give K sections of length L with one shared
+    zero-voltage gap body of length 0.1 L between each pair, the layout of
+    the numerical experiments. An empty list has no mode count.
     """
     if isinstance(chip, ChipPlan):
-        return [
-            body.hamiltonian
-            for block in chip.blocks
-            for _ in block.trotter_steps
-            for body in block.bodies
-        ]
+        return chip.dimension, chip.blocks
     chip = list(chip)
     if not chip:
-        return []
+        raise ValueError("an empty chip has no mode count")
     if all(isinstance(s, TridiagonalHamiltonian) for s in chip):
-        return chip
-    if all(isinstance(s, VoltageSettings) for s in chip):
+        bodies = [PlanSection(SECTION_A, h) for h in chip]
+    elif all(isinstance(s, VoltageSettings) for s in chip):
         if model is None:
             raise ValueError("voltage-based chips need a DeviceModel")
         d = chip[0].dimension
         if any(s.dimension != d for s in chip):
             raise ValueError("all sections must share the same mode count")
-        gap = model.zero_voltage_hamiltonian(d)
-        sections: list[TridiagonalHamiltonian] = []
-        for k, volts in enumerate(chip):
-            if k:
-                sections.append(gap)
-            sections.append(hamiltonian_from_voltages(model, volts))
-        return sections
-    raise ValueError("chip must be a ChipPlan, TridiagonalHamiltonians, or VoltageSettings")
+        gap = PlanSection(SECTION_GAP, model.zero_voltage_hamiltonian(d))
+        bodies = [gap] * (2 * len(chip) - 1)
+        bodies[::2] = [PlanSection(SECTION_A, hamiltonian_from_voltages(model, v)) for v in chip]
+    else:
+        raise ValueError("chip must be a ChipPlan, TridiagonalHamiltonians, or VoltageSettings")
+    return bodies[0].hamiltonian.dimension, [PlanBlock(tuple(bodies), None, None, (None,))]
 
 
 def realize(chip, model: DeviceModel | None = None) -> np.ndarray:
-    """Cascade unitary, sections multiplied right to left in arrival order;
-    the section unitaries are formed in one ``section_unitaries`` call."""
-    if isinstance(chip, ChipPlan):
-        return chip.realize()
-    sections = chip_sections(chip, model)
-    if not sections:
-        raise ValueError("cannot realize an empty chip with unknown dimension")
-    u = np.eye(sections[0].dimension, dtype=complex)
-    for unit in section_unitaries(sections):
-        u = unit @ u
-    return u
+    """Cascade unitary, sections multiplied right to left in arrival order:
+    ``cascade_unitary`` of the chip's ``chip_sections``, as ``ChipPlan.realize``."""
+    return cascade_unitary(*chip_sections(chip, model))
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -400,19 +388,17 @@ class PropagationTrace:
 
 
 def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) -> PropagationTrace:
-    """Resolve the state along z through the section cascade.
+    """Resolve the state along z through the chip's ``chip_sections`` blocks.
 
     Sampling is exact within each constant-Hamiltonian section (the grid only
     controls where the evolution is evaluated, not its accuracy): the state
     is advanced in its eigenbasis from ``section_eigensystems`` (one call per
-    chip), the one place that picks it for ``realize`` too, with the same
-    phase reduction, so the last sample matches the realized cascade to
-    rounding. dz must not exceed the shortest section.
+    chip, one row per distinct body), the one place that picks it for
+    ``realize`` too, with the same phase reduction, so the last sample
+    matches the realized cascade to rounding. dz must not exceed the
+    shortest section. A chip of no sections gives the one sample z = 0.
     """
-    sections = chip_sections(chip, model)
-    if not sections:
-        raise ValueError("cannot propagate through an empty chip")
-    d = sections[0].dimension
+    d, blocks = chip_sections(chip, model)
     state = np.asarray(state0, dtype=complex).reshape(-1)
     if state.size != d:
         raise ValueError(f"state has {state.size} modes, chip has {d}")
@@ -420,12 +406,19 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"initial state norm {norm!r} is not 1")
     require_positive(dz, "dz")
-    shortest = min(s.length for s in sections)
+    runs = [(len(block.trotter_steps), block.bodies) for block in blocks if block.trotter_steps]
+    # one Hamiltonian per distinct body
+    hamiltonians = {id(body): body.hamiltonian for _, bodies in runs for body in bodies}
+    if not hamiltonians:
+        return PropagationTrace(z=[0.0], amplitudes=state[None])
+    shortest = min(h.length for h in hamiltonians.values())
     if dz > shortest * (1.0 + 1e-12):
         raise ValueError(f"dz={dz:g} m exceeds the shortest section ({shortest:g} m)")
-    steps = [int(np.ceil(s.length / dz - 1e-9)) for s in sections]
-    if sum(steps) > 5_000_000:
-        fewest = sum(int(np.ceil(s.length / shortest - 1e-9)) for s in sections)
+    steps = {key: int(np.ceil(h.length / dz - 1e-9)) for key, h in hamiltonians.items()}
+    total = sum(n * sum(steps[id(body)] for body in bodies) for n, bodies in runs)
+    if total > 5_000_000:
+        fewest = sum(n * math.ceil(hamiltonians[id(body)].length / shortest - 1e-9)
+                     for n, bodies in runs for body in bodies)
         if fewest > 5_000_000:
             raise ValueError(
                 f"no allowed dz fits this chip: even dz = its shortest section ({shortest:g} m) "
@@ -433,27 +426,32 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
             )
         raise ValueError("dz too small for this chip: more than 5e6 sample points")
 
-    zs = np.empty(1 + sum(steps))
+    systems = dict(zip(hamiltonians, zip(*section_eigensystems(list(hamiltonians.values())))))
+    zs = np.empty(1 + total)
     amps = np.empty((zs.size, d), dtype=complex)
     zs[0], amps[0] = 0.0, state
     row, z_offset = 1, 0.0
-    for section, count, offset, w, v in zip(sections, steps, *section_eigensystems(sections)):
-        local = v.conj().T @ state
-        grid = np.minimum(dz * np.arange(1, count + 1), section.length)
-        grid[-1] = section.length
-        # one complex temporary, filled in place: phases, then local weights
-        ph = np.multiply(-1j, reduce_phases(w, grid, offset))
-        np.exp(ph, out=ph)
-        np.multiply(ph, local, out=ph)
-        block = (v @ ph.T).T
-        amps[row:row + count] = block
-        zs[row:row + count] = z_offset + grid
-        row += count
-        z_offset += section.length
-        # the next section reads the block's own (strided) row: a contiguous
-        # copy of it takes another BLAS path and changes the last bit
-        state = block[-1]
-    del ph, block, state  # the trace's probabilities need the room
+    for n, bodies in runs:
+        for _ in range(n):
+            for body in bodies:
+                length, count = body.hamiltonian.length, steps[id(body)]
+                offset, w, v = systems[id(body)]
+                local = v.conj().T @ state
+                grid = np.minimum(dz * np.arange(1, count + 1), length)
+                grid[-1] = length
+                # one complex temporary, filled in place: phases, then local weights
+                ph = np.multiply(-1j, reduce_phases(w, grid, offset))
+                np.exp(ph, out=ph)
+                np.multiply(ph, local, out=ph)
+                sampled = (v @ ph.T).T
+                amps[row:row + count] = sampled
+                zs[row:row + count] = z_offset + grid
+                row += count
+                z_offset += length
+                # the next section reads this one's own (strided) last row: a
+                # contiguous copy takes another BLAS path and changes the last bit
+                state = sampled[-1]
+    del ph, sampled, state  # the trace's probabilities need the room
     # read-only arrays that own their data pass into the trace uncopied
     zs.flags.writeable = amps.flags.writeable = False
     return PropagationTrace(z=zs, amplitudes=amps)

@@ -351,6 +351,51 @@ class PlanBlock:
         _require_provenance(self.trotter_steps, itertools.repeat("trotter_step"))
 
 
+def cascade_unitary(dimension: int, blocks) -> np.ndarray:
+    """The product of run-length ``PlanBlock``s on ``dimension`` modes, first
+    section applied first, for plans and every other chip (``device.realize``).
+    The unitaries of all distinct body objects are formed in one
+    ``section_unitaries`` call. A block of n steps applies its step
+    S = (last body) ... (first body) as S^n by binary powering: the bodies
+    one by one if n is odd, then S^2, S^4, ... for the higher set bits.
+    Blocks with equal body and step counts form these factors together, each
+    product one stacked matmul; the factors are then applied block by block.
+    A one-step block is the flat product bit for bit; the others stay within
+    3e-13 of the exact product (d <= 6, N <= 32)."""
+    # the distinct bodies in order of first use; a block of no steps applies nothing
+    bodies = {id(body): body for block in blocks if block.trotter_steps for body in block.bodies}
+    rows = dict(zip(bodies, itertools.count()))  # id of a body -> its row in the stack
+    # (body count, step count) -> the blocks of that shape and their rows
+    groups: dict[tuple[int, int], tuple[list[int], list[list[int]]]] = {}
+    for i, block in enumerate(blocks):
+        if block.trotter_steps:
+            shape = (len(block.bodies), len(block.trotter_steps))
+            members, index = groups.setdefault(shape, ([], []))
+            members.append(i)
+            index.append([rows[id(body)] for body in block.bodies])
+    if bodies:
+        units = section_unitaries([body.hamiltonian for body in bodies.values()],
+                                  [body.reduced_phases for body in bodies.values()])
+    factors = [()] * len(blocks)
+    for (_, n), (members, index) in groups.items():
+        mats = units[np.array(index)]
+        applied = []
+        while n:
+            if n & 1:
+                applied.append(mats)
+            n >>= 1
+            if n:
+                step = reduce(lambda product, mat: mat @ product, mats.swapaxes(0, 1))
+                mats = (step @ step)[:, None]
+        for i, block_factors in zip(members, np.concatenate(applied, axis=1)):
+            factors[i] = block_factors
+    u = np.eye(dimension, dtype=complex)
+    for block_factors in factors:
+        for mat in block_factors:
+            u = mat @ u
+    return u
+
+
 @dataclass
 class ChipPlan:
     """Ordered physical sections realizing a target unitary, plus metadata.
@@ -392,53 +437,9 @@ class ChipPlan:
         ]
 
     def realize(self) -> np.ndarray:
-        """Cascade product, first section applied first. The unitaries of all
-        distinct body objects are formed in one ``section_unitaries`` call. A
-        block of n steps applies its step S = (last body) ... (first body) as
-        S^n by binary powering: the bodies one by one if n is odd, then S^2,
-        S^4, ... for the higher set bits. Blocks with equal body and step
-        counts form these factors together, each product one stacked matmul;
-        the factors are then applied block by block. A one-step block is the
-        flat product bit for bit; the others stay within 3e-13 of the exact
-        product (d <= 6, N <= 32)."""
-        rows: dict[int, int] = {}  # id of a distinct body -> its row in the stack
-        bodies: list[PlanSection] = []
-        # (body count, step count) -> the blocks of that shape and their rows
-        groups: dict[tuple[int, int], tuple[list[int], list[list[int]]]] = {}
-        for i, block in enumerate(self.blocks):
-            if not block.trotter_steps:  # a block of no steps applies nothing
-                continue
-            for body in block.bodies:
-                if id(body) not in rows:
-                    rows[id(body)] = len(bodies)
-                    bodies.append(body)
-            members, index = groups.setdefault(
-                (len(block.bodies), len(block.trotter_steps)), ([], [])
-            )
-            members.append(i)
-            index.append([rows[id(body)] for body in block.bodies])
-        if bodies:
-            units = section_unitaries(
-                [body.hamiltonian for body in bodies], [body.reduced_phases for body in bodies]
-            )
-        factors = [()] * len(self.blocks)
-        for (_, n), (members, index) in groups.items():
-            mats = units[np.array(index)]
-            applied = []
-            while n:
-                if n & 1:
-                    applied.append(mats)
-                n >>= 1
-                if n:
-                    step = reduce(lambda product, mat: mat @ product, mats.swapaxes(0, 1))
-                    mats = (step @ step)[:, None]
-            for i, block_factors in zip(members, np.concatenate(applied, axis=1)):
-                factors[i] = block_factors
-        u = np.eye(self.dimension, dtype=complex)
-        for block_factors in factors:
-            for mat in block_factors:
-                u = mat @ u
-        return u
+        """Cascade product, first section applied first: ``cascade_unitary``
+        of the plan's blocks."""
+        return cascade_unitary(self.dimension, self.blocks)
 
     def to_json(self) -> str:
         """Schema v1 text: ``json.dumps(payload, indent=2)`` of the whole plan,

@@ -104,6 +104,22 @@ def sectionwise_propagation(state, sections, dz: float) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def physical_sections(chip, model=None) -> list:
+    """The Hamiltonians of a chip's sections in physical order, listed
+    without ``device.chip_sections``: a plan's from its flat ``sections``; a
+    voltage chip's from each setting's ``hamiltonian_from_voltages`` with the
+    model's zero-voltage gap between each pair."""
+    from pwa_synth import ChipPlan, hamiltonian_from_voltages
+
+    if isinstance(chip, ChipPlan):
+        return [section.hamiltonian for section in chip.sections]
+    gap = model.zero_voltage_hamiltonian(chip[0].dimension)
+    sections = []
+    for k, volts in enumerate(chip):
+        sections += [gap] * (k > 0) + [hamiltonian_from_voltages(model, volts)]
+    return sections
+
+
 def decimal_product(sections) -> np.ndarray:
     """The product of the sections' float64 unitaries, first section applied
     first, multiplied out in 40-digit decimal arithmetic and rounded to

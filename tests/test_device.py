@@ -24,9 +24,9 @@ from pwa_synth import (
     unitarity_defect,
 )
 from pwa_synth import cli
-from pwa_synth.device import _CSV_ROWS, chip_sections
+from pwa_synth.device import _CSV_ROWS
 
-from conftest import sectionwise_propagation
+from conftest import physical_sections, sectionwise_propagation
 
 
 @pytest.fixture
@@ -191,7 +191,9 @@ class TestRealize:
 
 def _propagation_chips(model) -> list:
     """(chip, dz): three-section voltage chips at d = 3..8, then gapless
-    metre-scale plans at d = 3, 4 and 5 (L = 0.5, 1 and 1 m, N = 1)."""
+    metre-scale plans at d = 3, 4 and 5 (L = 0.5, 1 and 1 m, N = 1), then a
+    d = 3 plan of two Trotter steps (L = 1 m, q = 29: 80 sections and 2321
+    samples at dz = 0.5 m), whose blocks repeat each body's eigensystem."""
     rng = np.random.default_rng(11)
     vmax = model.max_voltage
     chips = [
@@ -203,6 +205,7 @@ def _propagation_chips(model) -> list:
         for gate in ("dft", "haar:3"):
             plan = compile_unitary(named_gate(gate, d), section_length=length, trotter_steps=1)
             chips.append((plan, 0.5))
+    chips.append((compile_unitary(named_gate("dft", 3), section_length=1.0, trotter_steps=2), 0.5))
     return chips
 
 
@@ -223,18 +226,27 @@ class TestPropagate:
         )
 
     def test_identity_plan_flat_trace(self):
+        # a plan of no sections realizes the identity and propagates to the
+        # one sample z = 0, the input state; an empty list has no mode count
         plan = compile_unitary(np.eye(3), prune_identity=True)
-        h = TridiagonalHamiltonian(betas=[6 * np.pi] * 2, couplings=[4 * np.pi], length=1.0)
-        trace = propagate(np.array([0.0, 1.0]), [h], dz=0.01)
-        np.testing.assert_allclose(trace.probabilities[-1], [0.0, 1.0], atol=1e-8)
         assert plan.sections == []
+        state = np.array([0.0, 0.6, 0.8j])
+        trace = propagate(state, plan, dz=0.01)
+        assert trace.z.tolist() == [0.0]
+        assert np.array_equal(trace.amplitudes, state[None])
+        assert np.array_equal(realize(plan), np.eye(3))
+        with pytest.raises(ValueError, match="modes"):
+            propagate(np.array([1.0, 0.0]), plan, dz=0.01)
+        with pytest.raises(ValueError, match="empty"):
+            propagate(state, [], dz=0.01)
 
     def test_final_state_matches_realize(self, model):
         # propagate and realize share one evolution kernel, so the last
         # sample matches the cascade unitary to rounding on every input of
         # three-section chips (two gaps included), and of gapless metre-scale
-        # plans at d > 2, whose sections are long enough to sample (the d = 3
-        # plan gives 1161 samples at dz = 0.5 m)
+        # plans at d > 2 of one Trotter step and of two, whose sections are
+        # long enough to sample (the d = 3, N = 1 plan gives 1161 samples at
+        # dz = 0.5 m)
         for chip, dz in _propagation_chips(model):
             u = realize(chip, model)
             d = u.shape[0]
@@ -245,10 +257,12 @@ class TestPropagate:
     def test_samples_match_the_sectionwise_reference(self, model):
         # every sample, bit for bit, is what each section's own eigensystem
         # gives, though the chip's eigensystems are formed in one stacked
-        # call: the voltage chips, the d = 3 plan and an exact d = 2 plan
+        # call, one per distinct body: the voltage chips, the d = 3 plans of
+        # one and two Trotter steps and an exact d = 2 plan
         d2_plan = compile_unitary(named_gate("haar:3", 2))
-        for chip, dz in _propagation_chips(model)[:7] + [(d2_plan, 2e-5)]:
-            sections = chip_sections(chip, model)
+        chips = _propagation_chips(model)
+        for chip, dz in chips[:7] + chips[-1:] + [(d2_plan, 2e-5)]:
+            sections = physical_sections(chip, model)
             d = sections[0].dimension
             for m in range(d):
                 state = np.eye(d, dtype=complex)[m]

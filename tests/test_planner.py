@@ -41,12 +41,13 @@ from pwa_synth import (
     two_level_decompose,
 )
 
-from pwa_synth.device import chip_sections, realize as device_realize
+from pwa_synth.device import realize as device_realize
 from pwa_synth.linalg import section_unitaries
 
 from conftest import (
     decimal_product,
     decimal_toeplitz_eigenvalues,
+    physical_sections,
     single_section_unitary,
     taylor_expm,
 )
@@ -981,7 +982,7 @@ class TestStackedEvolution:
             singles = [body.unitary() for body in bodies]
             realized, expected = built.realize(), per_block_product(built)
         else:
-            hamiltonians = chip_sections(*built)
+            hamiltonians = physical_sections(*built)
             phases = [None] * len(hamiltonians)
             singles = [h.unitary() for h in hamiltonians]
             realized = device_realize(*built)
