@@ -13,13 +13,14 @@ unitaries stay nearly tridiagonal.
 
 Every chip lowers to one cascade form, run-length plan blocks
 (``chip_sections``), a voltage chip to one block with one shared gap body;
-``realize`` and ``propagate`` read only that form. ``propagate`` evolves
-recurrence and gap sections from their float length, not from their
-``reduced_phases`` (ROADMAP item 5).
+``realize`` and ``propagate`` read only that form. ``propagate`` samples
+inside recurrence and gap sections from their float length, and ends each
+section that carries ``reduced_phases`` on them, as ``realize`` does.
 """
 
 from __future__ import annotations
 
+import collections
 import io
 import math
 from dataclasses import dataclass, field, fields
@@ -394,9 +395,12 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
     controls where the evolution is evaluated, not its accuracy): the state
     is advanced in its eigenbasis from ``section_eigensystems`` (one call per
     chip, one row per distinct body), the one place that picks it for
-    ``realize`` too, with the same phase reduction, so the last sample
-    matches the realized cascade to rounding. dz must not exceed the
-    shortest section. A chip of no sections gives the one sample z = 0.
+    ``realize`` too, with the same phase reduction. Each distinct body's
+    table of e^{-i phi} per sample is formed once per call and kept while
+    later steps still use it; the last row of a body with ``reduced_phases``
+    takes them, so the last sample matches the realized cascade to rounding.
+    dz must not exceed the shortest section. A chip of no sections gives the
+    one sample z = 0.
     """
     d, blocks = chip_sections(chip, model)
     state = np.asarray(state0, dtype=complex).reshape(-1)
@@ -427,6 +431,11 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
         raise ValueError("dz too small for this chip: more than 5e6 sample points")
 
     systems = dict(zip(hamiltonians, zip(*section_eigensystems(list(hamiltonians.values())))))
+    uses = collections.Counter()
+    for n, bodies in runs:
+        for body in bodies:
+            uses[id(body)] += n
+    tables = {}  # id of a body -> (grid, e^{-i phi}) while later steps still use it
     zs = np.empty(1 + total)
     amps = np.empty((zs.size, d), dtype=complex)
     zs[0], amps[0] = 0.0, state
@@ -434,15 +443,25 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
     for n, bodies in runs:
         for _ in range(n):
             for body in bodies:
-                length, count = body.hamiltonian.length, steps[id(body)]
-                offset, w, v = systems[id(body)]
-                local = v.conj().T @ state
-                grid = np.minimum(dz * np.arange(1, count + 1), length)
-                grid[-1] = length
-                # one complex temporary, filled in place: phases, then local weights
-                ph = np.multiply(-1j, reduce_phases(w, grid, offset))
-                np.exp(ph, out=ph)
-                np.multiply(ph, local, out=ph)
+                key = id(body)
+                length, count = body.hamiltonian.length, steps[key]
+                offset, w, v = systems[key]
+                if key in tables:
+                    grid, table = tables[key]
+                else:
+                    grid = np.minimum(dz * np.arange(1, count + 1), length)
+                    grid[-1] = length
+                    table = np.multiply(-1j, reduce_phases(w, grid, offset))
+                    if body.reduced_phases is not None:
+                        table[-1] = np.multiply(-1j, body.reduced_phases)
+                    np.exp(table, out=table)
+                uses[key] -= 1
+                if uses[key]:
+                    tables[key] = grid, table
+                    ph = table * (v.conj().T @ state)
+                else:
+                    tables.pop(key, None)
+                    ph = np.multiply(table, v.conj().T @ state, out=table)
                 sampled = (v @ ph.T).T
                 amps[row:row + count] = sampled
                 zs[row:row + count] = z_offset + grid
@@ -451,7 +470,7 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
                 # the next section reads this one's own (strided) last row: a
                 # contiguous copy takes another BLAS path and changes the last bit
                 state = sampled[-1]
-    del ph, sampled, state  # the trace's probabilities need the room
+    del ph, sampled, state, table  # the trace's probabilities need the room
     # read-only arrays that own their data pass into the trace uncopied
     zs.flags.writeable = amps.flags.writeable = False
     return PropagationTrace(z=zs, amplitudes=amps)

@@ -1,14 +1,19 @@
 """Exact-integer LLL reduction and simultaneous Diophantine approximation.
 
 The planner needs integers q, p_1..p_d with |lambda_j q - p_j| <= eps for the
-eigenvalues of the uniform coupling matrix. The reduction to lattice basis
-reduction is the standard one: a (d+1)-dimensional basis whose first row
-carries the scaled eigenvalues and a unit weight on q, reduced with LLL, with
-candidate denominators read off the first column. Candidates are certified
-against the original float eigenvalues in exact integer arithmetic, so the
-lattice scaling never leaks into the certificate. A ``DiophantineResult`` is
-built from the eigenvalues and q alone and derives the rest of its
-certificate, so q is the only part of it a plan needs to store.
+eigenvalues lambda_j = -2cos(j pi/(d+1)) of the uniform coupling matrix. It
+passes them as ``exact.toeplitz_spectrum(d)``: 400-bit fixed-point values,
+each within 2^-400 of the real number. The reduction to lattice basis
+reduction is the standard one: a basis whose first row carries the scaled
+values and a unit weight on q, reduced with LLL, with candidate denominators
+read off the first column. The basis has one column per distinct nonzero
+|lambda_j|; the spectrum is antisymmetric, so that is about half of them.
+Candidates are certified on all the values in exact integer arithmetic, with
+the margin q * 2^-400 added to each residual, so neither the lattice scaling
+nor the fixed-point rounding leaks into the certificate, and the certificate
+holds for the real eigenvalues. A ``DiophantineResult`` is built from the
+values and q alone and derives the rest of its certificate, so q is the only
+part of it a plan needs to store.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exact import FixedValues
 from .linalg import require_count, require_positive
 
 #: Classic Lovasz parameter.
@@ -103,26 +109,29 @@ def lll_reduce(basis) -> list[list[int]]:
 class DiophantineResult:
     """The certificate of the denominator q for ``lambdas``: numerators
     p_j = round(lambda_j q), residuals lambda_j q - p_j and epsilon, the
-    largest |residual|. They are derived on construction from q and the
-    float64 values of ``lambdas`` in exact integer arithmetic, and cannot be
-    given, so a certificate always describes its q."""
+    largest |residual| plus the margin q * (rounding bound) of the values. They
+    are derived on construction from q and ``lambdas`` in exact integer
+    arithmetic, and cannot be given, so a certificate always describes its q.
 
-    lambdas: tuple[float, ...]
+    ``lambdas`` is a ``FixedValues`` or a sequence of floats, which are held
+    as the exact binary rationals they are (bound 0). The residuals are those
+    of the fixed-point values; the true ones differ by at most the margin,
+    which epsilon includes."""
+
+    lambdas: FixedValues
     denominator: int
     numerators: tuple[int, ...] = field(init=False)
     residuals: tuple[float, ...] = field(init=False)
     epsilon: float = field(init=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
-            raise ValueError("lambdas must be a non-empty 1-d sequence of finite numbers")
-        values = tuple(lam.tolist())
+        values = _fixed_values(self.lambdas)
         q = require_count(self.denominator, "denominator")
-        nums, den = _integer_ratios(values)
-        numerators, residuals = _score(nums, den, q)
+        den = 1 << values.bits
+        numerators, residuals = _score(values.nums, den, q)
         for name, value in (
-            ("lambdas", values), ("denominator", q), ("epsilon", max(map(abs, residuals)) / den),
+            ("lambdas", values), ("denominator", q),
+            ("epsilon", (max(map(abs, residuals)) + q * values.bound) / den),
             ("numerators", numerators), ("residuals", tuple(r / den for r in residuals)),
         ):
             object.__setattr__(self, name, value)
@@ -137,13 +146,20 @@ class PrecisionUnreachable(RuntimeError):
         self.best = best
 
 
-def _integer_ratios(values) -> tuple[list[int], int]:
-    """nums and den with values[j] == nums[j] / den exactly, den a power of two."""
-    den = max(v.as_integer_ratio()[1] for v in values)
-    return [n * (den // r) for n, r in map(float.as_integer_ratio, values)], den
+def _fixed_values(lambdas) -> FixedValues:
+    """``lambdas`` as given, or its floats as exact binary rationals over the
+    largest of their power-of-two denominators."""
+    if isinstance(lambdas, FixedValues):
+        return lambdas
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
+        raise ValueError("lambdas must be a non-empty 1-d sequence of finite numbers")
+    ratios = [v.as_integer_ratio() for v in lam.tolist()]
+    den = max(r for _, r in ratios)
+    return FixedValues(tuple(n * (den // r) for n, r in ratios), den.bit_length() - 1, 0)
 
 
-def _score(nums: list[int], den: int, q: int) -> tuple[tuple[int, ...], list[int]]:
+def _score(nums: tuple[int, ...], den: int, q: int) -> tuple[tuple[int, ...], list[int]]:
     """p_j = round(q nums[j] / den), half up, and the residuals q nums[j] - p_j den."""
     numerators = tuple((2 * q * n + den) // (2 * den) for n in nums)
     return numerators, [q * n - p * den for n, p in zip(nums, numerators)]
@@ -164,32 +180,37 @@ def _candidates(nums: list[int], den: int, eps: float):
 def simultaneous_diophantine(lambdas, eps: float) -> DiophantineResult:
     """Find q >= 1 and integers p_j with |lambda_j q - p_j| <= eps for all j.
 
-    The lattice scale starts near 1/eps (so q comes out small when possible)
-    and is multiplied by 16 until a candidate certifies, walking the ladder at
-    most ``ESCALATIONS`` times before raising PrecisionUnreachable with the
-    best certificate found. q is small-effort, not guaranteed minimal.
+    ``lambdas`` is a ``FixedValues``, such as the exact background spectrum
+    ``exact.toeplitz_spectrum(d)``, or a sequence of floats. A q certifies
+    when every residual of the fixed-point values plus the margin
+    q * bound / 2^bits meets eps, so the certificate holds for the real
+    numbers the values stand for; a q whose margin alone exceeds eps never
+    certifies.
 
-    The certificate holds for the float64 values of ``lambdas``, not for the
-    irrational numbers they round. For the background eigenvalues
-    -2cos(j pi/(d+1)) of 6 mm plans at (d, N) = (5, 32), (6, 8) and (6, 32),
-    q is 2^52 or about 6.3e14: the float residuals meet eps, the true ones
-    are 0.08 to 1, and the plans' true error is 1.9 to 2.0 while their
-    ``measured_error``, built from the same residuals, reads about 1e-3.
+    The lattice has one column per distinct nonzero |lambda_j|: a value and
+    its negation have residuals of opposite sign, and an exact 0 has none, so
+    for the antisymmetric background spectrum it is about half the size. Every
+    candidate is still scored on all the values. The lattice scale starts
+    near 1/eps (so q comes out small when possible) and is multiplied by 16
+    until a candidate certifies, walking the ladder at most ``ESCALATIONS``
+    times before raising PrecisionUnreachable with the best certificate
+    found. q is small-effort, not guaranteed minimal.
     """
-    lambdas = DiophantineResult(lambdas, 1).lambdas  # checked and converted
+    values = DiophantineResult(lambdas, 1).lambdas  # checked and converted
     require_positive(eps, "eps")
-    nums, den = _integer_ratios(lambdas)
+    den = 1 << values.bits
     eps_num, eps_den = float(eps).as_integer_ratio()
+    columns = list(dict.fromkeys(abs(n) for n in values.nums if n))
     best = None
-    for q in _candidates(nums, den, eps):
-        worst = max(map(abs, _score(nums, den, q)[1]))
+    for q in _candidates(columns, den, eps):
+        worst = max(map(abs, _score(values.nums, den, q)[1])) + q * values.bound
         if worst * eps_den <= eps_num * den:
-            return DiophantineResult(lambdas, q)
+            return DiophantineResult(values, q)
         if best is None or worst < best[0]:
             best = (worst, q)
     worst, q = best
     raise PrecisionUnreachable(
         f"no (q, p) with residual <= {eps:g} within {ESCALATIONS} escalations; "
         f"best residual {worst / den:.3e} at q={q}",
-        DiophantineResult(lambdas, q),
+        DiophantineResult(values, q),
     )

@@ -7,7 +7,8 @@ block on top of a uniform positive background, and a recurrence section B
 equal to the bare background. The pair implements e^{-i(A-B)L} in the
 large-N limit; the backward evolution e^{+iB L/N} is realized as forward
 propagation over the recurrence length q - L/N, with q certified by
-simultaneous Diophantine approximation of the background eigenvalues; a q
+simultaneous Diophantine approximation of the exact background eigenvalues
+(``exact.toeplitz_spectrum``, not their float64 roundings); a q
 no longer than L/N is a PlanError. Electrode gaps around B sections are the
 caller's zero-voltage section and are compensated exactly because everything
 uniform commutes. At d = 2 the synthesized sections are the plan.
@@ -51,6 +52,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from .exact import toeplitz_spectrum
 from .lattice import DiophantineResult, simultaneous_diophantine
 from .linalg import (
     TridiagonalHamiltonian,
@@ -133,7 +135,8 @@ class TrotterConfig:
     backward step e^{+iB L/N} up to the certified residuals. All lengths,
     the recurrence denominator q included, are in meters. q is the one
     stored part of the certificate: ``recurrence`` derives the rest from q
-    and the background eigenvalues, and must meet the budget ``epsilon``.
+    and the exact background eigenvalues, in compile and when a plan file is
+    loaded alike, and must meet the budget ``epsilon``.
     """
 
     dimension: int
@@ -158,8 +161,8 @@ class TrotterConfig:
 
     @cached_property
     def recurrence(self) -> DiophantineResult:
-        """The certificate of q for the background eigenvalues."""
-        return DiophantineResult(tuple(toeplitz_eigenvalues(self.dimension)), self.q)
+        """The certificate of q for the exact background eigenvalues."""
+        return DiophantineResult(toeplitz_spectrum(self.dimension), self.q)
 
     @staticmethod
     def epsilon_budget(d: int, section_length: float, trotter_steps: int, j1: int = 1) -> float:
@@ -174,7 +177,7 @@ class TrotterConfig:
         """The design at the precision budget ``epsilon_budget(d, L, N, j1)``."""
         _require_design(dimension, section_length, trotter_steps, j1, j2)
         epsilon = cls.epsilon_budget(dimension, section_length, trotter_steps, j1)
-        q = simultaneous_diophantine(tuple(toeplitz_eigenvalues(dimension)), epsilon).denominator
+        q = simultaneous_diophantine(toeplitz_spectrum(dimension), epsilon).denominator
         shortfall = q - section_length / trotter_steps
         if shortfall <= 0.0:
             raise PlanError(f"q - L/N = {shortfall:g} m: the recurrence length must be positive")

@@ -83,21 +83,24 @@ def single_section_unitary(hamiltonian, reduced_phases=None) -> np.ndarray:
     return rotated @ (v.conj().T if np.iscomplexobj(v) else v.T)
 
 
-def sectionwise_propagation(state, sections, dz: float) -> np.ndarray:
+def sectionwise_propagation(state, sections, dz: float, reduced_phases=None) -> np.ndarray:
     """The sampled amplitudes of ``propagate``, formed one section at a time
     as the simulator formed them before its eigensystems were stacked: each
     section's own eigensystem; the phases (eigenvalue + offset) * z reduced
-    mod 2 pi in extended precision; the weights V^dag psi scaled by
-    e^{-i phi} per sample and rotated back by V, the next section starting
-    from the block's own strided last row."""
+    mod 2 pi in extended precision, except at the last sample of a section
+    whose row of ``reduced_phases`` is given, which takes that row; the
+    weights V^dag psi scaled by e^{-i phi} per sample and rotated back by V,
+    the next section starting from the block's own strided last row."""
     state = np.asarray(state, dtype=complex)
     blocks = [state[None, :]]
-    for h in sections:
+    for h, given in zip(sections, reduced_phases or [None] * len(sections), strict=True):
         offset, w, v = _single_section_eigensystem(h)
         count = int(np.ceil(h.length / dz - 1e-9))
         grid = np.minimum(dz * np.arange(1, count + 1), h.length)
         grid[-1] = h.length
         phases = _reduced_phases(w, offset, grid)
+        if given is not None:
+            phases[-1] = given
         block = (v @ (np.exp(-1j * phases) * (v.conj().T @ state)).T).T
         blocks.append(block)
         state = block[-1]
@@ -143,20 +146,32 @@ def decimal_product(sections) -> np.ndarray:
         return re.astype(float) + 1j * im.astype(float)
 
 
-def decimal_toeplitz_eigenvalues(d: int, digits: int = 60) -> list[decimal.Decimal]:
-    """-2 cos(j pi/(d+1)), j = 1..d, to ``digits`` significant digits in
-    stdlib decimal arithmetic: pi from the decimal module docs' series and
-    each cosine from its Taylor series, both with guard digits."""
+def decimal_pi(digits: int) -> decimal.Decimal:
+    """pi to ``digits`` significant digits from the decimal module docs'
+    series pi = 3 + 1/8 + 9/640 + ..., summed with guard digits."""
     with decimal.localcontext() as context:
         context.prec = digits + 10
         pi = t = decimal.Decimal(3)
         last, n, na, k, da = 0, 1, 0, 0, 24
-        while pi != last:  # pi = 3 + 1/8 + 9/640 + ..., from the decimal docs
+        while pi != last:
             last = pi
             n, na = n + na, na + 8
             k, da = k + da, da + 32
             t = (t * n) / k
             pi += t
+    with decimal.localcontext() as context:
+        context.prec = digits
+        return +pi
+
+
+def decimal_toeplitz_eigenvalues(d: int, digits: int = 60) -> list[decimal.Decimal]:
+    """-2 cos(j pi/(d+1)), j = 1..d, rounded to ``digits`` decimal places in
+    stdlib decimal arithmetic: pi from ``decimal_pi`` and each cosine from
+    its Taylor series, both with guard digits. The guard digits' error is
+    absolute, so values that are exactly 0 or +-1 come out exact."""
+    with decimal.localcontext() as context:
+        context.prec = digits + 10
+        pi = decimal_pi(digits + 10)
         values = []
         for j in range(1, d + 1):
             x = j * pi / (d + 1)
@@ -167,10 +182,29 @@ def decimal_toeplitz_eigenvalues(d: int, digits: int = 60) -> list[decimal.Decim
                 if total + term == total:
                     break
                 total += term
-            values.append(-2 * total)
+            values.append((-2 * total).quantize(decimal.Decimal(10) ** -digits))
+    return values
+
+
+def decimal_recurrence_unitary(d: int, q: int, j1: int, j2: int, step) -> np.ndarray:
+    """e^{-i B (q - step)} of the d-mode background B = 2 pi j1 T + (2 pi j2 / q) I
+    from the exact q, j1, j2 and step (the float L/N, taken at its binary
+    value): the eigenphases (2 pi j1 lambda_j + 2 pi j2 / q)(q - step) formed
+    and reduced mod 2 pi in decimal arithmetic with 60 digits beyond q's,
+    then assembled in a sine basis computed here. No stored coupling or
+    length enters."""
     with decimal.localcontext() as context:
-        context.prec = digits
-        return [+v for v in values]
+        context.prec = 60 + len(str(q))
+        two_pi = 2 * decimal_pi(context.prec)
+        length = q - decimal.Decimal(step)
+        phases = []
+        for lam in decimal_toeplitz_eigenvalues(d, context.prec):
+            phase = (two_pi * j1 * lam + two_pi * j2 / q) * length
+            phases.append(float(phase - two_pi * (phase / two_pi).to_integral_value()))
+    # T sin(m k pi/(d+1)) = 2cos(k pi/(d+1)) sin(m k pi/(d+1)): lambda_j pairs with k = d+1-j
+    m, k = np.arange(1, d + 1)[:, None], d + 1 - np.arange(1, d + 1)[None, :]
+    basis = np.sqrt(2.0 / (d + 1)) * np.sin(m * k * np.pi / (d + 1))
+    return (basis * np.exp(-1j * np.array(phases))) @ basis.T
 
 
 def exact_gram_schmidt(rows):
@@ -274,18 +308,25 @@ def brute_force_diophantine(lambdas, eps: float, q_max: int = 10**6):
     return None
 
 
-def assert_exact_certificate(result, lambdas, eps: float) -> None:
-    """Re-derive ``result`` from its q by exact rational multiplication with
-    the float64 ``lambdas``: each numerator is the integer nearest
-    lambda_j q, each residual is lambda_j q - p_j rounded to a float, and
-    epsilon is the largest |residual|, at most ``eps``."""
+def assert_exact_certificate(result, d: int, eps: float) -> None:
+    """Re-derive ``result``, a certificate of the d-mode background
+    eigenvalues, from its q with those eigenvalues to 100 digits: each
+    numerator is the integer nearest lambda_j q, each residual is
+    lambda_j q - p_j rounded to a float, and epsilon is the largest
+    |residual| plus the solver's margin q / 2^SPECTRUM_BITS rounded to a
+    float, with that sum at most ``eps``."""
+    from pwa_synth.exact import SPECTRUM_BITS
+
     q = result.denominator
-    exact = [Fraction(float(lam)) * q - p for lam, p in zip(lambdas, result.numerators, strict=True)]
-    assert all(abs(r) <= Fraction(1, 2) for r in exact)
-    assert result.residuals == tuple(float(r) for r in exact)
-    worst = max(abs(r) for r in exact)
-    assert result.epsilon == float(worst)
-    assert worst <= Fraction(float(eps))
+    lambdas = decimal_toeplitz_eigenvalues(d, 100)
+    with decimal.localcontext() as context:
+        context.prec = 160
+        exact = [lam * q - p for lam, p in zip(lambdas, result.numerators, strict=True)]
+        assert all(abs(r) <= decimal.Decimal("0.5") for r in exact)
+        assert result.residuals == tuple(float(r) for r in exact)
+        certified = max(abs(r) for r in exact) + decimal.Decimal(q) / 2**SPECTRUM_BITS
+        assert result.epsilon == float(certified)
+        assert certified <= decimal.Decimal(eps)
 
 
 @pytest.fixture(scope="session")

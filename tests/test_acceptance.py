@@ -33,6 +33,7 @@ from pwa_synth import (
     two_level_decompose,
     unitarity_defect,
 )
+from pwa_synth.exact import toeplitz_spectrum
 from pwa_synth.optimizer import _ChipObjective
 
 from conftest import assert_exact_certificate
@@ -107,11 +108,11 @@ def test_criterion_4_diophantine_certificates():
         eps = 1e-3
         for d in range(2, 11):
             lam = toeplitz_eigenvalues(d)
-            result = simultaneous_diophantine(lam, eps)
+            result = simultaneous_diophantine(toeplitz_spectrum(d), eps)
             # re-verify by direct multiplication, independently of the solver
             direct = np.abs(lam * result.denominator - np.array(result.numerators))
             assert float(np.max(direct)) <= eps
-            assert_exact_certificate(result, lam, eps)
+            assert_exact_certificate(result, d, eps)
             if d <= 4:
                 # brute-force scan: feasibility plus residual agreement at our q
                 found = None

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pwa_synth import (
+    ChipPlan,
     DeviceModel,
     PropagationTrace,
     TridiagonalHamiltonian,
@@ -256,18 +257,21 @@ class TestPropagate:
 
     def test_samples_match_the_sectionwise_reference(self, model):
         # every sample, bit for bit, is what each section's own eigensystem
-        # gives, though the chip's eigensystems are formed in one stacked
-        # call, one per distinct body: the voltage chips, the d = 3 plans of
-        # one and two Trotter steps and an exact d = 2 plan
+        # gives, though the chip's eigensystems and phase tables are formed
+        # once per distinct body: the voltage chips, the d = 3 plans of one
+        # and two Trotter steps, whose recurrence sections end on their
+        # reduced phases, and an exact d = 2 plan
         d2_plan = compile_unitary(named_gate("haar:3", 2))
         chips = _propagation_chips(model)
         for chip, dz in chips[:7] + chips[-1:] + [(d2_plan, 2e-5)]:
             sections = physical_sections(chip, model)
+            reduced = ([s.reduced_phases for s in chip.sections]
+                       if isinstance(chip, ChipPlan) else None)
             d = sections[0].dimension
             for m in range(d):
                 state = np.eye(d, dtype=complex)[m]
                 trace = propagate(state, chip, model, dz=dz)
-                reference = sectionwise_propagation(state, sections, dz)
+                reference = sectionwise_propagation(state, sections, dz, reduced)
                 assert trace.amplitudes.tobytes() == reference.tobytes()
 
     def test_norm_conserved_everywhere(self, model):

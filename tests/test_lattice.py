@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from pwa_synth import (
     toeplitz_eigenvalues,
 )
 from pwa_synth import lattice
+from pwa_synth.exact import FixedValues, toeplitz_spectrum
 
 from conftest import (
     assert_exact_certificate,
@@ -96,9 +98,9 @@ class TestSimultaneousDiophantine:
     def test_toeplitz_d3_certificate_and_bruteforce(self):
         lam = toeplitz_eigenvalues(3)
         eps = 1e-2
-        result = simultaneous_diophantine(lam, eps)
+        result = simultaneous_diophantine(toeplitz_spectrum(3), eps)
         assert result.epsilon <= eps
-        assert_exact_certificate(result, lam, eps)
+        assert_exact_certificate(result, 3, eps)
         # independent re-verification by direct multiplication
         for value, p in zip(lam, result.numerators):
             assert abs(value * result.denominator - p) <= eps
@@ -109,36 +111,72 @@ class TestSimultaneousDiophantine:
 
     @pytest.mark.parametrize(
         "d, n, q",
-        [(2, 8, 1), (2, 32, 1), (3, 8, 15994428), (3, 32, 388883860), (4, 8, 39088169),
-         (4, 32, 102334155), (5, 8, 29354524), (5, 32, 2**52), (6, 8, 626434108930190),
-         (6, 32, 2**52), (7, 8, 2**52), (7, 32, 2**52), (8, 8, 2**52), (8, 32, 2**52)],
+        [(2, 8, 1), (2, 32, 1), (3, 8, 15994428), (3, 32, 225058681), (4, 8, 39088169),
+         (4, 32, 433494437), (5, 8, 29354524), (5, 32, 408855776), (6, 8, 1032510632574499),
+         (6, 32, 431488151587413508), (7, 8, 77509325532983109645231),
+         (7, 32, 319639887868700608023368670), (8, 8, 1538408380798180),
+         (8, 32, 876738913955302570)],
     )
     def test_plan_denominators_are_pinned(self, d, n, q):
-        # q at the 6 mm plan budgets; 2**52 and 6.3e14 certify only the float64 eigenvalues
-        lam = toeplitz_eigenvalues(d)
+        # q at the 6 mm plan budgets, certified for the exact eigenvalues
         eps = TrotterConfig.epsilon_budget(d, 6e-3, n)
-        result = simultaneous_diophantine(lam, eps)
+        result = simultaneous_diophantine(toeplitz_spectrum(d), eps)
         assert result.denominator == q
-        assert_exact_certificate(result, lam, eps)
+        assert_exact_certificate(result, d, eps)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_certificates_hold_exactly(self, d):
-        lam = toeplitz_eigenvalues(d)
-        result = simultaneous_diophantine(lam, 1e-3)
-        assert_exact_certificate(result, lam, 1e-3)
-        assert max(abs(r) for r in result.residuals) == result.epsilon
+        result = simultaneous_diophantine(toeplitz_spectrum(d), 1e-3)
+        assert_exact_certificate(result, d, 1e-3)
+        margin = result.denominator / 2**400
+        assert max(abs(r) for r in result.residuals) == result.epsilon - margin
 
     def test_certificate_is_derived_from_q(self):
-        lam = toeplitz_eigenvalues(3)
-        solved = simultaneous_diophantine(lam, 1e-3)
-        result = DiophantineResult(lam, solved.denominator)
+        spectrum = toeplitz_spectrum(3)
+        solved = simultaneous_diophantine(spectrum, 1e-3)
+        result = DiophantineResult(spectrum, solved.denominator)
         assert result == solved
-        assert result.lambdas == tuple(float(x) for x in lam)
+        assert result.lambdas is spectrum
         assert [f.name for f in dataclasses.fields(result) if f.init] == ["lambdas", "denominator"]
         assert not hasattr(result, "verify") and not hasattr(result, "requested")
-        other = DiophantineResult(lam, solved.denominator + 1)
+        other = DiophantineResult(spectrum, solved.denominator + 1)
         assert other.epsilon > 1e-3
-        assert_exact_certificate(other, lam, other.epsilon)
+        assert_exact_certificate(other, 3, 0.5)
+        # floats are held as the exact binary rationals they are
+        floats = DiophantineResult([0.5, -0.75], 4)
+        assert floats.lambdas == FixedValues((2, -3), 2, 0)
+        assert floats.numerators == (2, -3) and floats.epsilon == 0.0
+
+    def test_the_spectrum_search_is_not_the_float_search(self):
+        # the float64 eigenvalues at (d, N) = (5, 32) certify q = 2^52 with
+        # residual 0.0, a vacuous q whose true residuals reach 0.08 to 1
+        eps = TrotterConfig.epsilon_budget(5, 6e-3, 32)
+        assert simultaneous_diophantine(toeplitz_eigenvalues(5), eps).denominator == 2**52
+        true = DiophantineResult(toeplitz_spectrum(5), 2**52)
+        assert true.epsilon > 0.01
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_recurrence_lengths_follow_the_scaling_law(self, n):
+        # every lambda_j lies in the field of 2cos(pi/(d+1)), of degree
+        # r = phi(2(d+1))/2, so there are r - 1 independent irrationals to
+        # approximate at once and Dirichlet's exponent gives q ~ eps^-(r-1)
+        for d in range(2, 13):
+            eps = TrotterConfig.epsilon_budget(d, 6e-3, n)
+            r = sum(math.gcd(k, 2 * (d + 1)) == 1 for k in range(1, 2 * (d + 1))) // 2
+            law = (r - 1) * math.log10(1.0 / eps)
+            q = simultaneous_diophantine(toeplitz_spectrum(d), eps).denominator
+            assert law - 3 <= math.log10(q) <= law + 1, (d, q, law)
+
+    def test_a_margin_above_eps_never_certifies(self):
+        # sqrt(2) to 30 bits: as a binary rational its value certifies at a
+        # q near 2^30, where the margin q / 2^30 of the real number it stands
+        # for is near 1
+        values = FixedValues((math.isqrt(2 << 60),), 30, 1)
+        with pytest.raises(PrecisionUnreachable, match="within 64 escalations") as err:
+            simultaneous_diophantine(values, 1e-12)
+        assert err.value.best.epsilon > 1e-12
+        rational = simultaneous_diophantine([values.nums[0] / 2**30], 1e-12)
+        assert rational.epsilon == 0.0 and rational.denominator <= 2**30
 
     @pytest.mark.parametrize("name", ["numerators", "residuals", "epsilon"])
     def test_derived_fields_cannot_be_given(self, name):
@@ -160,13 +198,12 @@ class TestSimultaneousDiophantine:
 
     def test_unreachable_raises_with_best(self, monkeypatch):
         monkeypatch.setattr(lattice, "ESCALATIONS", 2)
-        lam = toeplitz_eigenvalues(3)
         with pytest.raises(PrecisionUnreachable, match="within 2 escalations") as err:
-            simultaneous_diophantine(lam, 1e-20)
+            simultaneous_diophantine(toeplitz_spectrum(3), 1e-20)
         best = err.value.best
         assert isinstance(best, DiophantineResult)
         assert best.epsilon > 1e-20
-        assert_exact_certificate(best, lam, best.epsilon)
+        assert_exact_certificate(best, 3, 0.5)
 
     def test_escalations_are_not_a_parameter(self):
         with pytest.raises(TypeError):

@@ -28,6 +28,7 @@ from pwa_synth import (
     expm_hermitian,
     gap_compensate,
     haar_random_unitary,
+    named_gate,
     operator_norm,
     PlanBlock,
     PlanError,
@@ -42,9 +43,12 @@ from pwa_synth import (
 )
 
 from pwa_synth.device import realize as device_realize
+from pwa_synth.exact import SPECTRUM_BITS
 from pwa_synth.linalg import section_unitaries
 
 from conftest import (
+    assert_exact_certificate,
+    decimal_recurrence_unitary,
     decimal_product,
     decimal_toeplitz_eigenvalues,
     physical_sections,
@@ -53,9 +57,21 @@ from conftest import (
 )
 
 L = 6e-3
-#: (d, N) at L whose q certifies only the float64-rounded eigenvalues
-_FLOAT_ONLY_CERTIFICATES = {(3, 32), (4, 32), (5, 32), (6, 8), (6, 32), (7, 8), (7, 32),
-                            (8, 8), (8, 32)}
+
+
+def _d3_certificate(steps: int) -> tuple[float, float]:
+    """(lambda_1 q - p_1, its epsilon) of the d = 3 plan at (L, steps), from
+    the plan's q and 60-digit eigenvalues: epsilon is |lambda_1 q - p_1|, the
+    largest residual, plus the margin q / 2^SPECTRUM_BITS."""
+    q = TrotterConfig.plan(3, L, steps).q
+    with decimal.localcontext() as context:
+        context.prec = 100
+        product = decimal_toeplitz_eigenvalues(3)[0] * q
+        residual = product - product.to_integral_value()
+        return float(residual), float(abs(residual) + decimal.Decimal(q) / 2**SPECTRUM_BITS)
+
+
+_D3_N2 = _d3_certificate(2)
 
 
 def make_config(d=3, length=L, steps=8, j1=1, j2=1):
@@ -99,12 +115,7 @@ class TestTrotterConfig:
             with pytest.raises(ValueError, match="^plan epsilon .* is not what j1, j2 and q give"):
                 ChipPlan.from_json(json.dumps(payload))
 
-    @pytest.mark.parametrize("d, n", [
-        pytest.param(d, n, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 1: q is certified against the float64 eigenvalues",
-        )) if (d, n) in _FLOAT_ONLY_CERTIFICATES else (d, n)
-        for d in range(2, 9) for n in (8, 32)
-    ])
+    @pytest.mark.parametrize("d, n", [(d, n) for d in range(2, 9) for n in (8, 32)])
     def test_certificate_holds_for_the_exact_eigenvalues(self, d, n):
         # every residual lambda_j q - p_j of the plan's q and numerators,
         # with lambda_j to 60 digits, is within the budget
@@ -115,6 +126,30 @@ class TestTrotterConfig:
             residuals = [abs(lam * q - p)
                          for lam, p in zip(decimal_toeplitz_eigenvalues(d), numerators)]
             assert max(residuals) <= decimal.Decimal(config.epsilon), (q, max(residuals))
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_measured_error_is_the_exact_recurrence_error(self, d):
+        # the cascade with every recurrence section formed from the exact q,
+        # j1, j2 and L/N in decimal arithmetic (never from the stored floats)
+        # and every drive by Taylor series lies as far from the target as
+        # the plan claims
+        for gate in ("dft", "shift", "haar:1"):
+            target = named_gate(gate, d)
+            plan = compile_unitary(target, section_length=L, trotter_steps=8)
+            c = plan.config
+            recurrence = decimal_recurrence_unitary(d, c.q, c.j1, c.j2, L / 8)
+            drives = {}
+            u = np.eye(d, dtype=complex)
+            for section in plan.sections:
+                h = section.hamiltonian
+                if section.kind == "B":
+                    u = recurrence @ u
+                else:
+                    if id(h) not in drives:
+                        drives[id(h)] = taylor_expm(h.to_matrix(), h.length)
+                    u = drives[id(h)] @ u
+            error = np.linalg.norm(target - u, 2)
+            assert error == pytest.approx(plan.measured_error, rel=1e-9, abs=0), gate
 
     def test_precision_is_not_a_parameter(self):
         budget = TrotterConfig.epsilon_budget(3, L, 8, 1)
@@ -620,10 +655,10 @@ class TestPlanJson:
             (("B", "couplings", 1), True,
              "plan couplings must be a list of numbers, got item True"),
             (("config", "residuals", 0), "0.0",
-             "plan residuals ['0.0', 0.0, -4.39718651490395e-07] is not what j1, j2 and q "
-             "give: [4.39718651490395e-07, 0.0, -4.39718651490395e-07]"),
+             f"plan residuals ['0.0', 0.0, {-_D3_N2[0]!r}] is not what j1, j2 and q "
+             f"give: [{_D3_N2[0]!r}, 0.0, {-_D3_N2[0]!r}]"),
             (("config", "achieved_epsilon"), "1e-3",
-             "plan achieved_epsilon '1e-3' is not what j1, j2 and q give: 4.39718651490395e-07"),
+             f"plan achieved_epsilon '1e-3' is not what j1, j2 and q give: {_D3_N2[1]!r}"),
             (("config", "epsilon"), True,
              "plan epsilon True is not what j1, j2 and q give: 4.77464829275686e-07"),
             (("config", "recurrence_unit"), True,
@@ -1433,11 +1468,12 @@ class TestLayoutReader:
 
     def test_a_huge_claimed_step_count_is_never_allocated(self):
         # N = 10^8 in the metadata, one step in the text: the config is
-        # planned at that N (q = 2^52 certifies the float64 eigenvalues with
-        # residual 0.0), and K grows with N
+        # planned at that N (q = 2.3e21 certifies the exact eigenvalues), and
+        # K grows with N
         plan = compile_unitary(dft(3), trotter_steps=1)
         config = TrotterConfig.plan(3, L, 10**8)
-        assert config.q == 2**52 and config.recurrence.epsilon == 0.0
+        assert config.q == 2326317944764069484905
+        assert_exact_certificate(config.recurrence, 3, config.epsilon)
         plan = dataclasses.replace(
             plan, trotter_steps=10**8, section_budget=plan.section_budget * 10**8, config=config
         )
@@ -1536,8 +1572,8 @@ class TestMetadataChecks:
     @pytest.mark.parametrize("n", [8, 32])
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_planned_configs_reload_bit_for_bit(self, d, n):
-        # the benchmark's cells, the vacuous certificates of q = 2^52 at
-        # (5, 32) and (6, 32) and of q ~ 6.3e14 at (6, 8) among them
+        # the benchmark's cells, q of 1.0e15 at (6, 8) and 4.3e17 at (6, 32)
+        # among them
         config = TrotterConfig.plan(d, L, n)
         text = ChipPlan(d, n, 4 * count_sections(d) * n, L, [], config=config).to_json()
         fields = marshal.dumps(
