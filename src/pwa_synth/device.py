@@ -447,7 +447,7 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
                 length, count = body.hamiltonian.length, steps[key]
                 offset, w, v = systems[key]
                 if key in tables:
-                    grid, table = tables[key]
+                    grid, table = tables.pop(key)
                 else:
                     grid = np.minimum(dz * np.arange(1, count + 1), length)
                     grid[-1] = length
@@ -459,8 +459,7 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
                 if uses[key]:
                     tables[key] = grid, table
                     ph = table * (v.conj().T @ state)
-                else:
-                    tables.pop(key, None)
+                else:  # the last use fills the table in place
                     ph = np.multiply(table, v.conj().T @ state, out=table)
                 sampled = (v @ ph.T).T
                 amps[row:row + count] = sampled
