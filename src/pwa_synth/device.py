@@ -396,9 +396,10 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
     is advanced in its eigenbasis from ``section_eigensystems`` (one call per
     chip, one row per distinct body), the one place that picks it for
     ``realize`` too, with the same phase reduction. Each distinct body's
-    table of e^{-i phi} per sample is formed once per call and kept while
-    later steps still use it; the last row of a body with ``reduced_phases``
-    takes them, so the last sample matches the realized cascade to rounding.
+    table of e^{-i phi} per sample is formed once per call, and kept for the
+    call if later steps reuse the body; the last row of a body with
+    ``reduced_phases`` takes them, so the last sample matches the realized
+    cascade to rounding.
     dz must not exceed the shortest section. A chip of no sections gives the
     one sample z = 0.
     """
@@ -435,7 +436,7 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
     for n, bodies in runs:
         for body in bodies:
             uses[id(body)] += n
-    tables = {}  # id of a body -> (grid, e^{-i phi}) while later steps still use it
+    tables = {}  # id of a body that later steps reuse -> (grid, e^{-i phi})
     zs = np.empty(1 + total)
     amps = np.empty((zs.size, d), dtype=complex)
     zs[0], amps[0] = 0.0, state
@@ -447,7 +448,7 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
                 length, count = body.hamiltonian.length, steps[key]
                 offset, w, v = systems[key]
                 if key in tables:
-                    grid, table = tables.pop(key)
+                    grid, table = tables[key]
                 else:
                     grid = np.minimum(dz * np.arange(1, count + 1), length)
                     grid[-1] = length
@@ -455,12 +456,11 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
                     if body.reduced_phases is not None:
                         table[-1] = np.multiply(-1j, body.reduced_phases)
                     np.exp(table, out=table)
-                uses[key] -= 1
-                if uses[key]:
-                    tables[key] = grid, table
-                    ph = table * (v.conj().T @ state)
-                else:  # the last use fills the table in place
-                    ph = np.multiply(table, v.conj().T @ state, out=table)
+                    if uses[key] > 1:
+                        tables[key] = grid, table
+                local = v.conj().T @ state
+                # a body used once fills its own table in place
+                ph = table * local if key in tables else np.multiply(table, local, out=table)
                 sampled = (v @ ph.T).T
                 amps[row:row + count] = sampled
                 zs[row:row + count] = z_offset + grid
@@ -469,7 +469,7 @@ def propagate(state0, chip, model: DeviceModel | None = None, dz: float = 1e-4) 
                 # the next section reads this one's own (strided) last row: a
                 # contiguous copy takes another BLAS path and changes the last bit
                 state = sampled[-1]
-    del ph, sampled, state, table  # the trace's probabilities need the room
+    del ph, local, sampled, state, table, tables  # the trace's probabilities need the room
     # read-only arrays that own their data pass into the trace uncopied
     zs.flags.writeable = amps.flags.writeable = False
     return PropagationTrace(z=zs, amplitudes=amps)

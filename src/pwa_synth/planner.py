@@ -495,11 +495,19 @@ def _read_metadata(payload) -> dict:
     config = None
     raw_cfg = meta.get("config")
     if raw_cfg is not None:
-        config = TrotterConfig(
-            d, section_length, trotter_steps, raw_cfg["j1"], raw_cfg["j2"], raw_cfg["q"]
-        )
-        for key, value in _config_payload(config).items():
-            _require_written(raw_cfg[key], value, key, "what j1, j2 and q give:")
+        try:
+            config = TrotterConfig(
+                d, section_length, trotter_steps, raw_cfg["j1"], raw_cfg["j2"], raw_cfg["q"]
+            )
+            for key, value in _config_payload(config).items():
+                _require_written(raw_cfg[key], value, key, "what j1, j2 and q give:")
+        except ValueError as exc:
+            if _float_certified(d, raw_cfg):
+                raise ValueError(
+                    f"{exc} (this plan's q was certified on the float64-rounded eigenvalues, "
+                    "as older versions wrote plans: compile it again)"
+                ) from None
+            raise
         compiled_budget = 4 * count_sections(d) * trotter_steps
         if budget != compiled_budget:
             raise ValueError(
@@ -521,6 +529,19 @@ def _read_metadata(payload) -> dict:
         global_phase=require_number(meta.get("global_phase", 0.0), "plan global_phase"),
         config=config,
         target_name=meta.get("target_name"),
+    )
+
+
+def _float_certified(d: int, raw_cfg: dict) -> bool:
+    """Whether a plan file's ``config`` holds its q's certificate on the
+    float64-rounded eigenvalues, which versions before the exact spectrum
+    search wrote."""
+    try:
+        stale = DiophantineResult(toeplitz_eigenvalues(d), raw_cfg["q"])
+    except (KeyError, ValueError):
+        return False
+    return marshal.dumps([raw_cfg.get("residuals"), raw_cfg.get("achieved_epsilon")], 2) == (
+        marshal.dumps([list(stale.residuals), stale.epsilon], 2)
     )
 
 

@@ -72,6 +72,7 @@ def _d3_certificate(steps: int) -> tuple[float, float]:
 
 
 _D3_N2 = _d3_certificate(2)
+_D3_N8 = _d3_certificate(8)
 
 
 def make_config(d=3, length=L, steps=8, j1=1, j2=1):
@@ -686,6 +687,48 @@ class TestPlanJson:
         for text in (json.dumps(payload), json.dumps(payload, indent=2)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 ChipPlan.from_json(text)
+
+    # `compile --gate identity --N 8|32 --prune-identity` as written by the
+    # version that certified q on the float64-rounded eigenvalues
+    _FLOAT_CERTIFIED = {
+        3: '{"schema_version": 1, "metadata": {"d": 3, "N": 8, "K": 160, "measured_error": 0.0, '
+           '"epsilon_certificate": 2.0558556634853176e-08, "section_length_m": 0.006, '
+           '"global_phase": 0.0, "target_name": "identity", "config": {"j1": 1, "j2": 1, '
+           '"epsilon": 2.9841551829730376e-08, "recurrence_unit": 1.0, "q": 15994428, '
+           '"numerators": [-22619537, 0, 22619537], "residuals": [2.0558556634853176e-08, 0.0, '
+           '-2.0558556634853176e-08], "achieved_epsilon": 2.0558556634853176e-08}}, '
+           '"sections": []}',
+        5: '{"schema_version": 1, "metadata": {"d": 5, "N": 32, "K": 3840, "measured_error": 0.0, '
+           '"epsilon_certificate": 0.0, "section_length_m": 0.006, "global_phase": 0.0, '
+           '"target_name": "identity", "config": {"j1": 1, "j2": 1, '
+           '"epsilon": 1.1190581936148891e-09, "recurrence_unit": 1.0, "q": 4503599627370496, '
+           '"numerators": [-7800463371553963, -4503599627370497, 0, 4503599627370497, '
+           '7800463371553963], "residuals": [0.0, 0.0, 0.0, 0.0, 0.0], "achieved_epsilon": 0.0}}, '
+           '"sections": []}',
+    }
+
+    @pytest.mark.parametrize(
+        "d, check",
+        [(3, f"plan residuals [2.0558556634853176e-08, 0.0, -2.0558556634853176e-08] is not what "
+             f"j1, j2 and q give: [{_D3_N8[0]!r}, 0.0, {-_D3_N8[0]!r}]"),
+         (5, "q 4503599627370496 certifies 0.45194, above the budget 1.11906e-09")],
+        ids=["residuals", "vacuous-q"],
+    )
+    def test_a_float_certified_plan_says_to_compile_it_again(self, d, check):
+        text = self._FLOAT_CERTIFIED[d]
+        message = (f"{check} (this plan's q was certified on the float64-rounded eigenvalues, "
+                   "as older versions wrote plans: compile it again)")
+        for layout in (text, json.dumps(json.loads(text), indent=2)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ChipPlan.from_json(layout)
+        if d == 3:
+            # the same q with its certificate on the exact eigenvalues loads
+            payload = json.loads(text)
+            config = TrotterConfig(3, L, 8, 1, 1, 15994428)
+            payload["metadata"]["config"]["residuals"] = list(config.recurrence.residuals)
+            payload["metadata"]["config"]["achieved_epsilon"] = config.recurrence.epsilon
+            payload["metadata"]["epsilon_certificate"] = config.recurrence.epsilon
+            assert ChipPlan.from_json(json.dumps(payload)).config == config
 
     @pytest.mark.parametrize(
         "kind, key, index, number, flag",
