@@ -258,12 +258,8 @@ def _cmd_bench(args) -> int:
             ]
         rows = ["gate,d,K,L_m,seed,best_infidelity,status"]
         for name, target, d, k, length, seed in points:
-            model = _device(length)
-            key = f"{name},{d},{k},{_fmt(length)},{seed}"
-            try:
-                rows.append(f"{key},{_fmt(_optimize(args, target, k, model, seed).infidelity)},ok")
-            except _PIPELINE_FAILURES as exc:  # recorded, and the run continues
-                rows.append(f"{key},nan,error:{exc}")
+            infidelity = _optimize(args, target, k, _device(length), seed).infidelity
+            rows.append(f"{name},{d},{k},{_fmt(length)},{seed},{_fmt(infidelity)},ok")
         write(f"{args.experiment.replace('-', '_')}.csv", "\n".join(rows) + "\n")
     for path in written:
         print(f"wrote {path}")

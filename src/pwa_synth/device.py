@@ -256,9 +256,11 @@ def _put_floats(slots: np.ndarray, x: np.ndarray) -> None:
     in [9 2^r, 56 2^r), exact in wrapping uint64 arithmetic; its top bits
     correct n and its low r bits are the fraction. k is estimated from e and
     raised once where t reaches 1e17; floor(v) lies in [1e16, 1e17) exactly
-    when k is right. +-0 is written directly; every other value (nan, inf,
-    subnormals, |x| below 2^-32 or from 10 up, a k misjudged next to a
-    power of ten) is formatted by Python.
+    when k is right. Rounding never carries n up to 1e17: that needs v within
+    5e-18 (relative) below a power of ten, and the float nearest below each
+    power of ten in range lies 4.5e-17 or more below it. +-0 is written
+    directly; every other value (nan, inf, subnormals, |x| below 2^-32 or
+    from 10 up, a k misjudged next to a power of ten) is formatted by Python.
     """
     ax = np.abs(x)
     bits = ax.view(np.uint64)
@@ -289,11 +291,6 @@ def _put_floats(slots: np.ndarray, x: np.ndarray) -> None:
     low_bit = n - (n >> _U64(1)) * _U64(2)
     n += np.where(frac > _U64(2**63) - low_bit, _U64(1), _U64(0))
     del frac, low_bit
-    carry = np.nonzero(n == _E17)
-    if carry[0].size:  # rounded up to the next power of ten
-        n[carry] = _E16
-        k[carry] += 1
-        exact[carry] &= k[carry] <= 0
 
     lead = n // _E16
     n -= lead * _E16

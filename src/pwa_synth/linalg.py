@@ -240,8 +240,10 @@ def toeplitz_eigenvalues(d: int) -> np.ndarray:
     tridiagonal Toeplitz matrix, sorted ascending, as one read-only array per d.
 
     Built antisymmetrically so that lambda_j == -lambda_{d+1-j} holds exactly
-    (the middle eigenvalue of odd d is exactly 0.0, which the Diophantine
-    solver relies on).
+    and the middle eigenvalue of odd d is exactly 0.0. The planner's
+    Diophantine solve takes the exact ``exact.toeplitz_spectrum``; these
+    floats reach ``lattice``'s float path only from the traced probe in
+    ``perfbench/spans.py`` and from ``planner._float_certified``.
     """
     require_count(d, "dimension")
     j = np.arange(1, d // 2 + 1)

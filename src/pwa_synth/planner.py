@@ -196,9 +196,6 @@ class TrotterConfig:
         """L~ = q - L/N in meters."""
         return self.q - self.section_length / self.trotter_steps
 
-    def background_eigenvalues(self) -> np.ndarray:
-        return self.background_coupling * toeplitz_eigenvalues(self.dimension) + self.background_beta
-
     def background_hamiltonian(self) -> TridiagonalHamiltonian:
         d = self.dimension
         return TridiagonalHamiltonian(
@@ -216,15 +213,9 @@ class TrotterConfig:
         phases.
         """
         residuals = np.asarray(self.recurrence.residuals)
-        return (
-            2.0 * math.pi * self.j1 * residuals
-            - self.background_eigenvalues() * (self.section_length / self.trotter_steps)
-        )
-
-    def recurrence_error(self) -> float:
-        """||e^{-i B L~} - e^{+i B L/N}||, equal to max_j |e^{-2 pi i j1 Delta_j} - 1|."""
-        residuals = np.asarray(self.recurrence.residuals)
-        return float(np.max(np.abs(np.exp(-2j * math.pi * self.j1 * residuals) - 1.0)))
+        d, step = self.dimension, self.section_length / self.trotter_steps
+        eigenvalues = self.background_coupling * toeplitz_eigenvalues(d) + self.background_beta
+        return 2.0 * math.pi * self.j1 * residuals - eigenvalues * step
 
 
 def plan_trotter_pair(
@@ -758,46 +749,35 @@ def _list_text(values) -> str:
     return "[\n        " + text[1:-1].replace(", ", ",\n        ") + "\n      ]"
 
 
-def _gap_windings_for_feasibility(
-    config: TrotterConfig, gap: TridiagonalHamiltonian
-) -> tuple[int, int]:
-    """Smallest (j1, j2) keeping both compensated parameters positive."""
-    zero_beta, zero_coupling = float(gap.betas[0]), float(gap.couplings[0])
-    rec_length = config.recurrence_length
-    # background_beta * rec_length = 2 pi j2 * rec_length / q must exceed 2 beta0 dL
-    j2 = max(config.j2, math.floor(zero_beta * gap.length * config.q / (math.pi * rec_length)) + 1)
-    # background_coupling * rec_length = 2 pi j1 rec_length must exceed 2 C0 dL
-    j1 = max(config.j1, math.floor(zero_coupling * gap.length / (math.pi * rec_length)) + 1)
-    return j1, j2
-
-
-def _recurrence_sections(
-    config: TrotterConfig, gap: TridiagonalHamiltonian | None
-) -> list[PlanSection]:
-    """The physical sections that realize one recurrence step e^{-i B L~}:
-    the bare background, or a compensated electrode between two gaps."""
-    rec_phases = config.recurrence_phases()
+def _recurrence(
+    d: int, section_length: float, trotter_steps: int, j1: int, j2: int,
+    gap: TridiagonalHamiltonian | None,
+) -> tuple[TrotterConfig, list[PlanSection]]:
+    """The design and the physical sections of one recurrence step e^{-i B L~}:
+    the bare background, or the electrode ``gap_compensate`` rescales between
+    two copies of ``gap``. A gap first raises j1 where the electrode's
+    coupling needs it (a new budget, so a new q), then j2 for the final q,
+    each to the smallest value that keeps the electrode positive."""
+    config = TrotterConfig.plan(d, section_length, trotter_steps, j1, j2)
     if gap is None:
-        return [
-            PlanSection(
-                kind=SECTION_B,
-                hamiltonian=config.background_hamiltonian(),
-                reduced_phases=tuple(float(x) for x in rec_phases),
-            )
-        ]
+        phases = tuple(map(float, config.recurrence_phases()))
+        return config, [PlanSection(SECTION_B, config.background_hamiltonian(),
+                                    reduced_phases=phases)]
+    beta0, coupling0, gap_length = float(gap.betas[0]), float(gap.couplings[0]), gap.length
+    # the background coupling over the step, 2 pi j1 L~, must exceed 2 C0 dL
+    need_j1 = math.floor(coupling0 * gap_length / (math.pi * config.recurrence_length)) + 1
+    if need_j1 > j1:
+        config = TrotterConfig.plan(d, section_length, trotter_steps, need_j1, j2)
+    # the background beta over the step, 2 pi j2 L~ / q, must exceed 2 beta0 dL
+    need_j2 = math.floor(beta0 * gap_length * config.q / (math.pi * config.recurrence_length)) + 1
+    if need_j2 > j2:  # the budget and q do not depend on j2
+        config = replace(config, j2=need_j2)
     electrode = gap_compensate(config.background_hamiltonian(), gap)
-    gap_phases = (
-        gap.betas[0] + gap.couplings[0] * toeplitz_eigenvalues(config.dimension)
-    ) * gap.length
-    gap_section = PlanSection(
-        kind=SECTION_GAP, hamiltonian=gap, reduced_phases=tuple(float(x) for x in gap_phases)
-    )
-    electrode_section = PlanSection(
-        kind=SECTION_B,
-        hamiltonian=electrode,
-        reduced_phases=tuple(float(x) for x in rec_phases - 2.0 * gap_phases),
-    )
-    return [gap_section, electrode_section, gap_section]
+    gap_phases = (beta0 + coupling0 * toeplitz_eigenvalues(d)) * gap_length
+    gap_section = PlanSection(SECTION_GAP, gap, reduced_phases=tuple(map(float, gap_phases)))
+    phases = tuple(map(float, config.recurrence_phases() - 2.0 * gap_phases))
+    electrode_section = PlanSection(SECTION_B, electrode, reduced_phases=phases)
+    return config, [gap_section, electrode_section, gap_section]
 
 
 def compile_unitary(
@@ -831,15 +811,8 @@ def compile_unitary(
 
     config, steps, recurrence = None, (None,), []
     if d > 2:
-        config = TrotterConfig.plan(d, section_length, trotter_steps, j1, j2)
-        if gap is not None:
-            need_j1, need_j2 = _gap_windings_for_feasibility(config, gap)
-            if need_j1 != config.j1:  # a new budget, so a new q
-                config = TrotterConfig.plan(d, section_length, trotter_steps, need_j1, need_j2)
-            elif need_j2 != config.j2:  # the budget and q do not depend on j2
-                config = replace(config, j2=need_j2)
+        config, recurrence = _recurrence(d, section_length, trotter_steps, j1, j2, gap)
         steps = tuple(range(config.trotter_steps))
-        recurrence = _recurrence_sections(config, gap)
 
     blocks = []
     # One synthesis per distinct 2x2 factor and one drive per distinct (mode,

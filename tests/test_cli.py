@@ -151,6 +151,13 @@ class TestCompileCommand:
         assert code == 2
         assert "error" in out
 
+    def test_gate_or_matrix_required(self, capsys):
+        code, out = run_cli(capsys, "compile", "--d", "3")
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["message"] == "provide either --gate or --matrix"
+
 
 class TestOptimizeCommand:
     def test_d2_dft_reaches_machine_precision(self, capsys, tmp_path):
@@ -497,6 +504,18 @@ def _voltages_with_string_volts(path: Path) -> list[str]:
     return _write_voltages(path, [(["1.5", "2", "0"], [True, 1])])
 
 
+def _voltages_with_one_level(path: Path) -> list[str]:
+    return _write_voltages(path, [([0.0], [])])
+
+
+def _voltages_with_wrong_coupling_count(path: Path) -> list[str]:
+    return _write_voltages(path, [([0.0, 0.0, 0.0], [0.0])])
+
+
+def _voltages_with_nan(path: Path) -> list[str]:
+    return _write_voltages(path, [([0.0, float("nan")], [0.0])])
+
+
 def _matrix_of_numbers(path: Path) -> list[str]:
     path.write_text(json.dumps({"matrix": [[1, 2], [3, 4]]}))
     return ["compile", "--matrix", str(path)]
@@ -534,6 +553,9 @@ def _empty_voltages(path: Path) -> list[str]:
         _voltages_with_mixed_mode_counts,
         _voltages_out_of_range,
         _voltages_with_string_volts,
+        _voltages_with_one_level,
+        _voltages_with_wrong_coupling_count,
+        _voltages_with_nan,
     ],
 )
 def test_malformed_input_file_exits_2_naming_the_file(capsys, tmp_path, write_input):
@@ -893,6 +915,21 @@ class TestBenchCommand:
         assert len(body) == 3
         slopes = (tmp_path / "error_scaling_slopes.csv").read_text()
         assert "dft,3," in slopes
+
+    def test_error_scaling_records_plan_errors(self, capsys, tmp_path):
+        # L = 9 m at N = 1, 2 leaves no positive recurrence length q - L/N
+        code, _ = run_cli(
+            capsys, "bench", "--experiment", "error-scaling", "--dims", "3",
+            "--gates", "dft", "--lengths", "9", "--N-values", "1,2", "--out", str(tmp_path),
+        )
+        assert code == 0
+        rows = (tmp_path / "error_scaling.csv").read_text().splitlines()
+        assert len(rows) == 3
+        for row in rows[1:]:
+            assert "error:q - L/N = " in row
+            assert row.endswith(": the recurrence length must be positive")
+        slopes = (tmp_path / "error_scaling_slopes.csv").read_text()
+        assert slopes == "gate,d,L_m,slope\n"
 
     def test_error_scaling_fits_no_slope_to_exact_plans(self, capsys, tmp_path):
         code, out = run_cli(

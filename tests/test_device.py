@@ -1,6 +1,7 @@
 import io
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,6 +189,12 @@ class TestRealize:
     def test_voltage_chip_requires_model(self):
         with pytest.raises(ValueError, match="DeviceModel"):
             realize([volts([0, 0], [0])])
+
+    def test_chip_of_mixed_or_unknown_sections_rejected(self, model):
+        with pytest.raises(ValueError, match="same mode count"):
+            realize([volts([0, 0], [0]), volts([0, 0, 0], [0, 0])], model)
+        with pytest.raises(ValueError, match="chip must be"):
+            realize([np.eye(2), np.eye(2)], model)
 
 
 def _propagation_chips(model) -> list:
@@ -381,6 +388,15 @@ class TestTraceCsv:
         tens = np.array([float(f"1e{j}") for j in range(-330, 21)])
         _assert_written_as_percent_17g(_ulp_neighbours(np.concatenate([tens, -tens]), 1))
         assert "%.17g" % 1e-7 == "9.9999999999999995e-08"
+        # rounding 17 digits up to the next power of ten 10^m needs a value
+        # within 5e-18 (relative) below it; below each power the integer
+        # path writes, the nearest float lies 4.5e-17 or more below it
+        for m in range(-9, 2):
+            power = Fraction(10) ** m
+            below = float(power)
+            if Fraction(below) >= power:
+                below = np.nextafter(below, 0.0)
+            assert (power - Fraction(below)) / power > Fraction(45, 10**18)
 
     def test_both_sides_of_the_integer_domain(self):
         # the integer path covers 2^-32 <= |x| < 10; Python's formatter

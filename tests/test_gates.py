@@ -91,6 +91,7 @@ def test_rejects_small_dimension(build):
 
 def test_named_gate_strings():
     np.testing.assert_array_equal(named_gate("shift", 4), shift(4))
+    np.testing.assert_array_equal(named_gate("identity", 3), np.eye(3))
     np.testing.assert_array_equal(named_gate("haar:7", 3), haar_random_unitary(3, 7))
     with pytest.raises(ValueError, match="unknown gate"):
         named_gate("qft", 3)

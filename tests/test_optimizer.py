@@ -408,6 +408,8 @@ class TestInfidelityAndGradient:
         task = OptimizationTask(target=dft(3), sections=2)
         with pytest.raises(ValueError, match="sections"):
             infidelity_and_gradient([VoltageSettings(np.zeros(3), np.zeros(2))], task)
+        with pytest.raises(ValueError, match="target dimension"):
+            infidelity_and_gradient([VoltageSettings(np.zeros(4), np.zeros(3))] * 2, task)
         bad = [VoltageSettings(np.full(3, 20.0), np.zeros(2))] * 2
         with pytest.raises(ValueError, match="exceeds"):
             infidelity_and_gradient(bad, task)

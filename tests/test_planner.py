@@ -170,11 +170,6 @@ class TestTrotterConfig:
             cfg.recurrence.denominator - L / 8.0
         )
 
-    def test_recurrence_error_within_residual_bound(self):
-        cfg = make_config()
-        bound = 2.0 * np.pi * cfg.j1 * 3 * cfg.trotter_steps / L * cfg.epsilon + 1e-9
-        assert cfg.recurrence_error() <= bound
-
     def test_recurrence_direction_identity(self):
         # e^{-i B Ltil} == e^{+i B L/N} up to the certified residuals,
         # checked against a directly exponentiated backward step
@@ -422,6 +417,12 @@ class TestCompileUnitary:
         assert all(s.hamiltonian is gap for s in plan.sections if s.kind == "gap")
         for s in plan.sections:
             assert np.all(s.hamiltonian.betas > 0.0)
+        # a metre gap raises j1, so q changes, and j2 is fitted to that final q
+        gap = device_gap(3, length=1.0)
+        plan = compile_unitary(dft(3), section_length=0.5, trotter_steps=1, gap=gap)
+        assert (plan.config.j1, plan.config.q, plan.config.j2) == (2, 70, 6_763_659)
+        given = compile_unitary(dft(3), section_length=0.5, trotter_steps=1, j1=2, gap=gap)
+        assert plan.to_json() == given.to_json()
 
     def test_gap_rejected_on_d2_plan(self):
         with pytest.raises(ValueError, match="d=2"):
