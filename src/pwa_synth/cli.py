@@ -200,6 +200,11 @@ def _cmd_bench(args) -> int:
     require_count(args.restarts, "--restarts")
     require_count(args.maxiter, "--maxiter")
     require_count(args.haar_count, "--haar-count")
+    if args.experiment == "propagation":
+        for flag, entries in (("--lengths", lengths), ("--seeds", seeds)):
+            if len(entries) > 1:
+                raise ValueError(f"{flag} takes one entry in the propagation experiment, "
+                                 f"got {len(entries)}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -232,17 +237,18 @@ def _cmd_bench(args) -> int:
         write("error_scaling.csv", "\n".join(lines) + "\n")
         write("error_scaling_slopes.csv", "\n".join(slopes) + "\n")
     elif args.experiment == "propagation":
-        length, k = lengths[0], counts[-1]
+        [length], [seed] = lengths, seeds
         model = _device(length)
         for gate in gates:
             for d in dims:
-                result = _optimize(args, targets[gate, d], k, model, seeds[0])
-                for basis, state in enumerate(np.eye(d, dtype=complex)):
-                    trace = propagate(state, result.voltages, model=model, dz=length / 50.0)
-                    path = outdir / f"propagation_{gate}_d{d}_K{k}_in{basis}.csv"
-                    with path.open("wb") as file:
-                        trace.write_csv(file)
-                    written.append(path)
+                for k in counts:
+                    result = _optimize(args, targets[gate, d], k, model, seed)
+                    for basis, state in enumerate(np.eye(d, dtype=complex)):
+                        trace = propagate(state, result.voltages, model=model, dz=length / 50.0)
+                        path = outdir / f"propagation_{gate}_d{d}_K{k}_in{basis}.csv"
+                        with path.open("wb") as file:
+                            trace.write_csv(file)
+                        written.append(path)
     else:
         # One row per (name, target, d, K, L, seed) point, in the order listed.
         if args.experiment == "gate-sweep":

@@ -38,15 +38,14 @@ from .planner import SECTION_A, SECTION_GAP, ChipPlan, PlanBlock, PlanSection, c
 
 # Rows (one sample and one mode each) formatted per block by
 # ``PropagationTrace.write_csv``. The block, not the trace length, bounds the
-# row buffer (128 bytes a row below 100 modes) and the kernel's temporaries
-# (about 90 bytes a float); each block formats its own z values into a
-# word array of one row per sample. In the simulate
-# benchmark (traces of up to 961 samples, d = 3..8), blocks of 512 and 1024
-# samples peaked 0.5-1 MB and 2.5-3 MB higher in RSS than blocks of 256, and
-# blocks of 128 samples saved at most 0.3 MB and made the pass about 15 %
-# slower. 2048 rows is the 256-sample block at d = 8, the benchmark's
-# largest: smaller d now write fewer, larger blocks, and below 2048 modes no
-# block outgrows it.
+# row buffer (128 bytes a row up to 100 modes), the block's word array (32
+# bytes a float) and the kernel's temporaries (about 90 bytes a float). On
+# the 33 voltage traces of the simulate benchmark at seed 1 (up to 961
+# samples, d = 3..8), the writer took 91 ms at 1024 rows, 83 ms at 2048 and
+# 81-83 ms at 4096 (minimum of 15 passes), and the benchmark's peak RSS read
+# 47.05-47.11, 46.76-46.99 and 47.31-47.33 MB (two runs each): 2048 rows
+# is about as fast as larger blocks and no larger in memory than smaller
+# ones.
 _CSV_ROWS = 2048
 
 
@@ -178,20 +177,24 @@ def _read_only(values, dtype) -> np.ndarray:
     return out
 
 
-# ``PropagationTrace.write_csv`` writes each float into a slot of seven uint32
-# words (28 bytes) of a row buffer; a 0 byte is no byte (a stripped zero, a
-# missing '.' or exponent), and the bytes that remain, in order, are
+# ``PropagationTrace.write_csv`` formats a block's floats into a word array
+# of one 8-word row per float: a slot of seven uint32 words (28 bytes) of
+# text, then the word of the separator that follows the float in its CSV
+# row, which the writer copies into its row buffer with the slot (z's slot
+# is copied alone). A 0 byte is no byte (a stripped zero, a missing '.' or
+# exponent, padding), and the bytes that remain, in order, are
 # ``'%.17g' % x``:
 #   words 0-1  sign, lead, '.', three leading zeros, first digit, (empty)
 #   words 2-5  the 16 digits after the first, four to a word
 #   word 6     'e', '-', two exponent digits
 # ``_put_floats`` takes the digits of 2^-32 <= |x| < 10 from a float64
 # estimate within 23 of the exact 17-digit quotient and one exact uint64
-# correction; every other value (or one whose exponent it misjudged) goes to
-# ``'%.17g'``. The kernel keeps to a few numpy loops (float products, fmin
-# and floor; uint64 products, sums, shifts, comparisons and floor division;
-# take and where): each further loop a process runs maps about 64 KB more
-# of numpy's code into memory.
+# correction; every other value (or one whose exponent it misjudged) is
+# formatted by one ``%`` call of Python's, left-justified to the slot. The
+# kernel keeps to a few numpy loops (float products, fmin and floor; uint64
+# products, sums, shifts, comparisons and floor division; take, where and
+# nonzero): each further loop a process runs maps about 64 KB more of
+# numpy's code into memory.
 _SLOT = 7
 _U64 = np.uint64
 _POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)  # 5^27 < 2^63
@@ -244,9 +247,9 @@ _TAILS = np.frombuffer(
 
 
 def _put_floats(slots: np.ndarray, x: np.ndarray) -> None:
-    """Write ``'%.17g' % v`` for each v of the float array ``x`` into
-    ``slots``, a uint32 view of a row buffer of shape x.shape + (7,) whose
-    slots start on 8-byte boundaries.
+    """Write ``'%.17g' % v`` for each v of the 1-D float array ``x`` into
+    ``slots``, a uint32 array of shape (x.size, 7) whose rows start on
+    8-byte boundaries.
 
     A normal x = m 2^e (m < 2^53) with 2^-32 <= |x| < 10 and decimal
     exponent k gets its 17 digits from the exact quotient v = m 5^s / 2^r,
@@ -294,24 +297,32 @@ def _put_floats(slots: np.ndarray, x: np.ndarray) -> None:
 
     lead = n // _E16
     n -= lead * _E16
+    fraction = np.where(n == _U64(0), 0, 1)
     high = n // _U64(10**8)
     n -= high * _U64(10**8)
     hh, lh = high // _U64(10_000), n // _U64(10_000)
     high -= hh * _U64(10_000)
     n -= lh * _U64(10_000)
-    strip = np.full(x.shape, 10_000, dtype=np.uint64)  # offset of the stripped words
-    for word, g in zip((5, 4, 3, 2), (n, lh, high, hh)):  # while every later digit is 0
-        slots[..., word] = np.take(_DIGITS, g + strip, mode="clip")
+    # the last word drops its trailing '0's; a word before it drops them
+    # only when every later digit is 0, so only where the last word is 0000
+    slots[:, 5] = np.take(_DIGITS[10_000:], n, mode="clip")
+    for word, g in zip((4, 3, 2), (lh, high, hh)):
+        slots[:, word] = np.take(_DIGITS, g, mode="clip")
+    ends = np.flatnonzero(n == _U64(0))
+    strip = _U64(10_000)  # offset of the stripped words
+    for word, g in zip((4, 3, 2), (lh[ends], high[ends], hh[ends])):
+        slots[ends, word] = np.take(_DIGITS, g + strip, mode="clip")
         strip = np.where(g == _U64(0), strip, _U64(0))
     del hh, lh, high, n
     sign = x.view(np.uint64) >> _U64(63)
     head = (sign.view(np.int64) * 11 + k + 10) * 10 + lead.view(np.int64)
-    head = head * 2 + np.where(strip == _U64(0), 1, 0)
-    slots[..., :2].view(np.uint64)[..., 0] = np.take(_HEADS, head, mode="clip")
-    slots[..., 6] = np.take(_TAILS, k + 10, mode="clip")
-    others = np.nonzero(~(exact | zero))
-    if others[0].size:
-        text = b"".join(("%.17g" % v).encode().ljust(4 * _SLOT, b"\0") for v in x[others].tolist())
+    head = head * 2 + fraction
+    slots[:, :2].view(np.uint64)[:, 0] = np.take(_HEADS, head, mode="clip")
+    slots[:, 6] = np.take(_TAILS, k + 10, mode="clip")
+    others = np.flatnonzero(~(exact | zero))
+    if others.size:
+        # one formatting call; the padding spaces become empty bytes
+        text = ("%-28.17g" * others.size % tuple(x[others].tolist())).encode().replace(b" ", b"\0")
         slots[others] = np.frombuffer(text, dtype=np.uint32).reshape(-1, _SLOT)
 
 
@@ -344,17 +355,19 @@ class PropagationTrace:
 
         Rows are grouped by sample, then by mode index, and end in a line
         feed; floats are written as ``'%.17g' % x`` would write them, by
-        ``_put_floats``. Each block of about ``_CSV_ROWS`` rows fills one
-        reused buffer of fixed-width rows of uint32 words (z, ",m,", then
-        re, im and probability each followed by its separator) and is
-        written with its empty bytes dropped by one ``bytearray.translate``.
-        Each block formats its own samples' z into a small word array and
-        copies a sample's z words into all d of its rows.
+        ``_put_floats``. Each block of about ``_CSV_ROWS`` rows gathers its
+        re, im and probability values, then its z values, into one reused
+        float buffer and formats them with one ``_put_floats`` call into a
+        word array of one slot per float. The value slots, each with its
+        separator, are copied into a reused buffer of fixed-width rows of
+        uint32 words (z, ",m,", then re, im and probability), a sample's z
+        slot into all d of its rows, and the block is written with its empty
+        bytes dropped by one ``bytearray.translate``.
         """
         n, d = self.amplitudes.shape
         file.write(b"z_m,mode_index,re,im,probability\n")
         modes = [f",{m},".encode() for m in range(d)]
-        width = -(-len(modes[-1]) // 4) | 1  # words, odd: the slots stay 8-byte aligned
+        width = -(-len(modes[-1]) // 4)  # words of the longest ",m,"
         mode_words = np.frombuffer(
             b"".join(text.ljust(4 * width, b"\0") for text in modes), dtype=np.uint32
         ).reshape(d, width)
@@ -362,20 +375,23 @@ class PropagationTrace:
         chunk = min(max(n, 1), max(_CSV_ROWS // d, 1))  # samples per block
         raw = bytearray(4 * chunk * d * (re + 3 * (_SLOT + 1)))
         buf = np.frombuffer(raw, dtype=np.uint32).reshape(chunk, d, -1)
-        fields = buf[:, :, re:].reshape(chunk, d, 3, _SLOT + 1)  # re, im, probability
         buf[:, :, _SLOT:re] = mode_words
-        fields[..., _SLOT] = [_COMMA, _COMMA, _NEWLINE]
-        z_words = np.empty((chunk, _SLOT + 1), dtype=np.uint32)
+        floats = np.empty(chunk * (3 * d + 1))  # re, im, probability by row, then z
+        words = np.empty((floats.size, _SLOT + 1), dtype=np.uint32)
+        words[: 3 * d * chunk].reshape(-1, 3, _SLOT + 1)[..., _SLOT] = [_COMMA, _COMMA, _NEWLINE]
         for start in range(0, n, chunk):
             rows = slice(start, start + chunk)
-            amps = self.amplitudes[rows]
-            size = len(amps)
+            size = min(chunk, n - start)
             if size < chunk:
                 buf[size:] = 0  # the last block: no bytes past it
-            _put_floats(z_words[:size, :_SLOT], self.z[rows])
-            buf[:size, :, :_SLOT] = z_words[:size, None, :_SLOT]
-            values = np.stack([amps.real, amps.imag, self.probabilities[rows]], axis=-1)
-            _put_floats(fields[:size, ..., :_SLOT], values)
+            cells = 3 * d * size
+            values = floats[:cells].reshape(size, d, 3)
+            values[..., :2] = self.amplitudes[rows, :, None].view(float)
+            values[..., 2] = self.probabilities[rows]
+            floats[cells:cells + size] = self.z[rows]
+            _put_floats(words[:cells + size, :_SLOT], floats[:cells + size])
+            buf[:size, :, re:] = words[:cells].reshape(size, d, -1)
+            buf[:size, :, :_SLOT] = words[cells:cells + size, None, :_SLOT]
             file.write(raw.translate(None, b"\0"))
 
     def to_csv(self) -> str:

@@ -1021,9 +1021,21 @@ class TestBenchCommand:
             "--maxiter", "40", "--out", str(tmp_path),
         )
         assert code == 0
-        traces = sorted(tmp_path.glob("propagation_dft_d2_K2_in*.csv"))
-        assert len(traces) == 2
+        traces = sorted(tmp_path.glob("propagation_dft_d2_K*_in*.csv"))
+        assert [t.name for t in traces] == [
+            f"propagation_dft_d2_K{k}_in{b}.csv" for k in (1, 2) for b in (0, 1)
+        ]
         assert traces[0].read_text().startswith("z_m,mode_index,re,im,probability")
+
+    @pytest.mark.parametrize("flag", ["--lengths=6e-3,1e-2", "--seeds=0,1"])
+    def test_propagation_takes_one_length_and_one_seed(self, capsys, tmp_path, flag):
+        code, out = run_cli(
+            capsys, "bench", "--experiment", "propagation", flag, "--out", str(tmp_path / "b")
+        )
+        assert code == 2
+        [line] = out.strip().splitlines()
+        assert flag.split("=")[0] in json.loads(line)["error"]["message"]
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize(
         "flag",

@@ -25,7 +25,7 @@ from pwa_synth import (
     realize,
     unitarity_defect,
 )
-from pwa_synth import cli
+from pwa_synth import cli, device
 from pwa_synth.device import _CSV_ROWS
 
 from conftest import physical_sections, sectionwise_propagation
@@ -356,14 +356,17 @@ class TestTraceCsv:
         assert text == _reference_csv(trace)
         assert text.count("\n") == 1 + 3 * n
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 8, 12])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 12, 101])
     def test_file_writer_at_block_edges(self, d, tmp_path):
         # a block holds chunk samples; n runs up to, onto and past the first
-        # block edge, and up to and past the d-th
+        # block edge, and up to and past the d-th (the 12th from d = 12 up,
+        # which keeps d = 101 under a second); at d = 101 the mode field
+        # ",100," takes two words
         rng = np.random.default_rng(d)
         chunk = _CSV_ROWS // d
+        last = min(d, 12) * chunk
         path = tmp_path / "trace.csv"
-        for n in sorted({chunk - 1, chunk, chunk + 1, d * chunk - 1, d * chunk + 1}):
+        for n in sorted({chunk - 1, chunk, chunk + 1, last - 1, last + 1}):
             trace = _trace(np.cumsum(rng.uniform(0, 1e-4, n)), rng.standard_normal((n, d)),
                            rng.standard_normal((n, d)))
             with open(path, "wb") as file:
@@ -371,6 +374,26 @@ class TestTraceCsv:
             written = path.read_bytes()
             assert written == trace.to_csv().encode(), n
             assert written == _reference_csv(trace).encode(), n
+
+    def test_one_kernel_call_per_block(self, monkeypatch):
+        # each block formats its z values in the same call as its re, im and
+        # probability values
+        calls = []
+        put_floats = device._put_floats
+
+        def counting(slots, x):
+            calls.append(x.size)
+            put_floats(slots, x)
+
+        monkeypatch.setattr(device, "_put_floats", counting)
+        rng = np.random.default_rng(4)
+        d = 3
+        chunk = _CSV_ROWS // d
+        n = 2 * chunk + 5
+        trace = _trace(np.cumsum(rng.uniform(0, 1e-4, n)), rng.standard_normal((n, d)),
+                       rng.standard_normal((n, d)))
+        assert trace.to_csv() == _reference_csv(trace)
+        assert calls == [chunk * (3 * d + 1)] * 2 + [5 * (3 * d + 1)]
 
     def test_powers_of_two_and_their_odd_multiples(self):
         # dyadic values hit exact decimal ties: 2^-25 = 2.98023223876953125e-08
@@ -475,7 +498,8 @@ class TestTraceCsv:
         assert cli.main(["bench", "--experiment", "propagation", "--dims", "2,3", "--gates", "dft",
                          "--sections", "1,2", "--restarts", "2", "--maxiter", "40",
                          "--out", str(tmp_path)]) == 0
-        names = [f"propagation_dft_d{d}_K2_in{b}.csv" for d in (2, 3) for b in range(d)]
+        names = [f"propagation_dft_d{d}_K{k}_in{b}.csv"
+                 for d in (2, 3) for k in (1, 2) for b in range(d)]
         assert len(traces) == len(names)
         for name, trace in zip(names, traces):
             assert (tmp_path / name).read_bytes() == _reference_csv(trace).encode()
